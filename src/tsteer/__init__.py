@@ -4,7 +4,6 @@ from .channels import (
     Exchange,
     KrausChannel,
     LorentzianAD,
-    Propagator,
     RabiDecay,
     apply_channel,
     exchange_apply,

@@ -19,11 +19,22 @@ Three physical models plus random Kraus channels for property tests:
   time-local rate gamma(t) = -(2/G) d|G|/dt goes negative past the zeros of
   G, which is the memory effect the steering measures pick up.
 
-Master equations are integrated with fixed-step classical RK4 on the
-vectorized generator; a closed-form propagator through the eigendecomposition
-of the Liouvillian is provided as an independent cross-check. The G(t) map is
-applied exactly, never by integrating gamma(t), which is singular at zeros
-of G.
+Every channel is represented by one object, its 4x4 transfer matrix T(t)
+acting on row-major vectorized states, vec(rho(t)) = T(t) vec(rho):
+
+* RabiDecay: the propagator of its Liouvillian.
+* Exchange: R P(t) E, where E embeds rho -> rho (x) |e><e| and R traces
+  the partner out; P(t) propagates the 16x4 embedding block.
+* LorentzianAD: the closed-form G(t) map.
+* KrausChannel: sum_k K (x) conj(K), the same at every time.
+
+Applying a channel, evolving a grid, the Choi matrix and the ancilla states
+of the concurrence trace are all products with T or reshuffles of it.
+Master-equation propagators are the classical RK4 solution with a fixed
+step: one step matrix sum_{k<=4} (hL)^k / k! raised to the number of steps.
+A closed-form propagator through the eigendecomposition of the Liouvillian
+is kept as an independent cross-check. The G(t) map is applied exactly,
+never by integrating gamma(t), which is singular at zeros of G.
 """
 
 from __future__ import annotations
@@ -96,16 +107,6 @@ class KrausChannel:
         return f"KrausChannel(n={len(self.operators)})"
 
 
-@dataclass
-class Propagator:
-    """Bundles a channel with its linear action rho(0) -> rho(t)."""
-
-    channel: object
-
-    def apply(self, t, rho):
-        return apply_channel(self.channel, t, rho)
-
-
 # --- generators and integrators ---------------------------------------------
 
 
@@ -152,19 +153,19 @@ def _rate_scale(ch):
 
 
 def rk4_evolve(lmat, vecs, t, h_target):
-    """Integrate dv/dt = L v for time t with fixed-step RK4."""
+    """Integrate dv/dt = L v for time t with fixed-step RK4.
+
+    n = ceil(t / h_target) classical RK4 steps of size h = t / n. For a
+    linear generator one step is the matrix sum_{k<=4} (hL)^k / k!, so the
+    n steps are that matrix to the n-th power.
+    """
     if t == 0.0:
         return vecs.copy()
     n = max(1, math.ceil(t / h_target))
-    h = t / n
-    v = vecs.copy()
-    for _ in range(n):
-        k1 = lmat @ v
-        k2 = lmat @ (v + 0.5 * h * k1)
-        k3 = lmat @ (v + 0.5 * h * k2)
-        k4 = lmat @ (v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return v
+    hl = (t / n) * lmat
+    idm = np.eye(lmat.shape[0], dtype=complex)
+    step = idm + hl @ (idm + hl @ (idm + hl @ (idm + hl / 4.0) / 3.0) / 2.0)
+    return np.linalg.matrix_power(step, n) @ vecs
 
 
 def eig_propagate(lmat, t, vecs):
@@ -182,32 +183,7 @@ def _check_time(t):
         raise NegativeTime(f"evolution time must be non-negative, got {t}")
 
 
-# --- model applications ------------------------------------------------------
-
-_ENV_EXCITED = np.outer(hermat.KET_E, hermat.KET_E.conj())
-
-
-def rabi_decay_apply(g1, gamma1, t, rho):
-    """Solve the driven-decay master equation from rho at time 0 to time t."""
-    ch = RabiDecay(g1, gamma1)
-    _check_time(t)
-    rho = np.asarray(rho, dtype=complex)
-    lmat = liouvillian(*_generator(ch))
-    h_target = RK4_BASE_STEP / max(1.0, _rate_scale(ch))
-    out = rk4_evolve(lmat, rho.reshape(4, 1), t, h_target)
-    return out.reshape(2, 2)
-
-
-def exchange_apply(j, gamma2, t, rho):
-    """Couple rho to an initially excited partner qubit, evolve, trace it out."""
-    ch = Exchange(j, gamma2)
-    _check_time(t)
-    rho = np.asarray(rho, dtype=complex)
-    joint = hermat.kron(rho, _ENV_EXCITED)
-    lmat = liouvillian(*_generator(ch))
-    h_target = RK4_BASE_STEP / max(1.0, _rate_scale(ch))
-    out = rk4_evolve(lmat, joint.reshape(16, 1), t, h_target).reshape(4, 4)
-    return hermat.partial_trace(out, keep=1)
+# --- Lorentzian memory amplitude and random Kraus maps -----------------------
 
 
 def _sinhc(z):
@@ -273,30 +249,6 @@ def lorentzian_gamma(g, omega_w, t):
     return -2.0 * dg / gval
 
 
-def lorentzian_apply(g, omega_w, t, rho):
-    """Exact amplitude-damping map with memory amplitude G(t)."""
-    LorentzianAD(g, omega_w)
-    _check_time(t)
-    rho = np.asarray(rho, dtype=complex)
-    gval = lorentzian_G(g, omega_w, t)
-    return _g_map(gval, rho)
-
-
-def _g_map(gval, rho):
-    out = np.empty_like(rho, dtype=complex)
-    a2 = gval * np.conj(gval)
-    out[0, 0] = a2 * rho[0, 0]
-    out[0, 1] = gval * rho[0, 1]
-    out[1, 0] = np.conj(gval) * rho[1, 0]
-    out[1, 1] = rho[1, 1] + (1.0 - a2) * rho[0, 0]
-    return out
-
-
-def kraus_apply(ops, rho):
-    rho = np.asarray(rho, dtype=complex)
-    return sum(k @ rho @ k.conj().T for k in ops)
-
-
 def random_kraus_channel(seed, n_kraus):
     """Seeded random CPT channel built from a Haar-like isometry."""
     if n_kraus < 1:
@@ -309,32 +261,93 @@ def random_kraus_channel(seed, n_kraus):
     return KrausChannel(tuple(q[2 * i: 2 * i + 2, :] for i in range(n_kraus)))
 
 
-def apply_channel(ch, t, rho):
-    """Dispatch rho(0) -> rho(t) for any channel variant."""
-    _check_time(t)
-    rho = np.asarray(rho, dtype=complex)
-    if isinstance(ch, RabiDecay):
-        return rabi_decay_apply(ch.g1, ch.gamma1, t, rho)
-    if isinstance(ch, Exchange):
-        return exchange_apply(ch.j, ch.gamma2, t, rho)
+# --- transfer matrices -------------------------------------------------------
+
+_ENV_EXCITED = np.outer(hermat.KET_E, hermat.KET_E.conj())
+# Row-major basis |i><j| of one qubit, in vec order.
+_UNITS = np.eye(4, dtype=complex).reshape(4, 2, 2)
+# vec(rho) -> vec(rho (x) |e><e|), and vec(M) -> vec(tr_partner M).
+_EMBED = np.stack([hermat.kron(u, _ENV_EXCITED).reshape(16) for u in _UNITS], axis=1)
+_TRACE_PARTNER = np.stack([hermat.kron(u, hermat.IDENTITY).reshape(16) for u in _UNITS])
+
+
+def transfer_grid(ch, times):
+    """Transfer matrices T(t), shape (len(times), 4, 4), on a non-decreasing grid.
+
+    vec(rho(t)) = T(t) vec(rho) with row-major vec. Master-equation models
+    step the propagator incrementally between grid points.
+    """
+    times = np.asarray(times, dtype=float).reshape(-1)
+    if times.size and times[0] < 0:
+        raise NegativeTime(f"evolution time must be non-negative, got {times[0]}")
+    if np.any(np.diff(times) < 0):
+        raise BadParameter("time grid must be non-decreasing")
     if isinstance(ch, LorentzianAD):
-        return lorentzian_apply(ch.g, ch.omega_w, t, rho)
+        out = np.zeros((times.size, 4, 4), dtype=complex)
+        for i, t in enumerate(times):
+            gval = lorentzian_G(ch.g, ch.omega_w, t)
+            a2 = gval * gval
+            out[i, 0, 0] = a2
+            out[i, 1, 1] = gval
+            out[i, 2, 2] = gval
+            out[i, 3, 0] = 1.0 - a2
+            out[i, 3, 3] = 1.0
+        return out
     if isinstance(ch, KrausChannel):
-        return kraus_apply(ch.operators, rho)
-    raise BadParameter(f"unknown channel {ch!r}")
+        tmat = sum(np.kron(k, k.conj()) for k in ch.operators)
+        return np.repeat(tmat[None], times.size, axis=0)
+    if isinstance(ch, RabiDecay):
+        carrier = read = np.eye(4, dtype=complex)
+    elif isinstance(ch, Exchange):
+        carrier, read = _EMBED, _TRACE_PARTNER
+    else:
+        raise BadParameter(f"unknown channel {ch!r}")
+    lmat = liouvillian(*_generator(ch))
+    h_target = RK4_BASE_STEP / max(1.0, _rate_scale(ch))
+    out = np.empty((times.size, 4, 4), dtype=complex)
+    t_prev = 0.0
+    for i, t in enumerate(times):
+        carrier = rk4_evolve(lmat, carrier, t - t_prev, h_target)
+        t_prev = t
+        out[i] = read @ carrier
+    return out
+
+
+def choi_from_transfer(tmat):
+    """Choi matrices sum_ij |i><j| (x) Lambda(|i><j|) of transfer matrices (..., 4, 4)."""
+    tmat = np.asarray(tmat)
+    lead = tmat.shape[:-2]
+    blocks = tmat.reshape(*lead, 2, 2, 2, 2)
+    return np.einsum("...abij->...iajb", blocks).reshape(*lead, 4, 4)
+
+
+# --- applications ------------------------------------------------------------
+
+
+def apply_channel(ch, t, rho):
+    """rho(0) -> rho(t) for any channel variant."""
+    rho = np.asarray(rho, dtype=complex)
+    return (transfer_grid(ch, [t])[0] @ rho.reshape(4)).reshape(2, 2)
+
+
+def rabi_decay_apply(g1, gamma1, t, rho):
+    """Solve the driven-decay master equation from rho at time 0 to time t."""
+    return apply_channel(RabiDecay(g1, gamma1), t, rho)
+
+
+def exchange_apply(j, gamma2, t, rho):
+    """Couple rho to an initially excited partner qubit, evolve, trace it out."""
+    return apply_channel(Exchange(j, gamma2), t, rho)
+
+
+def lorentzian_apply(g, omega_w, t, rho):
+    """Exact amplitude-damping map with memory amplitude G(t)."""
+    return apply_channel(LorentzianAD(g, omega_w), t, rho)
 
 
 def choi_matrix(ch, t):
     """Unnormalized Choi matrix sum_ij |i><j| (x) Lambda(|i><j|); PSD iff CP."""
-    blocks = []
-    for i in range(2):
-        row = []
-        for jj in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[i, jj] = 1.0
-            row.append(apply_channel(ch, t, e))
-        blocks.append(row)
-    return np.block(blocks)
+    return choi_from_transfer(transfer_grid(ch, [t])[0])
 
 
 def propagate_assemblage(ch, t, asm: Assemblage) -> Assemblage:
@@ -345,9 +358,7 @@ def propagate_assemblage(ch, t, asm: Assemblage) -> Assemblage:
     state other than I/2 dephases differently in different bases, so only
     maximally-mixed inputs produce non-signaling families in the first place.
     """
-    _check_time(t)
-    stack = asm.stacked()
-    out = np.array([apply_channel(ch, t, m) for m in stack])
+    out = evolve_grid(ch, asm.stacked(), [t])[0]
     new = _from_stack(asm.labels, out, time_tag=t)
     hard = [v for v in validate(new, 1e-8) if v.kind != "non-signaling"]
     if hard:
@@ -356,42 +367,13 @@ def propagate_assemblage(ch, t, asm: Assemblage) -> Assemblage:
 
 
 def evolve_grid(ch, mats, times):
-    """Evolve a stack of matrices across an increasing time grid.
+    """Evolve a stack of 2x2 matrices across a non-decreasing time grid.
 
-    Returns an array of shape (len(times), len(mats), 2, 2). Master-equation
-    models step incrementally between grid points (embedding happens once at
-    t=0 for the Exchange model); closed-form models evaluate each point
-    exactly.
+    Returns an array of shape (len(times), len(mats), 2, 2): every member
+    times the transfer matrix T(t) of every grid point.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size and times[0] < 0:
-        raise NegativeTime("grid must start at a non-negative time")
-    if np.any(np.diff(times) < 0):
-        raise BadParameter("time grid must be non-decreasing")
     mats = np.asarray(mats, dtype=complex)
-    n = mats.shape[0]
-
-    if isinstance(ch, (LorentzianAD, KrausChannel)):
-        out = np.empty((times.size, n, 2, 2), dtype=complex)
-        for i, t in enumerate(times):
-            for k in range(n):
-                out[i, k] = apply_channel(ch, t, mats[k])
-        return out
-
-    lmat = liouvillian(*_generator(ch))
-    h_target = RK4_BASE_STEP / max(1.0, _rate_scale(ch))
-    if isinstance(ch, Exchange):
-        carrier = np.stack([hermat.kron(m, _ENV_EXCITED).reshape(16) for m in mats], axis=1)
-        read = lambda v: hermat.partial_trace(v.reshape(4, 4), keep=1)
-    else:
-        carrier = np.stack([m.reshape(4) for m in mats], axis=1)
-        read = lambda v: v.reshape(2, 2)
-
-    out = np.empty((times.size, n, 2, 2), dtype=complex)
-    t_prev = 0.0
-    for i, t in enumerate(times):
-        carrier = rk4_evolve(lmat, carrier, t - t_prev, h_target)
-        t_prev = t
-        for k in range(n):
-            out[i, k] = read(carrier[:, k])
-    return out
+    tmat = transfer_grid(ch, times)
+    vecs = mats.reshape(mats.shape[0], 4)
+    out = np.einsum("tij,kj->tki", tmat, vecs)
+    return out.reshape(tmat.shape[0], mats.shape[0], 2, 2)

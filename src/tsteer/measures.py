@@ -20,6 +20,7 @@ witness on the same grids.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,18 @@ class NmResult:
     series: TraceSeries = field(repr=False)
 
 
+@functools.lru_cache(maxsize=32)
+def _uniform_grid(t_max: float, n_steps: int) -> np.ndarray:
+    """Read-only uniform grid on [0, t_max].
+
+    Traces on equal grids share it, so a caller that keeps many traces holds
+    one copy of each grid rather than one per trace.
+    """
+    times = np.linspace(0.0, t_max, n_steps)
+    times.flags.writeable = False
+    return times
+
+
 def tsw(asm: Assemblage, tol: float = 1e-8, warm=None) -> TswResult:
     """Temporal steerable weight 1 - mu* of an assemblage.
 
@@ -85,7 +98,9 @@ def tsw_trace(ch, ms: MeasurementSet, rho0, t_max: float, n_steps: int,
     """TSW of the premeasured-and-evolved assemblage on a uniform grid.
 
     Solves run in grid order, each seeded with the previous optimum; the
-    trace is continuous in time so the warm start lands close.
+    trace is continuous in time so the warm start lands close. A point whose
+    solve does not end OPTIMAL keeps its value 1 - mu* but its grid index is
+    listed in metadata["non_optimal"].
     """
     if n_steps < 2:
         raise InvalidState(f"need at least 2 grid points, got {n_steps}")
@@ -93,13 +108,14 @@ def tsw_trace(ch, ms: MeasurementSet, rho0, t_max: float, n_steps: int,
         raise InvalidState(f"t_max must be positive, got {t_max}")
     from .steering import premeasure
 
-    times = np.linspace(0.0, float(t_max), int(n_steps))
+    times = _uniform_grid(float(t_max), int(n_steps))
     asm0 = premeasure(rho0, ms)
     stacks = channels.evolve_grid(ch, asm0.stacked(), times)
     table = strategy_table(ms.n_meas)
 
     values = np.empty(times.size)
     solutions = []
+    non_optimal = []
     warm = None
     for i, t in enumerate(times):
         asm_t = _from_stack(ms.labels, stacks[i], time_tag=float(t))
@@ -112,7 +128,11 @@ def tsw_trace(ch, ms: MeasurementSet, rho0, t_max: float, n_steps: int,
             # a stale seed can mislead the interior-point iteration when the
             # optimal face changes between grid points; retry from scratch
             sol = solve(problem, tol=tol)
-        warm = sol.warm if sol.status is SolveStatus.OPTIMAL else None
+        if sol.status is SolveStatus.OPTIMAL:
+            warm = sol.warm
+        else:
+            warm = None
+            non_optimal.append(i)
         values[i] = 1.0 - sol.mu_star
         solutions.append(sol)
     meta = {
@@ -121,6 +141,7 @@ def tsw_trace(ch, ms: MeasurementSet, rho0, t_max: float, n_steps: int,
         "labels": ms.labels,
         "rho0": np.asarray(rho0, dtype=complex),
         "tol": tol,
+        "non_optimal": non_optimal,
     }
     return TraceSeries(times, values, meta, solutions)
 
@@ -170,63 +191,20 @@ def concurrence(rho) -> float:
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 
-_PHI_PLUS = np.zeros((4, 4), dtype=complex)
-_PHI_PLUS[np.ix_([0, 3], [0, 3])] = 0.5  # (|00> + |11>)/sqrt(2), ancilla first
-
-
-def _trace_out_last_of_three(m8):
-    r = m8.reshape(2, 2, 2, 2, 2, 2)
-    return np.einsum("ijklmk->ijlm", r).reshape(4, 4)
-
-
 def nc_trace(ch, t_max: float, n_steps: int) -> TraceSeries:
     """Concurrence between an isolated ancilla and the evolving qubit.
 
-    The pair starts maximally entangled; the channel acts on the system half
-    only. The Exchange model carries its environment qubit explicitly on an
-    8-dimensional space (ancilla x system x environment) and traces it out
-    at read time.
+    The pair starts maximally entangled, (|00> + |11>)/sqrt(2) with the
+    ancilla first, and the channel acts on the system half only. That state
+    at time t is Choi(T(t))/2, so every channel reads its trace off its
+    transfer matrices on the grid.
     """
     if n_steps < 2:
         raise InvalidState(f"need at least 2 grid points, got {n_steps}")
     if t_max <= 0:
         raise InvalidState(f"t_max must be positive, got {t_max}")
-    times = np.linspace(0.0, float(t_max), int(n_steps))
-    values = np.empty(times.size)
-
-    if isinstance(ch, (channels.RabiDecay, channels.Exchange)):
-        h, jumps = channels._generator(ch)
-        dim = 2 * h.shape[0]
-        h_ext = hermat.kron(hermat.IDENTITY, h)
-        jumps_ext = [(hermat.kron(hermat.IDENTITY, op), rate) for op, rate in jumps]
-        lmat = channels.liouvillian(h_ext, jumps_ext)
-        h_target = channels.RK4_BASE_STEP / max(1.0, channels._rate_scale(ch))
-        if isinstance(ch, channels.Exchange):
-            state = hermat.kron(_PHI_PLUS, channels._ENV_EXCITED)
-            read = _trace_out_last_of_three
-        else:
-            state = _PHI_PLUS.copy()
-            read = lambda m: m
-        vec = state.reshape(dim * dim, 1)
-        t_prev = 0.0
-        for i, t in enumerate(times):
-            vec = channels.rk4_evolve(lmat, vec, t - t_prev, h_target)
-            t_prev = t
-            values[i] = concurrence(read(vec.reshape(dim, dim)))
-    elif isinstance(ch, channels.LorentzianAD):
-        for i, t in enumerate(times):
-            gval = channels.lorentzian_G(ch.g, ch.omega_w, t)
-            k0 = np.diag([gval, 1.0]).astype(complex)
-            k1 = np.zeros((2, 2), dtype=complex)
-            k1[1, 0] = np.sqrt(max(0.0, 1.0 - abs(gval) ** 2))
-            ops = [hermat.kron(hermat.IDENTITY, k) for k in (k0, k1)]
-            values[i] = concurrence(channels.kraus_apply(ops, _PHI_PLUS))
-    elif isinstance(ch, channels.KrausChannel):
-        ops = [hermat.kron(hermat.IDENTITY, k) for k in ch.operators]
-        out = concurrence(channels.kraus_apply(ops, _PHI_PLUS))
-        values[:] = out
-    else:
-        raise InvalidState(f"unsupported channel {ch!r}")
-
+    times = _uniform_grid(float(t_max), int(n_steps))
+    chois = channels.choi_from_transfer(channels.transfer_grid(ch, times))
+    values = np.array([concurrence(0.5 * c) for c in chois])
     meta = {"measure": "concurrence", "channel": ch}
     return TraceSeries(times, values, meta, None)

@@ -344,3 +344,49 @@ def test_evolve_grid_matches_pointwise_apply():
             for k in range(3):
                 direct = apply_channel(ch, t, mats[k])
                 assert np.abs(grid[i, k] - direct).max() < 1e-9
+
+
+def _sequential_rk4(lmat, v, t, h_target):
+    n = max(1, int(np.ceil(t / h_target)))
+    h = t / n
+    for _ in range(n):
+        k1 = lmat @ v
+        k2 = lmat @ (v + 0.5 * h * k1)
+        k3 = lmat @ (v + 0.5 * h * k2)
+        k4 = lmat @ (v + h * k3)
+        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return v
+
+
+def test_rk4_step_matrix_power_matches_sequential_loop():
+    rng = np.random.default_rng(11)
+    for ch, t in ((RabiDecay(1.0, 1.0), 10.0), (Exchange(1.0, 0.1), 6.0)):
+        lmat = liouvillian(*channels._generator(ch))
+        dim = int(np.sqrt(lmat.shape[0]))
+        v0 = random_density(rng, dim).reshape(dim * dim, 1)
+        h_target = channels.RK4_BASE_STEP / max(1.0, channels._rate_scale(ch))
+        a = rk4_evolve(lmat, v0, t, h_target)
+        b = _sequential_rk4(lmat, v0, t, h_target)
+        assert np.abs(a - b).max() < 1e-12
+
+
+def test_transfer_matrices_trace_preserving_and_cp():
+    trace_row = np.eye(2, dtype=complex).reshape(4)
+    for ch, times in CHANNEL_GRID:
+        tmats = channels.transfer_grid(ch, times)
+        assert tmats.shape == (len(times), 4, 4)
+        for tmat in tmats:
+            # tr(rho(t)) = vec(I) . T vec(rho) must equal vec(I) . vec(rho)
+            assert np.abs(trace_row @ tmat - trace_row).max() < 1e-10
+            cm = channels.choi_from_transfer(tmat)
+            assert np.linalg.norm(cm - cm.conj().T) < 1e-9
+            assert np.linalg.eigvalsh(0.5 * (cm + cm.conj().T))[0] >= -1e-8
+
+
+def test_transfer_grid_rejects_bad_grids():
+    with pytest.raises(NegativeTime):
+        channels.transfer_grid(RabiDecay(1.0), [-0.1, 1.0])
+    with pytest.raises(BadParameter):
+        channels.transfer_grid(RabiDecay(1.0), [1.0, 0.5])
+    with pytest.raises(BadParameter):
+        channels.transfer_grid(object(), [1.0])

@@ -10,6 +10,7 @@ from tsteer.channels import (
     propagate_assemblage,
     random_kraus_channel,
 )
+from tsteer import channels, hermat, measures
 from tsteer.hermat import IDENTITY
 from tsteer.measures import (
     concurrence,
@@ -231,3 +232,61 @@ def test_nc_lorentzian_collapses_at_zero_of_G():
     ts = nc_trace(LorentzianAD(2.0, 1.0), 2 * t0, 9)
     assert ts.values[0] == pytest.approx(1.0, abs=1e-12)
     assert min(ts.values) < 0.05
+
+
+def _ancilla_concurrence(ch, times):
+    """Concurrence of (I (x) Lambda_t)(Phi+) evolved on the ancilla-extended space."""
+    h, jumps = channels._generator(ch)
+    h_ext = hermat.kron(IDENTITY, h)
+    jumps_ext = [(hermat.kron(IDENTITY, op), rate) for op, rate in jumps]
+    lmat = channels.liouvillian(h_ext, jumps_ext)
+    phi = np.zeros((4, 4), dtype=complex)
+    phi[np.ix_([0, 3], [0, 3])] = 0.5
+    if isinstance(ch, Exchange):
+        state = hermat.kron(phi, np.diag([1.0, 0.0]))  # partner starts excited
+    else:
+        state = phi
+    dim = state.shape[0]
+    out = []
+    for t in times:
+        m = channels.eig_propagate(lmat, t, state.reshape(dim * dim, 1)).reshape(dim, dim)
+        if dim == 8:
+            m = np.einsum("ijklmk->ijlm", m.reshape(2, 2, 2, 2, 2, 2)).reshape(4, 4)
+        out.append(concurrence(0.5 * (m + m.conj().T)))
+    return np.array(out)
+
+
+def test_nc_trace_matches_ancilla_extended_evolution():
+    for ch, t_max in ((RabiDecay(1.0, 1.0 / 6.0), 4.0), (Exchange(1.0, 0.3), 3.0)):
+        ts = nc_trace(ch, t_max, 9)
+        assert np.abs(ts.values - _ancilla_concurrence(ch, ts.times)).max() < 1e-6
+
+
+def test_tsw_trace_flags_non_optimal_points(monkeypatch):
+    real_solve = measures.solve
+    bad_time = 1.0
+
+    def solve_with_one_failure(problem, **kwargs):
+        sol = real_solve(problem, **kwargs)
+        if problem.time_tag == bad_time:
+            sol.status = SolveStatus.MAX_ITER
+        return sol
+
+    monkeypatch.setattr(measures, "solve", solve_with_one_failure)
+    ts = tsw_trace(RabiDecay(1.0, 0.5), XYZ, MIXED, 2.0, 5)
+    assert ts.metadata["non_optimal"] == [2]
+    assert ts.solutions[2].status is SolveStatus.MAX_ITER
+    assert np.all(np.isfinite(ts.values))
+
+
+def test_tsw_trace_all_optimal_has_empty_flag_list():
+    ts = tsw_trace(RabiDecay(1.0, 0.5), XYZ, MIXED, 2.0, 5)
+    assert ts.metadata["non_optimal"] == []
+
+
+def test_traces_on_equal_grids_share_one_read_only_times_array():
+    a = nc_trace(RabiDecay(1.0, 0.5), 2.0, 5)
+    b = nc_trace(Exchange(1.0, 0.0), 2.0, 5)
+    assert a.times is b.times
+    assert not a.times.flags.writeable
+    assert np.array_equal(a.times, np.linspace(0.0, 2.0, 5))
