@@ -64,8 +64,8 @@ class RabiDecay:
     gamma1: float = 0.0
 
     def __post_init__(self):
-        if self.g1 < 0 or self.gamma1 < 0:
-            raise BadParameter("rates must be non-negative")
+        if not all(0 <= r < math.inf for r in (self.g1, self.gamma1)):
+            raise BadParameter("rates must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ class Exchange:
     gamma2: float = 0.0
 
     def __post_init__(self):
-        if self.j < 0 or self.gamma2 < 0:
-            raise BadParameter("rates must be non-negative")
+        if not all(0 <= r < math.inf for r in (self.j, self.gamma2)):
+            raise BadParameter("rates must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,10 @@ class LorentzianAD:
     omega_w: float = 1.0
 
     def __post_init__(self):
-        if self.omega_w <= 0:
-            raise BadParameter(f"spectral width must be positive, got {self.omega_w}")
-        if self.g < 0:
-            raise BadParameter(f"coupling must be non-negative, got {self.g}")
+        if not 0 < self.omega_w < math.inf:
+            raise BadParameter(f"spectral width must be finite and positive, got {self.omega_w}")
+        if not 0 <= self.g < math.inf:
+            raise BadParameter(f"coupling must be finite and non-negative, got {self.g}")
 
 
 class KrausChannel:
@@ -278,6 +278,8 @@ def transfer_grid(ch, times):
     step the propagator incrementally between grid points.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(times)):
+        raise BadParameter("evolution times must be finite")
     if times.size and times[0] < 0:
         raise NegativeTime(f"evolution time must be non-negative, got {times[0]}")
     if np.any(np.diff(times) < 0):

@@ -5,14 +5,6 @@ class TswError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotHermitian(TswError):
-    """Input matrix is not Hermitian within tolerance."""
-
-
-class BadDimension(TswError):
-    """Matrix dimensions do not match the operation's contract."""
-
-
 class EmptySet(TswError):
     """A measurement set needs at least one setting."""
 

@@ -1,20 +1,16 @@
-"""Dense complex linear algebra for small Hilbert spaces (dimension 2 to 8).
+"""Qubit operators and closed-form kernels on stacks of 2x2 Hermitian blocks.
 
-Everything operates on plain complex numpy arrays. Matrices that are
-supposed to be Hermitian are checked against a relative Frobenius
-tolerance and symmetrized as (M + M^dag)/2 before any eigendecomposition,
-since time integration tends to accumulate tiny anti-Hermitian parts.
+Every kernel takes an array of shape (..., 2, 2) and works on all blocks
+at once. `min_eig`, `psd_project` and `det2` are closed form and read a
+block's upper triangle only (the real part of the diagonal and the (0, 1)
+entry); `mat_pow` goes through `np.linalg.eigh`, which reads the lower
+triangle. So a caller that cannot vouch for Hermiticity checks
+`anti_herm_norm` or symmetrizes with `herm` first.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
-
-from .errors import BadDimension, NotHermitian
-
-HERMITICITY_TOL = 1e-10
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -28,75 +24,59 @@ KET_E = np.array([1.0, 0.0], dtype=complex)
 KET_G = np.array([0.0, 1.0], dtype=complex)
 
 
-class EigenDecomposition(NamedTuple):
-    """Eigenvalues sorted ascending and matching orthonormal column vectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def _as_square(m) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise BadDimension(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
-def hermitian_part(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Symmetrize m, raising NotHermitian if it deviates beyond tol (relative)."""
-    m = _as_square(m)
-    dev = np.linalg.norm(m - m.conj().T)
-    scale = max(np.linalg.norm(m), 1.0)
-    if dev > tol * scale:
-        raise NotHermitian(f"relative anti-Hermitian part {dev / scale:.3e} exceeds {tol:.1e}")
-    return 0.5 * (m + m.conj().T)
-
-
-def eig_hermitian(m) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix (ascending eigenvalues)."""
-    h = hermitian_part(m)
-    w, v = np.linalg.eigh(h)
-    return EigenDecomposition(w, v)
-
-
-def psd_min_eig(m) -> float:
-    """Smallest eigenvalue; m counts as PSD when this is >= -tol for the caller's tol."""
-    h = hermitian_part(m)
-    return float(np.linalg.eigvalsh(h)[0])
-
-
-def psd_project(m) -> np.ndarray:
-    """Projection onto the PSD cone: clip negative eigenvalues and rebuild."""
-    w, v = eig_hermitian(m)
-    w = np.maximum(w, 0.0)
-    return (v * w) @ v.conj().T
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product, first factor on the left (slow) index."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def partial_trace(m, keep: int) -> np.ndarray:
-    """Trace out one qubit of a two-qubit operator.
-
-    keep=1 keeps the first factor, keep=2 the second.
-    """
-    m = _as_square(m)
-    if m.shape != (4, 4):
-        raise BadDimension(f"partial_trace expects a 4x4 matrix, got {m.shape}")
-    r = m.reshape(2, 2, 2, 2)
-    if keep == 1:
-        return np.einsum("ijkj->ik", r)
-    if keep == 2:
-        return np.einsum("ijil->jl", r)
-    raise BadDimension(f"keep must be 1 or 2, got {keep}")
+def herm(h):
+    """Hermitian part (h + h^dag)/2 per block."""
+    return 0.5 * (h + h.conj().swapaxes(-1, -2))
 
 
-def frobenius_inner(a, b) -> complex:
-    """Tr(a^dag b); conjugate-symmetric in its arguments."""
-    a = _as_square(a)
-    b = _as_square(b)
-    if a.shape != b.shape:
-        raise BadDimension(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.einsum("ij,ij->", a.conj(), b))
+def anti_herm_norm(h):
+    """Frobenius norm of h - h^dag per block."""
+    return np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
+
+
+def min_eig(h):
+    """Smallest eigenvalue per 2x2 Hermitian block, closed form."""
+    a = h[..., 0, 0].real
+    d = h[..., 1, 1].real
+    b = h[..., 0, 1]
+    m = 0.5 * (a + d)
+    r = np.sqrt(0.25 * (a - d) ** 2 + b.real ** 2 + b.imag ** 2)
+    return m - r
+
+
+def psd_project(h):
+    """PSD projection per 2x2 Hermitian block, closed form."""
+    a = h[..., 0, 0].real
+    d = h[..., 1, 1].real
+    b = h[..., 0, 1]
+    m = 0.5 * (a + d)
+    r = np.sqrt(0.25 * (a - d) ** 2 + b.real ** 2 + b.imag ** 2)
+    lp, lm = m + r, m - r
+    clp, clm = np.maximum(lp, 0.0), np.maximum(lm, 0.0)
+    f = (clp - clm) / (2.0 * np.where(r > 0, r, 1.0))
+    out = np.empty_like(h)
+    out[..., 0, 0] = clm + f * (a - lm)
+    out[..., 1, 1] = clm + f * (d - lm)
+    out[..., 0, 1] = f * b
+    out[..., 1, 0] = f * b.conj()
+    return out
+
+
+def det2(h):
+    """Determinant per 2x2 Hermitian block."""
+    return (h[..., 0, 0].real * h[..., 1, 1].real
+            - (h[..., 0, 1].real ** 2 + h[..., 0, 1].imag ** 2))
+
+
+def mat_pow(h, p):
+    """h**p for PSD blocks; eigenvalues floored so roundoff negatives
+    cannot poison fractional or negative powers."""
+    w, v = np.linalg.eigh(h)
+    floor = 1e-16 * np.maximum(np.abs(w).max(axis=-1, keepdims=True), 1e-200)
+    w = np.maximum(w, floor)
+    return np.einsum("...ij,...j,...kj->...ik", v, w ** p, v.conj())

@@ -21,6 +21,7 @@ witness on the same grids.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,6 @@ from .steering import (
 )
 from .sdp import SdpSolution, SolveStatus, build_sw_sdp, solve
 
-MAXIMALLY_MIXED = hermat.IDENTITY / 2
 DEFAULT_SLOPE_THRESHOLD = 1e-6
 
 
@@ -66,13 +66,19 @@ class NmResult:
 
 
 @functools.lru_cache(maxsize=32)
-def _uniform_grid(t_max: float, n_steps: int) -> np.ndarray:
-    """Read-only uniform grid on [0, t_max].
+def _uniform_grid(t_max: float, n_steps: float) -> np.ndarray:
+    """Read-only uniform grid of n_steps points on [0, t_max].
 
-    Traces on equal grids share it, so a caller that keeps many traces holds
-    one copy of each grid rather than one per trace.
+    Callers pass both arguments as floats; t_max must be finite and positive
+    and n_steps integral and at least 2. Traces on equal grids share the
+    grid, so a caller that keeps many traces holds one copy of each grid
+    rather than one per trace.
     """
-    times = np.linspace(0.0, t_max, n_steps)
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise InvalidState(f"t_max must be finite and positive, got {t_max}")
+    if not (n_steps.is_integer() and n_steps >= 2):
+        raise InvalidState(f"need an integral number of at least 2 grid points, got {n_steps}")
+    times = np.linspace(0.0, t_max, int(n_steps))
     times.flags.writeable = False
     return times
 
@@ -102,13 +108,9 @@ def tsw_trace(ch, ms: MeasurementSet, rho0, t_max: float, n_steps: int,
     solve does not end OPTIMAL keeps its value 1 - mu* but its grid index is
     listed in metadata["non_optimal"].
     """
-    if n_steps < 2:
-        raise InvalidState(f"need at least 2 grid points, got {n_steps}")
-    if t_max <= 0:
-        raise InvalidState(f"t_max must be positive, got {t_max}")
     from .steering import premeasure
 
-    times = _uniform_grid(float(t_max), int(n_steps))
+    times = _uniform_grid(float(t_max), float(n_steps))
     asm0 = premeasure(rho0, ms)
     stacks = channels.evolve_grid(ch, asm0.stacked(), times)
     table = strategy_table(ms.n_meas)
@@ -199,11 +201,7 @@ def nc_trace(ch, t_max: float, n_steps: int) -> TraceSeries:
     at time t is Choi(T(t))/2, so every channel reads its trace off its
     transfer matrices on the grid.
     """
-    if n_steps < 2:
-        raise InvalidState(f"need at least 2 grid points, got {n_steps}")
-    if t_max <= 0:
-        raise InvalidState(f"t_max must be positive, got {t_max}")
-    times = _uniform_grid(float(t_max), int(n_steps))
+    times = _uniform_grid(float(t_max), float(n_steps))
     chois = channels.choi_from_transfer(channels.transfer_grid(ch, times))
     values = np.array([concurrence(0.5 * c) for c in chois])
     meta = {"measure": "concurrence", "channel": ch}

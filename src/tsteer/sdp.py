@@ -15,9 +15,11 @@ is what the returned certificates are built from.
 
 The solver is a primal-dual interior-point method with Nesterov-Todd
 scaling and a Mehrotra-style predictor-corrector, specialized to stacks of
-2x2 Hermitian blocks. The dual Schur system has 4 * (2 n_meas) real unknowns,
-so each Newton step is a dense solve of trivial size; typical problems
-converge in 10 to 30 steps. Slack blocks are introduced so the cone
+2x2 Hermitian blocks; the per-block kernels (Hermitian part, smallest
+eigenvalue, PSD projection, determinant, matrix power) come from `hermat`.
+The dual Schur system has 4 * (2 n_meas) real unknowns, so each Newton
+step is a dense solve of trivial size; typical problems converge in 10 to
+30 steps. Slack blocks are introduced so the cone
 constraints read A x = b over a product of PSD(2) cones:
 
     x = (sigma_tilde_1..L, S_1..M),  A x |_m = sum_lam D[m,lam] sigma_tilde_lam + S_m = sigma_m.
@@ -40,12 +42,11 @@ from .errors import (
     DimensionMismatch,
     NumericalBreakdown,
 )
+from .hermat import IDENTITY, det2, herm, mat_pow, min_eig, psd_project
 from .steering import Assemblage, StrategyTable
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 300
-
-_I2 = np.eye(2, dtype=complex)
 
 # Orthonormal Hermitian basis used to express congruences as real 4x4 blocks.
 _EBASIS = np.zeros((4, 2, 2), dtype=complex)
@@ -71,52 +72,6 @@ def _unsvec(v):
     h[..., 0, 1] = (v[..., 2] + 1j * v[..., 3]) / np.sqrt(2.0)
     h[..., 1, 0] = (v[..., 2] - 1j * v[..., 3]) / np.sqrt(2.0)
     return h
-
-
-def _herm(h):
-    return 0.5 * (h + h.conj().swapaxes(-1, -2))
-
-
-def _min_eig(h):
-    """Smallest eigenvalue per 2x2 Hermitian block, closed form."""
-    a = h[..., 0, 0].real
-    d = h[..., 1, 1].real
-    b = h[..., 0, 1]
-    m = 0.5 * (a + d)
-    r = np.sqrt(0.25 * (a - d) ** 2 + b.real ** 2 + b.imag ** 2)
-    return m - r
-
-
-def _psd_project(h):
-    """PSD projection per 2x2 Hermitian block, closed form."""
-    a = h[..., 0, 0].real
-    d = h[..., 1, 1].real
-    b = h[..., 0, 1]
-    m = 0.5 * (a + d)
-    r = np.sqrt(0.25 * (a - d) ** 2 + b.real ** 2 + b.imag ** 2)
-    lp, lm = m + r, m - r
-    clp, clm = np.maximum(lp, 0.0), np.maximum(lm, 0.0)
-    f = (clp - clm) / (2.0 * np.where(r > 0, r, 1.0))
-    out = np.empty_like(h)
-    out[..., 0, 0] = clm + f * (a - lm)
-    out[..., 1, 1] = clm + f * (d - lm)
-    out[..., 0, 1] = f * b
-    out[..., 1, 0] = f * b.conj()
-    return out
-
-
-def _det2(h):
-    return (h[..., 0, 0].real * h[..., 1, 1].real
-            - (h[..., 0, 1].real ** 2 + h[..., 0, 1].imag ** 2))
-
-
-def _mat_pow(h, p):
-    """h**p for PSD blocks; eigenvalues floored so roundoff negatives
-    cannot poison fractional or negative powers."""
-    w, v = np.linalg.eigh(h)
-    floor = 1e-16 * np.maximum(np.abs(w).max(axis=-1, keepdims=True), 1e-200)
-    w = np.maximum(w, floor)
-    return np.einsum("...ij,...j,...kj->...ik", v, w ** p, v.conj())
 
 
 class SolveStatus(enum.Enum):
@@ -184,14 +139,14 @@ def _polished_dual(d_mat, targets, y, cmat=None):
     Returns (F, dual_value, infeasibility_before_polish); dual_value is a
     rigorous upper bound on the weighted primal optimum.
     """
-    cm = _I2 if cmat is None else cmat
+    cm = IDENTITY if cmat is None else cmat
     n_meas = d_mat.shape[0] // 2
     f = -y
-    eta = max(0.0, -float(_min_eig(f).min()))
-    fp = f + eta * _I2
-    zeta = float(_min_eig(np.tensordot(d_mat.T, fp, axes=(1, 0)) - cm).min())
+    eta = max(0.0, -float(min_eig(f).min()))
+    fp = f + eta * IDENTITY
+    zeta = float(min_eig(np.tensordot(d_mat.T, fp, axes=(1, 0)) - cm).min())
     if zeta < 0.0:
-        fp = fp + (-zeta / n_meas) * _I2
+        fp = fp + (-zeta / n_meas) * IDENTITY
     value = float(np.einsum("mij,mij->", targets.conj(), fp).real)
     return fp, value, max(eta, max(0.0, -zeta))
 
@@ -208,16 +163,16 @@ def _balancing(targets):
     so the mapped-back certificates remain verifiable in double precision.
     Returns None when the targets are already balanced.
     """
-    red = _herm((2.0 / targets.shape[0]) * targets.sum(axis=0))
+    red = herm((2.0 / targets.shape[0]) * targets.sum(axis=0))
     w, v = np.linalg.eigh(red)
     w = np.maximum(w, 0.0)
     wmax = float(max(w.max(), 1e-300))
     if w.min() > 0.2 * wmax:
         return None
     wf = np.maximum(w, wmax * 1e-7)
-    smat = _herm((v * np.sqrt(wmax / wf)) @ v.conj().T)
-    sinv = _herm((v * np.sqrt(wf / wmax)) @ v.conj().T)
-    cmat = _herm((v * (wf / wmax)) @ v.conj().T)
+    smat = herm((v * np.sqrt(wmax / wf)) @ v.conj().T)
+    sinv = herm((v * np.sqrt(wf / wmax)) @ v.conj().T)
+    cmat = herm((v * (wf / wmax)) @ v.conj().T)
     return smat, sinv, cmat
 
 
@@ -261,7 +216,7 @@ def _solve_core(problem, tol, max_iter, warm, balanced):
 
     if not np.all(np.isfinite(targets)):
         raise NumericalBreakdown("assemblage targets contain non-finite entries")
-    if float(_min_eig(targets).min()) < -1e-8:
+    if float(min_eig(targets).min()) < -1e-8:
         # sigma_tilde = 0 is feasible for any PSD target; a clearly negative
         # target block means the problem data is malformed.
         return SdpSolution(
@@ -277,7 +232,7 @@ def _solve_core(problem, tol, max_iter, warm, balanced):
             return None  # already balanced; nothing new to try
         smat = sinv = None
         b_t = targets
-        cmat = _I2
+        cmat = IDENTITY
     else:
         smat, sinv, cmat = balance
         b_t = np.einsum("ij,mjk,kl->mil", smat, targets, smat)
@@ -301,16 +256,16 @@ def _solve_core(problem, tol, max_iter, warm, balanced):
         # re-center enough that the barrier parameter stays commensurate
         # with the fresh residuals, otherwise the corrector overshoots
         delta = 5e-2
-        x = into(xw) + delta * _I2
-        s = into(sw) + delta * _I2
-        zx = outof(zxw) + delta * _I2
-        zs = outof(zsw) + delta * _I2
+        x = into(xw) + delta * IDENTITY
+        s = into(sw) + delta * IDENTITY
+        zx = outof(zxw) + delta * IDENTITY
+        zs = outof(zsw) + delta * IDENTITY
         y = outof(yw)
     else:
-        x = np.broadcast_to(0.5 * _I2, (n_lam, 2, 2)).copy()
-        s = np.broadcast_to(0.5 * _I2, (m_cons, 2, 2)).copy()
-        zx = np.broadcast_to(_I2, (n_lam, 2, 2)).copy()
-        zs = np.broadcast_to(_I2, (m_cons, 2, 2)).copy()
+        x = np.broadcast_to(0.5 * IDENTITY, (n_lam, 2, 2)).copy()
+        s = np.broadcast_to(0.5 * IDENTITY, (m_cons, 2, 2)).copy()
+        zx = np.broadcast_to(IDENTITY, (n_lam, 2, 2)).copy()
+        zs = np.broadcast_to(IDENTITY, (m_cons, 2, 2)).copy()
         y = np.zeros((m_cons, 2, 2), dtype=complex)
 
     n_blocks = n_lam + m_cons
@@ -338,8 +293,8 @@ def _solve_core(problem, tol, max_iter, warm, balanced):
         # inverses, so nearly singular blocks cannot overflow).
         tr_x = blocks[..., 0, 0].real + blocks[..., 1, 1].real
         tr_d = dblocks[..., 0, 0].real + dblocks[..., 1, 1].real
-        det_x = _det2(blocks)
-        det_d = _det2(dblocks)
+        det_x = det2(blocks)
+        det_d = det2(dblocks)
         cross = (blocks[..., 0, 0].real * dblocks[..., 1, 1].real
                  + blocks[..., 1, 1].real * dblocks[..., 0, 0].real
                  - 2.0 * (blocks[..., 0, 1] * dblocks[..., 1, 0]).real)
@@ -419,9 +374,9 @@ def _solve_core(problem, tol, max_iter, warm, balanced):
                 dy = _unsvec(solve_schur(rhs).reshape(m_cons, 4))
                 dzx = rd_x - at_op(dy)
                 dzs = rd_s - dy
-                dx = _herm(rc_x - w_x @ dzx @ w_x)
-                ds = _herm(rc_s - w_s @ dzs @ w_s)
-                return dx, ds, dy, _herm(dzx), _herm(dzs)
+                dx = herm(rc_x - w_x @ dzx @ w_x)
+                ds = herm(rc_s - w_s @ dzs @ w_s)
+                return dx, ds, dy, herm(dzx), herm(dzs)
 
             dx, ds, dy, dzx, dzs = direction(-x, -s)
             a_p = min(max_step(x, dx), max_step(s, ds))
@@ -435,8 +390,8 @@ def _solve_core(problem, tol, max_iter, warm, balanced):
                 # infeasibility dominates; keep enough centering to absorb it
                 sigma = max(sigma, 0.2)
             dx, ds, dy, dzx, dzs = direction(
-                sigma * mu * _mat_pow(zx, -1.0) - x - _second_order(w_x, x, dx, dzx),
-                sigma * mu * _mat_pow(zs, -1.0) - s - _second_order(w_s, s, ds, dzs),
+                sigma * mu * mat_pow(zx, -1.0) - x - _second_order(w_x, x, dx, dzx),
+                sigma * mu * mat_pow(zs, -1.0) - s - _second_order(w_s, s, ds, dzs),
             )
         except np.linalg.LinAlgError:
             break
@@ -490,9 +445,9 @@ def _solve_core(problem, tol, max_iter, warm, balanced):
 
 def _nt_scaling(x, z):
     """Nesterov-Todd scaling point W with W z W = x, per block."""
-    xs = _mat_pow(x, 0.5)
-    mid = _herm(xs @ z @ xs)
-    return _herm(xs @ _mat_pow(mid, -0.5) @ xs)
+    xs = mat_pow(x, 0.5)
+    mid = herm(xs @ z @ xs)
+    return herm(xs @ mat_pow(mid, -0.5) @ xs)
 
 
 def _second_order(w, x, dx_aff, dz_aff):
@@ -504,16 +459,16 @@ def _second_order(w, x, dx_aff, dz_aff):
     correction subtracted from the combined right-hand side. Blocks are
     2x2, so the Lyapunov solve is a direct eigenbasis division.
     """
-    p = _mat_pow(w, -0.5)
-    pi = _mat_pow(w, 0.5)
-    cross = _herm((p @ dx_aff @ p) @ (pi @ dz_aff @ pi))
-    v = _herm(p @ x @ p)
+    p = mat_pow(w, -0.5)
+    pi = mat_pow(w, 0.5)
+    cross = herm((p @ dx_aff @ p) @ (pi @ dz_aff @ pi))
+    v = herm(p @ x @ p)
     ev, q = np.linalg.eigh(v)
     ev = np.maximum(ev, 1e-16 * np.maximum(np.abs(ev).max(axis=-1, keepdims=True), 1e-200))
     mt = q.conj().swapaxes(-1, -2) @ cross @ q
     denom = ev[..., :, None] + ev[..., None, :]
     u = q @ (2.0 * mt / denom) @ q.conj().swapaxes(-1, -2)
-    return _herm(pi @ u @ pi)
+    return herm(pi @ u @ pi)
 
 
 def _congruence_matrix(w):
@@ -564,9 +519,9 @@ def dual_certificate(sol: SdpSolution, problem: SdpProblem,
     f = sol.dual_vars
     if f.shape != (problem.n_constraints, 2, 2):
         raise CertificateInvalid("multiplier count does not match constraints")
-    m_eig = float(_min_eig(f).min())
-    cover = np.tensordot(problem.d_matrix.T, f, axes=(1, 0)) - _I2
-    c_eig = float(_min_eig(cover).min())
+    m_eig = float(min_eig(f).min())
+    cover = np.tensordot(problem.d_matrix.T, f, axes=(1, 0)) - IDENTITY
+    c_eig = float(min_eig(cover).min())
     dual = float(np.einsum("mij,mij->", problem.targets.conj(), f).real)
     if m_eig < -tol:
         raise CertificateInvalid(f"multiplier min eigenvalue {m_eig:.3e} < -{tol:.1e}")
@@ -601,19 +556,19 @@ def primal_ascent_bound(problem: SdpProblem, n_restarts: int = 200,
 
     def worst_violation(xb):
         slack = targets[None] - np.einsum("ml,rlij->rmij", d_mat, xb)
-        return np.minimum(_min_eig(slack).min(axis=1), _min_eig(xb).min(axis=1))
+        return np.minimum(min_eig(slack).min(axis=1), min_eig(xb).min(axis=1))
 
     def dykstra(xb, sweeps):
         corr = np.zeros((m_cons + 1,) + xb.shape, dtype=complex)
         for _ in range(sweeps):
-            y = _psd_project(xb + corr[0])
+            y = psd_project(xb + corr[0])
             corr[0] = xb + corr[0] - y
             xb = y
             for m in range(m_cons):
                 z = xb + corr[m + 1]
                 idx = active[m]
                 excess = z[:, idx].sum(axis=1) - targets[m]
-                fix = _psd_project(excess) / len(idx)
+                fix = psd_project(excess) / len(idx)
                 y = z.copy()
                 y[:, idx] -= fix[:, None]
                 corr[m + 1] = z - y
@@ -625,10 +580,10 @@ def primal_ascent_bound(problem: SdpProblem, n_restarts: int = 200,
         # global shrink they also repair violations along directions where
         # the targets are singular
         for sweep in range(1, max_sweeps + 1):
-            xb = _psd_project(xb)
+            xb = psd_project(xb)
             for m in range(m_cons):
                 idx = active[m]
-                fix = _psd_project(xb[:, idx].sum(axis=1) - targets[m]) / len(idx)
+                fix = psd_project(xb[:, idx].sum(axis=1) - targets[m]) / len(idx)
                 xb[:, idx] -= fix[:, None]
             if sweep % 100 == 0 and worst_violation(xb).min() >= -1e-14:
                 break
@@ -637,9 +592,9 @@ def primal_ascent_bound(problem: SdpProblem, n_restarts: int = 200,
     raw = rng.normal(size=(n_restarts, n_lam, 2, 2)) + 1j * rng.normal(
         size=(n_restarts, n_lam, 2, 2)
     )
-    x = dykstra(_herm(raw @ raw.conj().swapaxes(-1, -2)) / (6.0 * n_lam), 40)
+    x = dykstra(herm(raw @ raw.conj().swapaxes(-1, -2)) / (6.0 * n_lam), 40)
     rates = np.exp(rng.uniform(np.log(0.05), np.log(0.8), size=n_restarts))
-    grad = np.broadcast_to(_I2, (n_restarts, n_lam, 2, 2))
+    grad = np.broadcast_to(IDENTITY, (n_restarts, n_lam, 2, 2))
 
     for step in range(n_steps):
         eta = rates / (1.0 + step / 4.0)
@@ -652,7 +607,7 @@ def primal_ascent_bound(problem: SdpProblem, n_restarts: int = 200,
     best = np.zeros(n_restarts)
     done = np.zeros(n_restarts, dtype=bool)
     for shrink in (0.0, 1e-9, 1e-7, 1e-5, 3e-4, 3e-3, 3e-2, 3e-1):
-        xs = _psd_project((1.0 - shrink) * x)
+        xs = psd_project((1.0 - shrink) * x)
         newly = (worst_violation(xs) >= -1e-13) & ~done
         if newly.any():
             best[newly] = np.einsum("rnii->r", xs).real[newly]

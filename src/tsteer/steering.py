@@ -104,17 +104,31 @@ def _from_stack(labels, stack, time_tag=0.0) -> Assemblage:
     return Assemblage(tuple(labels), members, time_tag)
 
 
+def _first_defect(stack, psd_tol):
+    """(index, reason) for the first block of a stack that is not a finite,
+    Hermitian (relative tolerance 1e-10) and PSD (tolerance psd_tol) matrix;
+    None when every block is."""
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if not finite.all():
+        return int(np.argmin(finite)), "non-finite entries"
+    asym = hermat.anti_herm_norm(stack) / np.maximum(np.linalg.norm(stack, axis=(-2, -1)), 1.0)
+    lo = hermat.min_eig(hermat.herm(stack))
+    for i, (dev, low) in enumerate(zip(asym, lo)):
+        if dev > 1e-10:
+            return i, f"relative anti-Hermitian part {dev:.3e}"
+        if low < -psd_tol:
+            return i, f"negative eigenvalue {low:.3e}"
+    return None
+
+
 def premeasure(rho0, ms: MeasurementSet) -> Assemblage:
     """Assemblage produced by measuring rho0 projectively, before any evolution."""
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (2, 2):
         raise InvalidState(f"expected a 2x2 density matrix, got shape {rho0.shape}")
-    try:
-        min_eig = hermat.psd_min_eig(rho0)
-    except Exception as exc:
-        raise InvalidState(f"initial state is not Hermitian: {exc}") from exc
-    if min_eig < -1e-9:
-        raise InvalidState(f"initial state has negative eigenvalue {min_eig:.3e}")
+    defect = _first_defect(rho0[None], 1e-9)
+    if defect:
+        raise InvalidState(f"initial state has {defect[1]}")
     if abs(np.trace(rho0).real - 1.0) > 1e-9:
         raise InvalidState(f"initial state trace {np.trace(rho0).real} != 1")
     members = {}
@@ -164,16 +178,17 @@ def lhs_assemblage(table: StrategyTable, sigmas, labels=None) -> Assemblage:
     sigmas = [np.asarray(s, dtype=complex) for s in sigmas]
     if len(sigmas) != table.n_lambda:
         raise CountMismatch(f"expected {table.n_lambda} hidden states, got {len(sigmas)}")
-    for i, s in enumerate(sigmas):
-        if hermat.psd_min_eig(s) < -1e-10:
-            raise NotPsd(f"hidden state {i} has eigenvalue {hermat.psd_min_eig(s):.3e}")
+    sigmas = np.array(sigmas)
+    defect = _first_defect(sigmas, 1e-10)
+    if defect:
+        raise NotPsd(f"hidden state {defect[0]} has {defect[1]}")
     if labels is None:
         if table.n_meas <= 3:
             labels = ("X", "Y", "Z")[: table.n_meas]
         else:
             labels = tuple(f"M{i + 1}" for i in range(table.n_meas))
     d = table.d_matrix()
-    stack = np.tensordot(d, np.array(sigmas), axes=(1, 0))
+    stack = np.tensordot(d, sigmas, axes=(1, 0))
     return _from_stack(labels, stack)
 
 
@@ -206,28 +221,29 @@ def validate(asm: Assemblage, tol: float = 1e-9) -> list:
 
     Checks each member for Hermiticity and positivity, the non-signaling
     condition (sum over outcomes independent of the setting), and unit total
-    trace.
+    trace. A member with a NaN or infinite entry is reported as "non-finite"
+    (magnitude inf) and nothing else is checked, since every other invariant
+    would be computed from it.
     """
+    stack = asm.stacked()
+    where = [f"({x},{a:+d})" for x in asm.labels for a in OUTCOMES]
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if not finite.all():
+        return [Violation("non-finite", w, np.inf) for w, ok in zip(where, finite) if not ok]
     out = []
-    sums = {}
-    for x in asm.labels:
-        for a in OUTCOMES:
-            m = asm.members[(x, a)]
-            asym = float(np.linalg.norm(m - m.conj().T))
-            if asym > tol:
-                out.append(Violation("not-hermitian", f"({x},{a:+d})", asym))
-                continue
-            h = 0.5 * (m + m.conj().T)
-            lo = float(np.linalg.eigvalsh(h)[0])
-            if lo < -tol:
-                out.append(Violation("not-psd", f"({x},{a:+d})", -lo))
-        sums[x] = asm.members[(x, 1)] + asm.members[(x, -1)]
-    ref = sums[asm.labels[0]]
-    for x in asm.labels[1:]:
-        dev = float(np.linalg.norm(sums[x] - ref))
+    asym = hermat.anti_herm_norm(stack)
+    lo = hermat.min_eig(hermat.herm(stack))
+    for w, dev, low in zip(where, asym, lo):
+        if dev > tol:
+            out.append(Violation("not-hermitian", w, float(dev)))
+        elif low < -tol:
+            out.append(Violation("not-psd", w, float(-low)))
+    sums = stack[0::2] + stack[1::2]
+    for x, total in zip(asm.labels[1:], sums[1:]):
+        dev = float(np.linalg.norm(total - sums[0]))
         if dev > tol:
             out.append(Violation("non-signaling", f"(x={x})", dev))
-    tr_dev = abs(np.trace(ref).real - 1.0)
+    tr_dev = abs(np.trace(sums[0]).real - 1.0)
     if tr_dev > tol:
         out.append(Violation("total-trace", "(all)", tr_dev))
     return out

@@ -73,6 +73,13 @@ def test_rabi_negative_time():
         RabiDecay(1.0, -0.5)
 
 
+@pytest.mark.parametrize("cls", [RabiDecay, Exchange])
+def test_master_equation_models_reject_non_finite_rates(cls):
+    for rates in ((np.nan, 0.0), (1.0, np.nan), (np.inf, 0.0), (1.0, np.inf)):
+        with pytest.raises(BadParameter):
+            cls(*rates)
+
+
 # --- Exchange ------------------------------------------------------------------
 
 
@@ -206,6 +213,9 @@ def test_lorentzian_bad_parameters():
         lorentzian_G(-0.1, 1.0, 1.0)
     with pytest.raises(BadParameter):
         LorentzianAD(0.5, -1.0)
+    for g, omega_w in ((np.nan, 1.0), (np.inf, 1.0), (0.5, np.nan), (0.5, np.inf)):
+        with pytest.raises(BadParameter):
+            LorentzianAD(g, omega_w)
 
 
 # --- random Kraus channels -------------------------------------------------------
@@ -390,3 +400,7 @@ def test_transfer_grid_rejects_bad_grids():
         channels.transfer_grid(RabiDecay(1.0), [1.0, 0.5])
     with pytest.raises(BadParameter):
         channels.transfer_grid(object(), [1.0])
+    for ch in (RabiDecay(1.0, 0.5), LorentzianAD(2.0), Exchange(1.0)):
+        for times in ([0.0, np.nan], [np.nan], [0.0, np.inf]):
+            with pytest.raises(BadParameter):
+                channels.transfer_grid(ch, times)

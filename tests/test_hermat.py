@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from tsteer import hermat
-from tsteer.errors import BadDimension, NotHermitian
+from tsteer import channels, hermat
 from tsteer.hermat import (
     IDENTITY,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    eig_hermitian,
-    frobenius_inner,
+    anti_herm_norm,
+    det2,
+    herm,
     kron,
-    partial_trace,
-    psd_min_eig,
+    mat_pow,
+    min_eig,
     psd_project,
 )
 
@@ -22,69 +22,90 @@ def random_hermitian(rng, dim):
     return 0.5 * (g + g.conj().T)
 
 
+def random_blocks(rng, n):
+    """n random 2x2 Hermitian blocks whose entries span several decades."""
+    g = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    return herm(g) * 10.0 ** rng.uniform(-6, 3, size=(n, 1, 1))
+
+
+def random_psd_blocks(rng, n):
+    g = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    return herm(g @ g.conj().swapaxes(-1, -2)) + 1e-3 * IDENTITY
+
+
 def test_eig_identity():
-    w, v = eig_hermitian(IDENTITY)
-    assert np.allclose(w, [1.0, 1.0])
-    assert np.allclose(v.conj().T @ v, np.eye(2))
+    assert min_eig(IDENTITY) == 1.0
+    assert min_eig(-IDENTITY) == -1.0
 
 
 def test_eig_pauli_z():
-    w, v = eig_hermitian(SIGMA_Z)
-    assert np.allclose(w, [-1.0, 1.0])
-    # ascending order: eigenvalue -1 belongs to |1>, +1 to |0>
-    assert abs(abs(v[1, 0]) - 1.0) < 1e-12
-    assert abs(abs(v[0, 1]) - 1.0) < 1e-12
+    assert min_eig(SIGMA_Z) == pytest.approx(-1.0)
+    assert min_eig(IDENTITY + SIGMA_Z) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_eig_pauli_x():
-    # hand diagonalization: X = |+><+| - |-><-| with |+-> = (|0> +- |1>)/sqrt(2)
-    w, v = eig_hermitian(SIGMA_X)
-    assert np.allclose(w, [-1.0, 1.0])
-    minus = v[:, 0]
-    plus = v[:, 1]
-    assert abs(abs(np.vdot(minus, [1, -1] / np.sqrt(2))) - 1.0) < 1e-12
-    assert abs(abs(np.vdot(plus, [1, 1] / np.sqrt(2))) - 1.0) < 1e-12
+    # X = |+><+| - |-><-|, and likewise for Y: both have spectrum {-1, +1}
+    for s in (SIGMA_X, SIGMA_Y):
+        assert min_eig(s) == pytest.approx(-1.0)
+        assert min_eig(IDENTITY + s) == pytest.approx(0.0, abs=1e-15)
+        assert min_eig(2 * IDENTITY - s) == pytest.approx(1.0)
 
 
 def test_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # the eigenvalue kernels read the upper triangle only, so callers detect
+    # non-Hermitian input through the anti-Hermitian norm
+    m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    assert anti_herm_norm(m) == pytest.approx(np.sqrt(2.0))
+    rng = np.random.default_rng(4)
+    assert np.all(anti_herm_norm(random_blocks(rng, 50)) == 0.0)
 
 
 def test_eig_residuals_random():
+    # 1000 random blocks in one batch against LAPACK
     rng = np.random.default_rng(11)
-    for _ in range(1000):
-        dim = 2 if rng.random() < 0.5 else 4
-        m = random_hermitian(rng, dim)
-        w, v = eig_hermitian(m)
-        scale = max(np.linalg.norm(m), 1e-300)
-        for i in range(dim):
-            assert np.linalg.norm(m @ v[:, i] - w[i] * v[:, i]) <= 1e-12 * scale
-        recon = (v * w) @ v.conj().T
-        assert np.linalg.norm(recon - m) <= 1e-12 * scale
-        assert np.all(np.diff(w) >= -1e-15)
+    h = random_blocks(rng, 1000)
+    w = np.linalg.eigvalsh(h)
+    scale = np.abs(w).max(axis=-1)
+    assert np.all(np.abs(min_eig(h) - w[:, 0]) <= 1e-12 * scale)
+    assert np.all(np.abs(det2(h) - w[:, 0] * w[:, 1]) <= 1e-12 * scale ** 2)
 
 
 def test_psd_min_eig_cases():
-    assert psd_min_eig(SIGMA_Z) == pytest.approx(-1.0)
-    assert psd_min_eig(IDENTITY / 2) == pytest.approx(0.5)
+    assert min_eig(IDENTITY / 2) == pytest.approx(0.5)
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    assert psd_min_eig(np.outer(plus, plus.conj())) == pytest.approx(0.0, abs=1e-15)
+    assert min_eig(np.outer(plus, plus.conj())) == pytest.approx(0.0, abs=1e-15)
+    stack = np.array([SIGMA_Z, IDENTITY / 2, np.diag([3.0, -2.0])])
+    assert np.allclose(min_eig(stack), [-1.0, 0.5, -2.0])
 
 
 def test_psd_project_cases():
     assert np.allclose(psd_project(SIGMA_Z), np.diag([1.0, 0.0]))
     assert np.allclose(psd_project(IDENTITY), IDENTITY)
     assert np.allclose(psd_project(np.diag([3.0, -2.0])), np.diag([3.0, 0.0]))
+    assert np.allclose(psd_project(-IDENTITY), 0.0)
 
 
 def test_psd_project_idempotent():
     rng = np.random.default_rng(5)
-    for _ in range(200):
-        m = random_hermitian(rng, 2)
-        p = psd_project(m)
-        assert psd_min_eig(p) >= -1e-13
-        assert np.linalg.norm(psd_project(p) - p) <= 1e-12
+    h = random_blocks(rng, 1000)
+    w, v = np.linalg.eigh(h)
+    clipped = (v * np.maximum(w, 0.0)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    scale = np.abs(w).max(axis=-1)[:, None, None]
+    p = psd_project(h)
+    assert np.all(np.abs(p - clipped) <= 1e-12 * scale)
+    assert np.all(min_eig(p) >= -1e-13 * scale[:, 0, 0])
+    assert np.all(np.abs(psd_project(p) - p) <= 1e-12 * scale)
+
+
+def test_mat_pow_square_root_and_inverse():
+    rng = np.random.default_rng(8)
+    h = random_psd_blocks(rng, 500)
+    scale = np.abs(h).max(axis=(-2, -1))[:, None, None]
+    root = mat_pow(h, 0.5)
+    assert np.all(np.abs(root @ root - h) <= 1e-12 * scale)
+    assert np.all(min_eig(root) > 0.0)
+    cond = (np.linalg.norm(h, axis=(-2, -1)) / min_eig(h))[:, None, None]
+    assert np.all(np.abs(mat_pow(h, -1.0) @ h - IDENTITY) <= 1e-13 * cond)
 
 
 def test_kron_basics():
@@ -103,57 +124,39 @@ def test_kron_mixed_product():
     assert np.linalg.norm(left - right) < 1e-12
 
 
+# The two-qubit partial trace survives as the partner trace of the exchange
+# model, vec(M) -> vec(tr_partner M), built on the kron convention above.
+
+
+def partner_trace(m):
+    return (channels._TRACE_PARTNER @ np.asarray(m).reshape(16)).reshape(2, 2)
+
+
 def test_partial_trace_product_states():
     rng = np.random.default_rng(9)
     for _ in range(100):
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 2)
-        got = partial_trace(kron(a, b), keep=1)
+        got = partner_trace(kron(a, b))
         assert np.linalg.norm(got - np.trace(b) * a) <= 1e-12 * max(1, np.linalg.norm(a))
-        got2 = partial_trace(kron(a, b), keep=2)
-        assert np.linalg.norm(got2 - np.trace(a) * b) <= 1e-12 * max(1, np.linalg.norm(b))
 
 
 def test_partial_trace_bell_state():
     phi = np.zeros(4, dtype=complex)
     phi[0] = phi[3] = 1 / np.sqrt(2)
-    rho = np.outer(phi, phi.conj())
-    assert np.allclose(partial_trace(rho, keep=1), IDENTITY / 2)
-    assert np.allclose(partial_trace(rho, keep=2), IDENTITY / 2)
+    assert np.allclose(partner_trace(np.outer(phi, phi.conj())), IDENTITY / 2)
 
 
 def test_partial_trace_excited_ground():
-    eg = kron(np.outer(hermat.KET_E, hermat.KET_E.conj()),
-              np.outer(hermat.KET_G, hermat.KET_G.conj()))
-    got = partial_trace(eg, keep=2)
-    assert np.allclose(got, np.outer(hermat.KET_G, hermat.KET_G.conj()))
+    e = np.outer(hermat.KET_E, hermat.KET_E.conj())
+    g = np.outer(hermat.KET_G, hermat.KET_G.conj())
+    assert np.allclose(partner_trace(kron(e, g)), e)
+    # the embedding attaches an excited partner, which the trace removes again
+    assert np.allclose(channels._TRACE_PARTNER @ channels._EMBED, np.eye(4))
 
 
 def test_partial_trace_preserves_trace():
     rng = np.random.default_rng(21)
     for _ in range(100):
         m = random_hermitian(rng, 4)
-        for keep in (1, 2):
-            assert abs(np.trace(partial_trace(m, keep)) - np.trace(m)) <= 1e-12
-
-
-def test_partial_trace_bad_dimension():
-    with pytest.raises(BadDimension):
-        partial_trace(np.eye(2), keep=1)
-    with pytest.raises(BadDimension):
-        partial_trace(np.eye(4), keep=3)
-
-
-def test_frobenius_inner():
-    assert frobenius_inner(IDENTITY, IDENTITY) == pytest.approx(2.0)
-    assert frobenius_inner(SIGMA_X, SIGMA_Z) == pytest.approx(0.0)
-    assert frobenius_inner(SIGMA_Z, SIGMA_Z) == pytest.approx(2.0)
-    with pytest.raises(BadDimension):
-        frobenius_inner(np.eye(2), np.eye(4))
-
-
-def test_frobenius_conjugate_symmetry():
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    assert frobenius_inner(a, b) == pytest.approx(np.conj(frobenius_inner(b, a)))
+        assert abs(np.trace(partner_trace(m)) - np.trace(m)) <= 1e-12

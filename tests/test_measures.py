@@ -11,6 +11,7 @@ from tsteer.channels import (
     random_kraus_channel,
 )
 from tsteer import channels, hermat, measures
+from tsteer.errors import InvalidState, ValidationError
 from tsteer.hermat import IDENTITY
 from tsteer.measures import (
     concurrence,
@@ -290,3 +291,28 @@ def test_traces_on_equal_grids_share_one_read_only_times_array():
     assert a.times is b.times
     assert not a.times.flags.writeable
     assert np.array_equal(a.times, np.linspace(0.0, 2.0, 5))
+
+
+@pytest.mark.parametrize("t_max, n_steps", [
+    (np.nan, 5), (np.inf, 5), (0.0, 5), (-1.0, 5),
+    (2.0, 1), (2.0, 2.5), (2.0, np.nan), (2.0, np.inf),
+])
+def test_traces_reject_bad_grid_arguments(t_max, n_steps):
+    with pytest.raises(InvalidState):
+        nc_trace(RabiDecay(1.0), t_max, n_steps)
+    with pytest.raises(InvalidState):
+        tsw_trace(RabiDecay(1.0), XYZ, MIXED, t_max, n_steps)
+
+
+def test_traces_accept_integral_float_grid_size():
+    assert nc_trace(RabiDecay(1.0), 2.0, 5.0).times.size == 5
+
+
+def test_tsw_rejects_non_finite_members():
+    asm = premeasure(MIXED, XYZ)
+    asm.members[("X", 1)] = np.array([[np.inf, 0.0], [0.0, 0.25]], dtype=complex)
+    with pytest.raises(ValidationError) as err:
+        tsw(asm)
+    assert [v.kind for v in err.value.violations] == ["non-finite"]
+    with pytest.raises(ValidationError):
+        propagate_assemblage(RabiDecay(1.0, 0.5), 0.5, asm)

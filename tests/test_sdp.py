@@ -118,7 +118,7 @@ def assert_solution_clean(sol, problem, tol=1e-8):
     assert sol.status is SolveStatus.OPTIMAL
     assert -1e-8 <= sol.mu_star <= 1.0 + 1e-8
     assert sol.gap <= 1e-7
-    from tsteer.sdp import _min_eig
+    from tsteer.hermat import min_eig as _min_eig
 
     assert float(_min_eig(sol.sigma_tilde).min()) >= -1e-8
     slack = problem.targets - np.tensordot(problem.d_matrix, sol.sigma_tilde, axes=(1, 0))

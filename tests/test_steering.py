@@ -111,6 +111,20 @@ def test_premeasure_rejects_bad_states():
         premeasure(np.diag([0.7, 0.7]), XYZ)
 
 
+def test_premeasure_rejects_non_hermitian_state():
+    with pytest.raises(InvalidState, match="anti-Hermitian"):
+        premeasure(np.array([[0.5, 0.1], [0.0, 0.5]]), XYZ)
+    # a relative deviation below 1e-10 is roundoff and passes
+    premeasure(np.array([[0.5, 1e-12], [0.0, 0.5]]), XYZ)
+
+
+def test_premeasure_rejects_non_finite_state():
+    for rho in (np.full((2, 2), np.nan), [[0.5, np.inf], [np.inf, 0.5]],
+                [[np.inf, 0.0], [0.0, -np.inf]]):
+        with pytest.raises(InvalidState, match="non-finite"):
+            premeasure(rho, XYZ)
+
+
 def test_premeasure_validates_random(seed=13):
     # Positivity and total trace hold for any input state; the non-signaling
     # condition is specific to the maximally mixed input (or one setting),
@@ -231,9 +245,10 @@ def test_lhs_errors():
     table = strategy_table(2)
     with pytest.raises(CountMismatch):
         lhs_assemblage(table, [IDENTITY / 8] * 3)
-    bad = [IDENTITY / 8] * 3 + [np.diag([1.0, -0.5])]
-    with pytest.raises(NotPsd):
-        lhs_assemblage(table, bad)
+    for last in (np.diag([1.0, -0.5]), np.array([[0.25, 0.1], [0.0, 0.25]]),
+                 np.full((2, 2), np.nan)):
+        with pytest.raises(NotPsd):
+            lhs_assemblage(table, [IDENTITY / 8] * 3 + [last])
 
 
 # --- depolarized fixture ------------------------------------------------------
@@ -283,6 +298,27 @@ def test_validate_flags_signaling_and_trace():
     kinds = {v.kind for v in validate(asm, 1e-9)}
     assert "non-signaling" in kinds
     assert "total-trace" in kinds
+
+
+def test_validate_flags_non_finite_members_only():
+    asm = premeasure(IDENTITY / 2, XYZ)
+    asm.members[("Y", -1)] = np.full((2, 2), np.nan, dtype=complex)
+    asm.members[("Z", 1)] = np.array([[0.5, np.inf], [np.inf, 0.5]], dtype=complex)
+    found = validate(asm, 1e-9)
+    assert [(v.kind, v.where) for v in found] == [
+        ("non-finite", "(Y,-1)"), ("non-finite", "(Z,+1)")]
+    assert all(v.magnitude == np.inf for v in found)
+
+
+def test_validate_reports_members_in_constraint_order():
+    asm = premeasure(IDENTITY / 2, XYZ)
+    asm.members[("X", -1)] = SIGMA_Z.copy()
+    asm.members[("Y", 1)] = np.array([[0.25, 0.5], [0.0, 0.25]], dtype=complex)
+    found = validate(asm, 1e-9)
+    assert [(v.kind, v.where) for v in found[:2]] == [
+        ("not-psd", "(X,-1)"), ("not-hermitian", "(Y,+1)")]
+    assert found[0].magnitude == pytest.approx(1.0)
+    assert found[1].magnitude == pytest.approx(0.5 * np.sqrt(2))
 
 
 # --- JSON round trip -----------------------------------------------------------
