@@ -32,6 +32,7 @@ from .sdp import (
     build_sw_sdp,
     dual_certificate,
     primal_ascent_bound,
+    primal_certificate,
     solve,
 )
 from .steering import (

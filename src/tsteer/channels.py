@@ -179,6 +179,8 @@ def eig_propagate(lmat, t, vecs):
 
 
 def _check_time(t):
+    if not math.isfinite(t):
+        raise BadParameter(f"evolution time must be finite, got {t}")
     if t < 0:
         raise NegativeTime(f"evolution time must be non-negative, got {t}")
 
@@ -196,6 +198,8 @@ def _sinhc(z):
 
 
 def _lorentzian_b(g, omega_w):
+    if not (math.isfinite(g) and math.isfinite(omega_w)):
+        raise BadParameter(f"parameters must be finite, got g={g}, omega_w={omega_w}")
     if omega_w <= 0:
         raise BadParameter(f"spectral width must be positive, got {omega_w}")
     if g < 0:

@@ -32,6 +32,7 @@ from .steering import (
     Assemblage,
     MeasurementSet,
     _from_stack,
+    premeasure,
     strategy_table,
     validate,
 )
@@ -83,19 +84,21 @@ def _uniform_grid(t_max: float, n_steps: float) -> np.ndarray:
     return times
 
 
-def tsw(asm: Assemblage, tol: float = 1e-8, warm=None) -> TswResult:
+def tsw(asm: Assemblage, tol: float = 1e-8) -> TswResult:
     """Temporal steerable weight 1 - mu* of an assemblage.
 
     Members must be PSD and Hermitian with unit total trace. A
     setting-dependent reduced state (the signature of premeasuring anything
     but I/2) is tolerated; the weight stays well defined because the
     hidden-state side of the decomposition is non-signaling by construction.
+    One cold `solve`; when it ends OPTIMAL the value is certified to within
+    its gap, 1 - dual_value <= TSW <= 1 - mu_star.
     """
     hard = [v for v in validate(asm, 1e-8) if v.kind != "non-signaling"]
     if hard:
         raise ValidationError(hard)
     table = strategy_table(asm.n_meas)
-    sol = solve(build_sw_sdp(asm, table), tol=tol, warm=warm)
+    sol = solve(build_sw_sdp(asm, table), tol=tol)
     return TswResult(1.0 - sol.mu_star, sol, asm.time_tag)
 
 
@@ -103,37 +106,18 @@ def tsw_trace(ch, ms: MeasurementSet, rho0, t_max: float, n_steps: int,
               tol: float = 1e-8) -> TraceSeries:
     """TSW of the premeasured-and-evolved assemblage on a uniform grid.
 
-    Solves run in grid order, each seeded with the previous optimum; the
-    trace is continuous in time so the warm start lands close. A point whose
-    solve does not end OPTIMAL keeps its value 1 - mu* but its grid index is
+    Every grid point is one `tsw`, so one cold `solve`. A point whose solve
+    does not end OPTIMAL keeps its value 1 - mu* but its grid index is
     listed in metadata["non_optimal"].
     """
-    from .steering import premeasure
-
     times = _uniform_grid(float(t_max), float(n_steps))
-    asm0 = premeasure(rho0, ms)
-    stacks = channels.evolve_grid(ch, asm0.stacked(), times)
-    table = strategy_table(ms.n_meas)
-
+    stacks = channels.evolve_grid(ch, premeasure(rho0, ms).stacked(), times)
     values = np.empty(times.size)
     solutions = []
     non_optimal = []
-    warm = None
     for i, t in enumerate(times):
-        asm_t = _from_stack(ms.labels, stacks[i], time_tag=float(t))
-        hard = [v for v in validate(asm_t, 1e-8) if v.kind != "non-signaling"]
-        if hard:
-            raise ValidationError(hard)
-        problem = build_sw_sdp(asm_t, table)
-        sol = solve(problem, tol=tol, warm=warm)
-        if sol.status is not SolveStatus.OPTIMAL and warm is not None:
-            # a stale seed can mislead the interior-point iteration when the
-            # optimal face changes between grid points; retry from scratch
-            sol = solve(problem, tol=tol)
-        if sol.status is SolveStatus.OPTIMAL:
-            warm = sol.warm
-        else:
-            warm = None
+        sol = tsw(_from_stack(ms.labels, stacks[i], time_tag=float(t)), tol).solution
+        if sol.status is not SolveStatus.OPTIMAL:
             non_optimal.append(i)
         values[i] = 1.0 - sol.mu_star
         solutions.append(sol)
@@ -183,6 +167,8 @@ def concurrence(rho) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidState(f"expected a 4x4 density matrix, got {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise InvalidState("density matrix has non-finite entries")
     if abs(np.trace(rho).real - 1.0) > 1e-8:
         raise InvalidState(f"trace {np.trace(rho).real} != 1")
     if float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]) < -1e-8:

@@ -10,23 +10,29 @@ D_lam(a|x), the unsteerable weight mu* is
 all blocks Hermitian 2x2, and the temporal steerable weight is 1 - mu*.
 The dual asks for one PSD multiplier F_{a|x} per constraint with
 sum_{a,x} D_lam(a|x) F_{a|x} >= I for every lam, minimizing
-sum <sigma_{a|x}, F_{a|x}>; any dual-feasible point upper-bounds mu*, which
-is what the returned certificates are built from.
+sum <sigma_{a|x}, F_{a|x}>; any dual-feasible point upper-bounds mu*.
 
-The solver is a primal-dual interior-point method with Nesterov-Todd
-scaling and a Mehrotra-style predictor-corrector, specialized to stacks of
-2x2 Hermitian blocks; the per-block kernels (Hermitian part, smallest
-eigenvalue, PSD projection, determinant, matrix power) come from `hermat`.
-The dual Schur system has 4 * (2 n_meas) real unknowns, so each Newton
-step is a dense solve of trivial size; typical problems converge in 10 to
-30 steps. Slack blocks are introduced so the cone
-constraints read A x = b over a product of PSD(2) cones:
+`solve` is one cold path:
 
-    x = (sigma_tilde_1..L, S_1..M),  A x |_m = sum_lam D[m,lam] sigma_tilde_lam + S_m = sigma_m.
-
-The dual multiplier reported back is polished into an exactly cone-feasible
-point (shift by the worst negative eigenvalue, then rescale), so the
-published duality gap is a certificate, not a heuristic.
+1. Whitening: sigma -> S sigma S with S = R^{-1/2}, R the mean reduced
+   state (1/n_meas) sum sigma_{a|x}; the objective weight becomes R. A
+   rank-one R means every member is a multiple of one pure state (a
+   constant map), solved in closed form.
+2. Facial reduction of the whitened members. A zero member sets every
+   strategy touching it to 0. A rank-one member (det <= eps tr^2) confines
+   every strategy touching it, and its slack, to multiples of its range
+   P_m, and keeps a single constraint row; a strategy touching two
+   different ranges is 0. Without this the primal has no interior, and
+   next to a constant map the iteration returned TSW 0 instead of 0.25.
+3. One primal-dual interior-point run on the reduced problem (Nesterov-Todd
+   scaling, Mehrotra predictor-corrector, kernels from `hermat`), over
+   A x = b with x = (sigma_tilde_1..L, slack_1..M) in PSD(2) blocks.
+4. A certified map back at every iterate: sigma_tilde is shrunk until it
+   and every slack are exactly PSD, and the multipliers are lifted along
+   the kernel of each rank-deficient member, F_m += K (I - P_m), with P_m
+   taken from sigma_m so the lift costs nothing when sigma_m is exactly
+   rank one, then shifted to be exactly cone-feasible. The run stops once
+   dual minus primal is within tol, so the gap is a certificate.
 """
 
 from __future__ import annotations
@@ -42,19 +48,13 @@ from .errors import (
     DimensionMismatch,
     NumericalBreakdown,
 )
-from .hermat import IDENTITY, det2, herm, mat_pow, min_eig, psd_project
+from .hermat import IDENTITY, anti_herm_norm, det2, herm, mat_pow, min_eig, psd_project
 from .steering import Assemblage, StrategyTable
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 300
-
-# Orthonormal Hermitian basis used to express congruences as real 4x4 blocks.
-_EBASIS = np.zeros((4, 2, 2), dtype=complex)
-_EBASIS[0, 0, 0] = 1.0
-_EBASIS[1, 1, 1] = 1.0
-_EBASIS[2] = np.array([[0, 1], [1, 0]]) / np.sqrt(2)
-_EBASIS[3] = np.array([[0, 1j], [-1j, 0]]) / np.sqrt(2)
-
+_RANK_EPS = 1e-14  # a 2x2 PSD block with det <= _RANK_EPS * tr^2 has rank one
+_STEP = 0.95       # fraction of the step to the cone boundary taken per iteration
 
 def _svec(h):
     out = np.empty(h.shape[:-2] + (4,))
@@ -72,6 +72,21 @@ def _unsvec(v):
     h[..., 0, 1] = (v[..., 2] + 1j * v[..., 3]) / np.sqrt(2.0)
     h[..., 1, 0] = (v[..., 2] - 1j * v[..., 3]) / np.sqrt(2.0)
     return h
+
+
+# Orthonormal Hermitian basis used to express congruences as real 4x4 blocks.
+_EBASIS = _unsvec(np.eye(4))
+_HALF_TRACE = 0.5 * _svec(IDENTITY)  # tr(X) / 2 = _HALF_TRACE . svec(X)
+
+
+def _trace(h):
+    return h[..., 0, 0].real + h[..., 1, 1].real
+
+
+def _cross(g, q):
+    """The k-linear term of det(g + k q) = det g + k cross + k^2 det q."""
+    return (g[..., 0, 0].real * q[..., 1, 1].real + g[..., 1, 1].real * q[..., 0, 0].real
+            - 2.0 * (g[..., 0, 1] * q[..., 1, 0]).real)
 
 
 class SolveStatus(enum.Enum):
@@ -102,16 +117,14 @@ class SdpProblem:
 @dataclass
 class SdpSolution:
     mu_star: float
-    sigma_tilde: np.ndarray = field(repr=False)  # (n_lambda, 2, 2), PSD
-    dual_vars: np.ndarray = field(repr=False)    # (n_constraints, 2, 2), polished
+    sigma_tilde: np.ndarray = field(repr=False)  # (n_lambda, 2, 2), exactly feasible
+    dual_vars: np.ndarray = field(repr=False)    # (n_constraints, 2, 2), exactly feasible
     dual_value: float = 0.0
     gap: float = 0.0
     iterations: int = 0
     status: SolveStatus = SolveStatus.MAX_ITER
     primal_residual: float = 0.0
     dual_residual: float = 0.0
-    gap_history: list = field(default_factory=list, repr=False)
-    warm: tuple = field(default=None, repr=False, compare=False)
 
 
 def build_sw_sdp(asm: Assemblage, table: StrategyTable) -> SdpProblem:
@@ -129,318 +142,268 @@ def build_sw_sdp(asm: Assemblage, table: StrategyTable) -> SdpProblem:
     )
 
 
-def _polished_dual(d_mat, targets, y, cmat=None):
-    """Exactly cone-feasible dual point from the multiplier estimate -y.
-
-    Coverage means sum_m D[m,lam] F_m >= cmat (identity unless the problem
-    has been rebalanced). Both repairs are additive: a global shift restores
-    F >= 0, and since every strategy activates exactly n_meas constraints, a
-    uniform shift c*I on all multipliers lifts the coverage by n_meas * c.
-    Returns (F, dual_value, infeasibility_before_polish); dual_value is a
-    rigorous upper bound on the weighted primal optimum.
-    """
-    cm = IDENTITY if cmat is None else cmat
-    n_meas = d_mat.shape[0] // 2
-    f = -y
-    eta = max(0.0, -float(min_eig(f).min()))
-    fp = f + eta * IDENTITY
-    zeta = float(min_eig(np.tensordot(d_mat.T, fp, axes=(1, 0)) - cm).min())
-    if zeta < 0.0:
-        fp = fp + (-zeta / n_meas) * IDENTITY
-    value = float(np.einsum("mij,mij->", targets.conj(), fp).real)
-    return fp, value, max(eta, max(0.0, -zeta))
-
-
-def _balancing(targets):
-    """Congruence that whitens the average reduced state of the targets.
-
-    Deep-decay assemblages span many orders of magnitude between their
-    matrix elements, which starves the interior-point iteration of steps.
-    The change of variables sigma -> S sigma S with S = R^{-1/2} keeps the
-    optimum value identical while making the targets O(1). The objective
-    weight becomes (S S)^{-1}, the floored reduced state itself. The
-    eigenvalue floor (seven decades below the top) caps the condition of S
-    so the mapped-back certificates remain verifiable in double precision.
-    Returns None when the targets are already balanced.
-    """
-    red = herm((2.0 / targets.shape[0]) * targets.sum(axis=0))
-    w, v = np.linalg.eigh(red)
-    w = np.maximum(w, 0.0)
-    wmax = float(max(w.max(), 1e-300))
-    if w.min() > 0.2 * wmax:
-        return None
-    wf = np.maximum(w, wmax * 1e-7)
-    smat = herm((v * np.sqrt(wmax / wf)) @ v.conj().T)
-    sinv = herm((v * np.sqrt(wf / wmax)) @ v.conj().T)
-    cmat = herm((v * (wf / wmax)) @ v.conj().T)
-    return smat, sinv, cmat
-
-
 def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER, warm=None) -> SdpSolution:
+          max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
     """Solve the steerable-weight SDP to a certified duality gap.
 
-    Stops once the equality residual, the dual infeasibility, and the
-    certified gap all fall below tol. Assemblages whose members carry exact
-    zero eigenvalues make the optimal faces degenerate; when the iteration
-    stalls on such instances the best iterate is still declared optimal if
-    its certified gap is within 10*tol (1e-7 at the default tolerance, the
-    level the downstream certificates require) with feasibility residuals
-    met. Otherwise the best iterate is returned with status MAX_ITER;
-    max_iter counts Newton steps, of which healthy runs need a few tens.
-    A warm tuple from a previous solution (its .warm field) seeds the
-    iteration after re-centering.
-
-    Strongly anisotropic targets (deep amplitude decay) are retried in
-    rebalanced coordinates when the plain run fails to certify; the better
-    of the two runs is returned.
+    Whitens, face-reduces and runs the interior-point method once, cold
+    (see the module docstring). OPTIMAL means the certified gap between
+    the exactly feasible primal and dual points is at most tol; MAX_ITER
+    means max_iter Newton steps, or a numerical breakdown, came first; the
+    last iterate's certified bounds are returned either way. Healthy runs
+    take 10 to 25 steps.
     """
-    sol = _solve_core(problem, tol, max_iter, warm, balanced=False)
-    if sol.status is not SolveStatus.OPTIMAL:
-        retry = _solve_core(problem, tol, max_iter, warm, balanced=True)
-        if retry is not None:
-            better = retry.status is SolveStatus.OPTIMAL or (
-                sol.status is not SolveStatus.OPTIMAL and retry.gap < sol.gap
-            )
-            if better:
-                return retry
-    return sol
-
-
-def _solve_core(problem, tol, max_iter, warm, balanced):
     if tol <= 0:
         raise NumericalBreakdown(f"tolerance must be positive, got {tol}")
-    d_mat = problem.d_matrix
     targets = problem.targets
-    m_cons, n_lam = d_mat.shape
-
     if not np.all(np.isfinite(targets)):
         raise NumericalBreakdown("assemblage targets contain non-finite entries")
     if float(min_eig(targets).min()) < -1e-8:
         # sigma_tilde = 0 is feasible for any PSD target; a clearly negative
         # target block means the problem data is malformed.
-        return SdpSolution(
-            mu_star=0.0,
-            sigma_tilde=np.zeros((n_lam, 2, 2), dtype=complex),
-            dual_vars=np.zeros((m_cons, 2, 2), dtype=complex),
-            status=SolveStatus.INFEASIBLE,
-        )
+        return SdpSolution(mu_star=0.0, sigma_tilde=np.zeros((problem.n_lambda, 2, 2), complex),
+                           dual_vars=np.zeros_like(targets), status=SolveStatus.INFEASIBLE)
+    red = herm(targets.sum(axis=0) / problem.n_meas)
+    if det2(red) <= _RANK_EPS * _trace(red) ** 2:
+        return _constant_map(problem, red, tol)
+    return _interior_point(_Reduced(problem, red), tol, max_iter)
 
-    balance = _balancing(targets) if balanced else None
-    if balance is None:
-        if balanced:
-            return None  # already balanced; nothing new to try
-        smat = sinv = None
-        b_t = targets
-        cmat = IDENTITY
-    else:
-        smat, sinv, cmat = balance
-        b_t = np.einsum("ij,mjk,kl->mil", smat, targets, smat)
 
-    def a_op(x, s):
-        return np.tensordot(d_mat, x, axes=(1, 0)) + s
+def _constant_map(problem, red, tol):
+    """Closed-form optimum when every member is c_m psi psi^dag.
+
+    psi is the top eigenvector of R, r_x = c_{+|x} + c_{-|x}, and both
+    sigma_tilde_lam = r_min prod_x (c_{lam(x)|x} / r_x) psi psi^dag and
+    F_m = alpha_m psi psi^dag + (I - psi psi^dag) / n_meas, with alpha = 1
+    on a setting attaining r_min and 0 elsewhere, reach r_min (1 for a
+    normalized non-signaling assemblage, so TSW = 0): each strategy takes
+    one outcome of that setting, so its coverage is exactly I.
+    """
+    d_mat, targets = problem.d_matrix, problem.targets
+    psi = np.linalg.eigh(red)[1][:, 1]
+    proj = np.outer(psi, psi.conj())
+    c = np.maximum(np.einsum("i,mij,j->m", psi.conj(), targets, psi).real, 0.0)
+    r = c[0::2] + c[1::2]
+    best = int(np.argmin(r))
+    share = c / np.maximum(np.repeat(r, 2), 1e-300)
+    weight = r[best] * np.prod(np.where(d_mat > 0, share[:, None], 1.0), axis=0)
+    sig = weight[:, None, None] * proj
+    alpha = (np.arange(problem.n_constraints) // 2 == best).astype(float)
+    f = alpha[:, None, None] * proj + (IDENTITY - proj) / problem.n_meas
+    primal = float(np.einsum("nii->", sig).real)
+    dual = float(np.einsum("mij,mij->", targets.conj(), f).real)
+    gap = abs(dual - primal)
+    return SdpSolution(primal, sig, f, dual, gap,
+                       status=SolveStatus.OPTIMAL if gap <= tol else SolveStatus.MAX_ITER)
+
+
+class _Reduced:
+    """The whitened, face-reduced problem and the certified map back.
+
+    Blocks are the surviving strategies, then one slack per non-zero member.
+    A face block (home[j] >= 0) is carried as x I and enters the
+    constraints through X -> (tr X / 2) P, P = b_h / tr b_h the range of its
+    rank-one member h; a rank-one constraint keeps the one row of its
+    coefficient along P, with right-hand side tr b_m. `amat` is the
+    operator on svec coordinates, shape (rows, blocks, 4).
+    """
+
+    def __init__(self, problem: SdpProblem, red):
+        d_mat, targets = problem.d_matrix, problem.targets
+        m_cons, n_lam = d_mat.shape
+        self.problem = problem
+        self.smat, self.sinv = mat_pow(red, -0.5), mat_pow(red, 0.5)
+        b = herm(self.smat @ targets @ self.smat)
+        self.tr_b = tr_b = _trace(b)
+        self.zero = zero = tr_b <= _RANK_EPS * problem.n_meas
+        self.rank1 = rank1 = ~zero & (det2(b) <= _RANK_EPS * tr_b ** 2)
+        self.dense = ~(zero | rank1)
+        proj = b / np.where(zero, 1.0, tr_b)[:, None, None]
+
+        keep, home = [], []
+        for lam in range(n_lam):
+            touched = np.flatnonzero(d_mat[:, lam])
+            low = touched[rank1[touched]]
+            if zero[touched].any() or any(
+                    det2(proj[low[0]] + proj[m]) > 4.0 * _RANK_EPS for m in low[1:]):
+                continue
+            keep.append(lam)
+            home.append(low[0] if low.size else -1)
+        live = np.flatnonzero(~zero)
+        self.keep = np.array(keep, dtype=int)
+        self.home = np.array(home + [m if rank1[m] else -1 for m in live], dtype=int)
+        touches = [np.flatnonzero(d_mat[:, lam]) for lam in keep] + [[m] for m in live]
+
+        width = np.where(rank1, 1, 4) * ~zero
+        start = np.concatenate([[0], np.cumsum(width)])
+        owner = np.repeat(np.arange(m_cons), width)
+        self.dense_rows = np.flatnonzero(self.dense[owner])
+        self.rank1_rows = np.flatnonzero(rank1[owner])
+        self.amat = np.zeros((start[-1], len(touches), 4))
+        for j, members in enumerate(touches):
+            h = self.home[j]
+            col = np.eye(4) if h < 0 else np.outer(_svec(proj[h]), _HALF_TRACE)
+            for m in members:
+                self.amat[start[m]:start[m + 1], j] = _HALF_TRACE if rank1[m] else col
+        self.b_vec = np.concatenate([[tr_b[m]] if rank1[m] else _svec(b[m]) for m in live])
+        r_vec = _svec(red)
+        self.c_vec = np.zeros((len(touches), 4))
+        for j, h in enumerate(home):
+            self.c_vec[j] = -r_vec if h < 0 else -(r_vec @ _svec(proj[h])) * _HALF_TRACE
+        # lift directions adj(sigma_m) / tr sigma_m = I - P_m, from sigma_m
+        # itself: <sigma_m, I - P_m> = 2 det sigma_m / tr sigma_m is exactly 0
+        # when sigma_m is; I for a zero member
+        tr_t = _trace(targets[rank1])[:, None, None]
+        self.lift = np.zeros_like(targets)
+        self.lift[rank1] = (tr_t * IDENTITY - targets[rank1]) / tr_t
+        self.lift[zero] = IDENTITY
+
+    def primal(self, x):
+        """Exactly feasible sigma_tilde in original coordinates, and its value.
+
+        A face block maps to xi sigma_h / tr b_h, exactly proportional to
+        its member, and sigma_tilde shrinks by the largest theta that keeps
+        every slack PSD: a rank-one slack iff its face coefficients fit in
+        tr b_m, a dense one, E + (1 - theta) U, once 1 - theta lifts E along U.
+        """
+        p = self.problem
+        keep, home = self.keep, self.home[:self.keep.size]
+        face = home >= 0
+        sig = np.zeros((p.n_lambda, 2, 2), dtype=complex)
+        sig[keep[~face]] = psd_project(herm(self.sinv @ x[:keep.size][~face] @ self.sinv))
+        xi = np.zeros(p.n_lambda)
+        xi[keep[face]] = np.maximum(0.5 * _trace(x[:keep.size][face]), 0.0)
+        sig[keep[face]] = (xi[keep[face]] / self.tr_b[home[face]])[:, None, None] * p.targets[home[face]]
+        load = p.d_matrix @ xi
+        theta = np.where(self.rank1 & (load > self.tr_b), self.tr_b / np.maximum(load, 1e-300), 1.0)
+        used = np.tensordot(p.d_matrix[self.dense], sig, axes=(1, 0))
+        theta[self.dense] = 1.0 - _lift_size(p.targets[self.dense] - used, used)
+        sig = min(max(float(theta.min()), 0.0), 1.0) * sig
+        return sig, float(np.einsum("nii->", sig).real)
+
+    def dual(self, y):
+        """Exactly feasible multipliers F in original coordinates, and their value.
+
+        Reduced multipliers map back by congruence (a rank-one member's
+        scalar to a multiple of sigma_m); each rank-deficient member is
+        lifted along its kernel by twice the least K that covers every
+        strategy touching it, and a uniform shift repairs what is left:
+        F >= 0 first, then, since every strategy activates exactly n_meas
+        constraints, coverage sum_m D F_m >= I.
+        """
+        p = self.problem
+        d_mat, targets = p.d_matrix, p.targets
+        f = np.zeros_like(targets)
+        f[self.dense] = -(self.smat @ _unsvec(y[self.dense_rows].reshape(-1, 4)) @ self.smat)
+        tr_t = _trace(targets[self.rank1])
+        f[self.rank1] = ((-y[self.rank1_rows] * self.tr_b[self.rank1] / tr_t ** 2)[:, None, None]
+                         * targets[self.rank1])
+        cover = np.tensordot(d_mat.T, f, axes=(1, 0)) - IDENTITY
+        k_lam = 2.0 * _lift_size(cover, np.tensordot(d_mat.T, self.lift, axes=(1, 0)))
+        f = f + (d_mat * k_lam).max(axis=1)[:, None, None] * self.lift
+        f = f + max(0.0, -float(min_eig(f).min())) * IDENTITY
+        zeta = float(min_eig(np.tensordot(d_mat.T, f, axes=(1, 0)) - IDENTITY).min())
+        f = f + max(0.0, -zeta / p.n_meas) * IDENTITY
+        return f, float(np.einsum("mij,mij->", targets.conj(), f).real)
+
+
+def _lift_size(g, q):
+    """Per block, the least k >= 0 with g + k q PSD (q PSD), or 0 where no
+    k can help: the largest root of det(g + k q) = a k^2 + b k + c, or
+    -tr g / tr q if larger. With b < 0 only a q of full rank can help.
+    """
+    a, b, c = det2(q), _cross(g, q), det2(g)
+    sq = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+    full = a > _RANK_EPS * _trace(q) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the larger root, each branch in its cancellation-free form
+        root = np.where(b < 0.0, np.where(full, (-b + sq) / (2.0 * a), 0.0),
+                        -2.0 * c / (b + sq))
+        by_trace = np.where(_trace(q) > 0.0, -_trace(g) / _trace(q), 0.0)
+    return np.maximum(np.maximum(np.where(np.isfinite(root), root, 0.0), by_trace), 0.0)
+
+
+def _interior_point(reduced: _Reduced, tol, max_iter):
+    """Primal-dual interior-point run on the reduced problem, from a cold start."""
+    amat, b_vec = reduced.amat, reduced.b_vec
+    c_mat = _unsvec(reduced.c_vec)
+    n_rows, n_blocks = amat.shape[:2]
+    flat = amat.reshape(n_rows, -1)
+
+    def a_op(x):
+        return flat @ _svec(x).reshape(-1)
 
     def at_op(y):
-        return np.tensordot(d_mat.T, y, axes=(1, 0))
+        return _unsvec((y @ flat).reshape(n_blocks, 4))
 
-    c_x = -np.broadcast_to(cmat, (n_lam, 2, 2))
-
-    def into(m):
-        return m if smat is None else np.einsum("ij,mjk,kl->mil", smat, m, smat)
-
-    def outof(m):
-        return m if sinv is None else np.einsum("ij,mjk,kl->mil", sinv, m, sinv)
-
-    if warm is not None:
-        xw, sw, yw, zxw, zsw = warm  # original coordinates
-        # re-center enough that the barrier parameter stays commensurate
-        # with the fresh residuals, otherwise the corrector overshoots
-        delta = 5e-2
-        x = into(xw) + delta * IDENTITY
-        s = into(sw) + delta * IDENTITY
-        zx = outof(zxw) + delta * IDENTITY
-        zs = outof(zsw) + delta * IDENTITY
-        y = outof(yw)
-    else:
-        x = np.broadcast_to(0.5 * IDENTITY, (n_lam, 2, 2)).copy()
-        s = np.broadcast_to(0.5 * IDENTITY, (m_cons, 2, 2)).copy()
-        zx = np.broadcast_to(IDENTITY, (n_lam, 2, 2)).copy()
-        zs = np.broadcast_to(IDENTITY, (m_cons, 2, 2)).copy()
-        y = np.zeros((m_cons, 2, 2), dtype=complex)
-
-    n_blocks = n_lam + m_cons
-    b_norm = 1.0 + float(np.abs(b_t).max())
-    best = None
-    best_score = math.inf
-    gap_floor = math.inf
-    history = []
-    stall = 0
+    x = np.broadcast_to(0.5 * IDENTITY, (n_blocks, 2, 2)).copy()
+    z = np.broadcast_to(IDENTITY, (n_blocks, 2, 2)).copy()
+    y = np.zeros(n_rows)
+    b_norm = 1.0 + float(np.abs(b_vec).max())
     status = SolveStatus.MAX_ITER
-    it = 0
-
-    def measure(xc, sc, yc):
-        rp = b_t - a_op(xc, sc)
+    for it in range(max_iter + 1):
+        sig, primal = reduced.primal(x)
+        f, dual = reduced.dual(y)
+        gap = abs(dual - primal)
+        rp = b_vec - a_op(x)
+        rd = c_mat - at_op(y) - z
         pinf = float(np.abs(rp).max()) / b_norm
-        fp, dual, raw_dinf = _polished_dual(d_mat, b_t, yc, cmat)
-        primal = float(np.einsum("ij,nij->", cmat.conj(), xc).real)
-        gap = abs(dual - primal) if math.isfinite(dual) else math.inf
-        return rp, pinf, fp, dual, primal, gap
-
-    def max_step(blocks, dblocks):
-        # largest alpha in (0, 1] with blocks + alpha*dblocks psd. For 2x2
-        # that means trace and determinant stay non-negative: one linear and
-        # one quadratic condition per block, solved in closed form (no
-        # inverses, so nearly singular blocks cannot overflow).
-        tr_x = blocks[..., 0, 0].real + blocks[..., 1, 1].real
-        tr_d = dblocks[..., 0, 0].real + dblocks[..., 1, 1].real
-        det_x = det2(blocks)
-        det_d = det2(dblocks)
-        cross = (blocks[..., 0, 0].real * dblocks[..., 1, 1].real
-                 + blocks[..., 1, 1].real * dblocks[..., 0, 0].real
-                 - 2.0 * (blocks[..., 0, 1] * dblocks[..., 1, 0]).real)
-        alpha = np.ones_like(tr_x)
-        neg = tr_d < 0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lin = np.where(neg, tr_x / np.maximum(-tr_d, 1e-300), np.inf)
-        alpha = np.minimum(alpha, lin)
-        # f(a) = det_x + a*cross + a^2*det_d >= 0, f(0) = det_x >= 0
-        disc = cross * cross - 4.0 * det_d * det_x
-        has_root = disc >= 0
-        sq = np.sqrt(np.where(has_root, disc, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            quad_a = np.where(
-                (np.abs(det_d) > 1e-300) & has_root,
-                (-cross - sq) / (2.0 * det_d),
-                np.inf,
-            )
-            quad_b = np.where(
-                (np.abs(det_d) > 1e-300) & has_root,
-                (-cross + sq) / (2.0 * det_d),
-                np.inf,
-            )
-            lin_only = np.where(
-                (np.abs(det_d) <= 1e-300) & (cross < 0),
-                det_x / np.maximum(-cross, 1e-300),
-                np.inf,
-            )
-        candidates = np.stack([
-            np.where(quad_a > 1e-14, quad_a, np.inf),
-            np.where(quad_b > 1e-14, quad_b, np.inf),
-            lin_only,
-        ])
-        alpha = np.minimum(alpha, candidates.min(axis=0))
-        return float(max(min(alpha.min(), 1.0), 0.0))
-
-    for it in range(1, max_iter + 1):
-        rp, pinf, fp, dual, primal, gap = measure(x, s, y)
-        rd_x = c_x - at_op(y) - zx
-        rd_s = -y - zs
         # degenerate constraints drive an unbounded dual ray, so judge the
         # dual residual relative to the multiplier size
-        y_scale = 1.0 + float(np.abs(y).max())
-        dinf_raw = max(float(np.abs(rd_x).max()), float(np.abs(rd_s).max())) / y_scale
-        score = max(4.0 * pinf, dinf_raw, min(gap, 1e9))
-        if score < best_score:
-            best_score = score
-            best = (x.copy(), s.copy(), y.copy(), zx.copy(), zs.copy(),
-                    pinf, dinf_raw, it)
-        gap_floor = min(gap_floor, gap)
-        history.append(gap_floor)
-        if pinf <= 0.25 * tol and dinf_raw <= tol and gap <= tol:
+        dinf = float(np.abs(rd).max()) / (1.0 + float(np.abs(y).max()))
+        if gap <= tol:
             status = SolveStatus.OPTIMAL
             break
-
-        mu = (float(np.einsum("nij,nij->", x.conj(), zx).real)
-              + float(np.einsum("nij,nij->", s.conj(), zs).real)) / (2.0 * n_blocks)
-        if not math.isfinite(mu) or mu <= 0 or not math.isfinite(score):
+        mu = float(np.einsum("nij,nij->", x.conj(), z).real) / (2.0 * n_blocks)
+        if it == max_iter or not math.isfinite(mu) or mu <= 0:
             break
-
         try:
-            w_x = _nt_scaling(x, zx)
-            w_s = _nt_scaling(s, zs)
-            g_x = _congruence_matrix(w_x)
-            g_s = _congruence_matrix(w_s)
-            schur = np.einsum("ml,nl,lkj->mknj", d_mat, d_mat, g_x).reshape(
-                4 * m_cons, 4 * m_cons
-            )
-            for m in range(m_cons):
-                schur[4 * m: 4 * m + 4, 4 * m: 4 * m + 4] += g_s[m]
-            solve_schur = _factorized(schur)
+            w = _nt_scaling(x, z)
+            wg = np.einsum("rja,jab->rjb", amat, _congruence_matrix(w)).reshape(n_rows, -1)
+            solve_schur = _factorized(wg @ flat.T)
 
-            def direction(rc_x, rc_s):
-                t_x = w_x @ rd_x @ w_x - rc_x
-                t_s = w_s @ rd_s @ w_s - rc_s
-                rhs = _svec(rp + a_op(t_x, t_s)).reshape(-1)
-                dy = _unsvec(solve_schur(rhs).reshape(m_cons, 4))
-                dzx = rd_x - at_op(dy)
-                dzs = rd_s - dy
-                dx = herm(rc_x - w_x @ dzx @ w_x)
-                ds = herm(rc_s - w_s @ dzs @ w_s)
-                return dx, ds, dy, herm(dzx), herm(dzs)
+            def direction(rc):
+                dy = solve_schur(rp + a_op(w @ rd @ w - rc))
+                dz = rd - at_op(dy)
+                return herm(rc - w @ dz @ w), dy, herm(dz)
 
-            dx, ds, dy, dzx, dzs = direction(-x, -s)
-            a_p = min(max_step(x, dx), max_step(s, ds))
-            a_d = min(max_step(zx, dzx), max_step(zs, dzs))
-            mu_aff = (
-                float(np.einsum("nij,nij->", (x + a_p * dx).conj(), zx + a_d * dzx).real)
-                + float(np.einsum("nij,nij->", (s + a_p * ds).conj(), zs + a_d * dzs).real)
-            ) / (2.0 * n_blocks)
+            dx, dy, dz = direction(-x)
+            a_p, a_d = _max_step(x, dx), _max_step(z, dz)
+            mu_aff = float(np.einsum("nij,nij->", (x + a_p * dx).conj(),
+                                     z + a_d * dz).real) / (2.0 * n_blocks)
             sigma = min(0.8, max((max(mu_aff, 0.0) / mu) ** 3, 1e-10))
-            if max(pinf, dinf_raw) > 10.0 * mu:
+            if max(pinf, dinf) > 10.0 * mu:
                 # infeasibility dominates; keep enough centering to absorb it
                 sigma = max(sigma, 0.2)
-            dx, ds, dy, dzx, dzs = direction(
-                sigma * mu * mat_pow(zx, -1.0) - x - _second_order(w_x, x, dx, dzx),
-                sigma * mu * mat_pow(zs, -1.0) - s - _second_order(w_s, s, ds, dzs),
-            )
+            dx, dy, dz = direction(sigma * mu * mat_pow(z, -1.0) - x
+                                   - _second_order(w, x, dx, dz))
         except np.linalg.LinAlgError:
             break
+        a_p = min(1.0, _STEP * _max_step(x, dx))
+        a_d = min(1.0, _STEP * _max_step(z, dz))
+        x, y, z = x + a_p * dx, y + a_d * dy, z + a_d * dz
+    return SdpSolution(primal, sig, f, dual, gap, it, status, pinf, dinf)
 
-        tau = 0.95 if mu > 1e-5 else (0.99 if mu > 1e-8 else 0.9999)
-        a_p = min(1.0, tau * min(max_step(x, dx), max_step(s, ds)))
-        a_d = min(1.0, tau * min(max_step(zx, dzx), max_step(zs, dzs)))
-        if min(a_p, a_d) < 1e-6:
-            stall += 1
-            if stall >= 12:
-                break
-        else:
-            stall = 0
-        x = x + a_p * dx
-        s = s + a_p * ds
-        y = y + a_d * dy
-        zx = zx + a_d * dzx
-        zs = zs + a_d * dzs
 
-    if best is None:
-        raise NumericalBreakdown("interior-point iteration produced no usable iterate")
+def _max_step(x, dx):
+    """Largest alpha in [0, 1] with x + alpha dx PSD, per 2x2 block.
 
-    # map the best iterate back to original coordinates and certify there
-    xb, sb, yb, zxb, zsb, _, dinf_b, _ = best
-    x_o = outof(xb)
-    s_o = outof(sb)
-    y_o = into(yb)
-    fp_o, dual_o, _ = _polished_dual(d_mat, targets, y_o)
-    primal_o = float(np.einsum("nii->", x_o).real)
-    gap_o = abs(dual_o - primal_o) if math.isfinite(dual_o) else math.inf
-    rp_o = targets - a_op(x_o, s_o)
-    pinf_o = float(np.abs(rp_o).max()) / (1.0 + float(np.abs(targets).max()))
-    if pinf_o <= tol and dinf_b <= tol and gap_o <= 10.0 * tol:
-        status = SolveStatus.OPTIMAL
-    else:
-        status = SolveStatus.MAX_ITER
-    return SdpSolution(
-        mu_star=primal_o,
-        sigma_tilde=x_o,
-        dual_vars=fp_o,
-        dual_value=dual_o,
-        gap=gap_o,
-        iterations=it,
-        status=status,
-        primal_residual=pinf_o,
-        dual_residual=dinf_b,
-        gap_history=history[-200:],
-        warm=(x_o, s_o, y_o, into(zxb), into(zsb)),
-    )
+    Trace and determinant must stay non-negative: one linear and one
+    quadratic condition per block, in closed form (no inverses, so nearly
+    singular blocks cannot overflow).
+    """
+    tr_x, tr_d = _trace(x), _trace(dx)
+    a, b, c = det2(dx), _cross(x, dx), det2(x)
+    disc = b * b - 4.0 * a * c
+    quad = (np.abs(a) > 1e-300) & (disc >= 0)
+    sq = np.sqrt(np.where(quad, disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        roots = np.where(quad, np.stack([(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]), np.inf)
+        lin_det = np.where((np.abs(a) <= 1e-300) & (b < 0), c / np.maximum(-b, 1e-300), np.inf)
+        lin_tr = np.where(tr_d < 0, tr_x / np.maximum(-tr_d, 1e-300), np.inf)
+    alpha = min(1.0, float(np.where(roots > 1e-14, roots, np.inf).min()),
+                float(lin_det.min()), float(lin_tr.min()))
+    return max(alpha, 0.0)
 
 
 def _nt_scaling(x, z):
@@ -532,6 +495,35 @@ def dual_certificate(sol: SdpSolution, problem: SdpProblem,
     if abs(abs(dual - sol.mu_star) - sol.gap) > 1e-9:
         raise CertificateInvalid("recorded gap is not dual minus primal")
     return CertificateReport(dual, sol.gap, m_eig, c_eig)
+
+
+def primal_certificate(sol: SdpSolution, problem: SdpProblem) -> float:
+    """Verify the primal point independently of the solve path.
+
+    Checks in closed form that every sigma_tilde block is Hermitian and PSD,
+    that every slack sigma_{a|x} - sum_lam D_lam(a|x) sigma_tilde_lam is PSD
+    (all up to roundoff, 1e-12), and that mu_star is the total trace of
+    sigma_tilde.
+    Returns mu_star, then a lower bound on the optimum: with
+    `dual_certificate`, [1 - dual_value, 1 - mu_star] brackets the
+    steerable weight. Raises CertificateInvalid when any check fails.
+    """
+    sig, tol = sol.sigma_tilde, 1e-12
+    if sig.shape != (problem.n_lambda, 2, 2):
+        raise CertificateInvalid("sigma_tilde count does not match strategies")
+    if float(anti_herm_norm(sig).max()) > tol:
+        raise CertificateInvalid("sigma_tilde is not Hermitian")
+    b_eig = float(min_eig(sig).min())
+    slack = problem.targets - np.tensordot(problem.d_matrix, sig, axes=(1, 0))
+    s_eig = float(min_eig(slack).min())
+    value = float(np.einsum("nii->", sig).real)
+    if b_eig < -tol:
+        raise CertificateInvalid(f"sigma_tilde min eigenvalue {b_eig:.3e} < -{tol:.1e}")
+    if s_eig < -tol:
+        raise CertificateInvalid(f"slack min eigenvalue {s_eig:.3e} < -{tol:.1e}")
+    if abs(value - sol.mu_star) > 1e-12 * max(1.0, abs(value)):
+        raise CertificateInvalid("recorded mu_star is not the trace of sigma_tilde")
+    return value
 
 
 def primal_ascent_bound(problem: SdpProblem, n_restarts: int = 200,

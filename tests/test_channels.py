@@ -218,6 +218,16 @@ def test_lorentzian_bad_parameters():
             LorentzianAD(g, omega_w)
 
 
+@pytest.mark.parametrize("fn", [lorentzian_G, lorentzian_G_derivative, lorentzian_gamma])
+@pytest.mark.parametrize("args", [
+    (np.nan, 1.0, 1.0), (1.0, np.nan, 1.0), (1.0, 1.0, np.nan),
+    (np.inf, 1.0, 1.0), (2.0, 1.0, np.inf),
+])
+def test_lorentzian_functions_reject_non_finite_input(fn, args):
+    with pytest.raises(BadParameter):
+        fn(*args)
+
+
 # --- random Kraus channels -------------------------------------------------------
 
 

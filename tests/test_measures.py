@@ -105,6 +105,59 @@ def test_trace_exchange_dip_and_revival():
     assert ts.values[-1] > 1 - 1e-3
 
 
+# Next to a constant-map time every member is nearly proportional to one pure
+# state and the optimum sits on a degenerate face; the weight tends to 0.25
+# there, and is 0 only at the constant-map time itself.
+LORENTZ_FIRST_ZERO = 4 * np.pi / (3 * np.sqrt(3))
+
+
+@pytest.mark.parametrize("ch, t", [
+    (Exchange(1.0, 0.0), np.pi / 2 + 1e-4),
+    (Exchange(1.0, 0.0), np.pi / 2 - 1e-4),
+    (LorentzianAD(2.0, 1.0), LORENTZ_FIRST_ZERO + 1e-3),
+    (LorentzianAD(2.0, 1.0), LORENTZ_FIRST_ZERO - 1e-3),
+], ids=["exchange-after", "exchange-before", "lorentz-after", "lorentz-before"])
+def test_tsw_next_to_constant_map_is_a_quarter(ch, t):
+    r = tsw(propagate_assemblage(ch, t, premeasure(MIXED, XYZ)))
+    assert r.solution.status is SolveStatus.OPTIMAL
+    assert r.value == pytest.approx(0.25, abs=1e-6)
+
+
+def test_tsw_deep_lorentzian_decay_not_below_its_limit():
+    # amplitude damping keeps the weight at or above its G -> 0 limit 0.25
+    ch = LorentzianAD(2.017722244222895, 1.0002265510562873)
+    r = tsw(propagate_assemblage(ch, 9.5, premeasure(MIXED, XYZ)))
+    assert r.solution.status is SolveStatus.OPTIMAL
+    assert r.value >= 0.25 - r.solution.gap
+
+
+def test_tsw_at_the_exact_swap_point_vanishes():
+    r = tsw(propagate_assemblage(Exchange(1.0, 0.0), np.pi / 2, premeasure(MIXED, XYZ)))
+    assert r.solution.status is SolveStatus.OPTIMAL
+    assert abs(r.value) < 1e-4
+
+
+@pytest.mark.parametrize("ch, t_max", [
+    (Exchange(1.0, 0.0), 2 * np.pi),
+    (LorentzianAD(2.0, 1.0), 10.0),
+], ids=["exchange", "lorentz"])
+def test_paper_traces_one_certified_solve_per_point(ch, t_max, monkeypatch):
+    real_solve = measures.solve
+    calls = []
+
+    def counting_solve(problem, **kwargs):
+        calls.append(problem.time_tag)
+        return real_solve(problem, **kwargs)
+
+    monkeypatch.setattr(measures, "solve", counting_solve)
+    ts = tsw_trace(ch, XYZ, MIXED, t_max, 81, tol=1e-8)
+    assert calls == list(ts.times)
+    assert ts.metadata["non_optimal"] == []
+    for sol in ts.solutions:
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.gap <= 1e-8
+
+
 def test_trace_grid_is_uniform_with_endpoints():
     ts = tsw_trace(RabiDecay(1.0, 0.5), XYZ, MIXED, 5.0, 11)
     assert ts.times[0] == 0.0
@@ -195,6 +248,12 @@ def test_concurrence_rejects_bad_input():
         concurrence(np.eye(2) / 2)
     with pytest.raises(InvalidState):
         concurrence(np.eye(4))
+
+
+def test_concurrence_rejects_non_finite_input():
+    for bad in (np.full((4, 4), np.nan), np.diag([np.inf, 0.0, 0.0, 0.0])):
+        with pytest.raises(InvalidState):
+            concurrence(bad)
 
 
 # --- ancilla traces -------------------------------------------------------------------

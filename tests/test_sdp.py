@@ -3,12 +3,13 @@ import pytest
 
 from conftest import random_assemblage
 from tsteer.errors import CertificateInvalid, DimensionMismatch
-from tsteer.hermat import IDENTITY
+from tsteer.hermat import IDENTITY, min_eig
 from tsteer.sdp import (
     SolveStatus,
     build_sw_sdp,
     dual_certificate,
     primal_ascent_bound,
+    primal_certificate,
     solve,
 )
 from tsteer.steering import (
@@ -133,13 +134,6 @@ def test_solution_invariants_random(rng):
         assert_solution_clean(sol, p)
 
 
-def test_gap_history_envelope_non_increasing(rng):
-    for v in (0.0, 0.6, 0.9):
-        sol = solve(depol_problem(v))
-        hist = sol.gap_history[-100:]
-        assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
-
-
 def test_infeasible_flag_for_malformed_targets():
     p = depol_problem(0.5)
     p.targets = p.targets.copy()
@@ -184,6 +178,35 @@ def test_certificate_requires_optimal_status():
     sol.status = SolveStatus.MAX_ITER
     with pytest.raises(CertificateInvalid):
         dual_certificate(sol, p)
+
+
+def test_primal_certificate_accepts_optimal_solves(rng):
+    problems = [depol_problem(v) for v in (0.0, 0.2, 0.5, 0.6, 0.7, 0.85, 1.0)]
+    problems += [build_sw_sdp(random_assemblage(rng), strategy_table(3)) for _ in range(20)]
+    for p in problems:
+        sol = solve(p)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert primal_certificate(sol, p) == sol.mu_star
+        # the two certificates bracket mu*
+        assert sol.mu_star <= dual_certificate(sol, p).dual_value
+
+
+def test_primal_certificate_rejects_infeasible_points():
+    p = depol_problem(0.8)
+    sol = solve(p)
+    scaled = type(sol)(mu_star=1.01 * sol.mu_star, sigma_tilde=1.01 * sol.sigma_tilde,
+                       dual_vars=sol.dual_vars)
+    with pytest.raises(CertificateInvalid):
+        primal_certificate(scaled, p)
+    negative = sol.sigma_tilde.copy()
+    negative[0] -= (min_eig(negative[0]) + 1e-3) * IDENTITY  # min eigenvalue -1e-3
+    bad = type(sol)(mu_star=float(np.einsum("nii->", negative).real), sigma_tilde=negative,
+                    dual_vars=sol.dual_vars)
+    with pytest.raises(CertificateInvalid):
+        primal_certificate(bad, p)
+    with pytest.raises(CertificateInvalid):
+        primal_certificate(type(sol)(mu_star=sol.mu_star + 1e-6, sigma_tilde=sol.sigma_tilde,
+                                     dual_vars=sol.dual_vars), p)
 
 
 def test_unsteerable_instance_has_unit_dual_value():
@@ -244,14 +267,3 @@ def test_mixing_concavity(rng):
             mixed.targets = (1 - s) * asm.stacked() + s * uns.stacked()
             mu = solve(mixed).mu_star
             assert mu >= (1 - s) * base + s - 1e-6
-
-
-def test_warm_start_agrees_with_cold(rng):
-    prev = None
-    for v in np.linspace(0.9, 0.7, 9):
-        p = depol_problem(v)
-        cold = solve(p)
-        warm = solve(p, warm=prev)
-        prev = warm.warm
-        assert warm.status is SolveStatus.OPTIMAL
-        assert warm.mu_star == pytest.approx(cold.mu_star, abs=1e-7)
