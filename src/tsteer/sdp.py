@@ -56,6 +56,7 @@ DEFAULT_MAX_ITER = 300
 _RANK_EPS = 1e-14  # a 2x2 PSD block with det <= _RANK_EPS * tr^2 has rank one
 _STEP = 0.95       # fraction of the step to the cone boundary taken per iteration
 
+
 def _svec(h):
     out = np.empty(h.shape[:-2] + (4,))
     out[..., 0] = h[..., 0, 0].real
