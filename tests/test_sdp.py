@@ -209,6 +209,20 @@ def test_primal_certificate_rejects_infeasible_points():
                                      dual_vars=sol.dual_vars), p)
 
 
+def test_constant_map_is_solved_in_closed_form():
+    # every member a multiple of one pure state, with setting marginals
+    # 0.5, 0.4 and 0.45 (signaling) and a zero member: mu* is the smallest
+    psi = np.array([0.6, 0.8j])
+    weights = np.array([0.3, 0.2, 0.1, 0.3, 0.0, 0.45])
+    p = depol_problem(0.5)
+    p.targets = weights[:, None, None] * np.outer(psi, psi.conj())
+    sol = solve(p)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.mu_star == pytest.approx(0.4, abs=1e-12)
+    assert primal_certificate(sol, p) == sol.mu_star
+    assert dual_certificate(sol, p).dual_value == pytest.approx(0.4, abs=1e-12)
+
+
 def test_unsteerable_instance_has_unit_dual_value():
     p = depol_problem(0.0)
     sol = solve(p)
