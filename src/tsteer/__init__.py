@@ -6,12 +6,9 @@ from .channels import (
     LorentzianAD,
     RabiDecay,
     apply_channel,
-    exchange_apply,
     lorentzian_G,
-    lorentzian_apply,
     lorentzian_gamma,
     propagate_assemblage,
-    rabi_decay_apply,
     random_kraus_channel,
 )
 from .measures import (
@@ -31,7 +28,6 @@ from .sdp import (
     SolveStatus,
     build_sw_sdp,
     dual_certificate,
-    primal_ascent_bound,
     primal_certificate,
     solve,
 )
@@ -39,9 +35,6 @@ from .steering import (
     Assemblage,
     MeasurementSet,
     StrategyTable,
-    assemblage_from_json,
-    assemblage_to_json,
-    depolarized_assemblage,
     lhs_assemblage,
     pauli_measurement_set,
     premeasure,

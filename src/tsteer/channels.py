@@ -32,9 +32,8 @@ Applying a channel, evolving a grid, the Choi matrix and the ancilla states
 of the concurrence trace are all products with T or reshuffles of it.
 Master-equation propagators are the classical RK4 solution with a fixed
 step: one step matrix sum_{k<=4} (hL)^k / k! raised to the number of steps.
-A closed-form propagator through the eigendecomposition of the Liouvillian
-is kept as an independent cross-check. The G(t) map is applied exactly,
-never by integrating gamma(t), which is singular at zeros of G.
+The G(t) map is applied exactly, never by integrating gamma(t), which is
+singular at zeros of G.
 """
 
 from __future__ import annotations
@@ -97,9 +96,10 @@ class KrausChannel:
         ops = tuple(np.asarray(k, dtype=complex) for k in operators)
         if not ops:
             raise BadParameter("need at least one Kraus operator")
-        dim = ops[0].shape[0]
+        if any(k.shape != (2, 2) or not np.isfinite(k).all() for k in ops):
+            raise BadParameter("Kraus operators must be finite 2x2 matrices")
         total = sum(k.conj().T @ k for k in ops)
-        if np.abs(total - np.eye(dim)).max() > 1e-10:
+        if np.abs(total - hermat.IDENTITY).max() > 1e-10:
             raise BadParameter("Kraus operators do not satisfy sum K^dag K = I")
         self.operators = ops
 
@@ -166,16 +166,6 @@ def rk4_evolve(lmat, vecs, t, h_target):
     idm = np.eye(lmat.shape[0], dtype=complex)
     step = idm + hl @ (idm + hl @ (idm + hl @ (idm + hl / 4.0) / 3.0) / 2.0)
     return np.linalg.matrix_power(step, n) @ vecs
-
-
-def eig_propagate(lmat, t, vecs):
-    """exp(L t) applied through the eigendecomposition of the Liouvillian.
-
-    Cross-check path; the Liouvillians here are diagonalizable.
-    """
-    w, v = np.linalg.eig(lmat)
-    coeff = np.linalg.solve(v, vecs)
-    return v @ (np.exp(w * t)[:, None] * coeff)
 
 
 def _check_time(t):
@@ -334,21 +324,6 @@ def apply_channel(ch, t, rho):
     """rho(0) -> rho(t) for any channel variant."""
     rho = np.asarray(rho, dtype=complex)
     return (transfer_grid(ch, [t])[0] @ rho.reshape(4)).reshape(2, 2)
-
-
-def rabi_decay_apply(g1, gamma1, t, rho):
-    """Solve the driven-decay master equation from rho at time 0 to time t."""
-    return apply_channel(RabiDecay(g1, gamma1), t, rho)
-
-
-def exchange_apply(j, gamma2, t, rho):
-    """Couple rho to an initially excited partner qubit, evolve, trace it out."""
-    return apply_channel(Exchange(j, gamma2), t, rho)
-
-
-def lorentzian_apply(g, omega_w, t, rho):
-    """Exact amplitude-damping map with memory amplitude G(t)."""
-    return apply_channel(LorentzianAD(g, omega_w), t, rho)
 
 
 def choi_matrix(ch, t):

@@ -63,7 +63,3 @@ class NumericalBreakdown(TswError):
 
 class CertificateInvalid(TswError):
     """Optimality certificate failed verification."""
-
-
-class SchemaError(TswError):
-    """JSON input does not match the documented schema."""

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,8 +155,10 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     last iterate's certified bounds are returned either way. Healthy runs
     take 10 to 25 steps.
     """
-    if tol <= 0:
-        raise NumericalBreakdown(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise NumericalBreakdown(f"tolerance must be finite and positive, got {tol}")
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
+        raise NumericalBreakdown(f"max_iter must be a non-negative integer, got {max_iter!r}")
     targets = problem.targets
     if not np.all(np.isfinite(targets)):
         raise NumericalBreakdown("assemblage targets contain non-finite entries")
@@ -525,86 +528,3 @@ def primal_certificate(sol: SdpSolution, problem: SdpProblem) -> float:
     if abs(value - sol.mu_star) > 1e-12 * max(1.0, abs(value)):
         raise CertificateInvalid("recorded mu_star is not the trace of sigma_tilde")
     return value
-
-
-def primal_ascent_bound(problem: SdpProblem, n_restarts: int = 200,
-                        n_steps: int = 30, seed: int = 0) -> float:
-    """Independent lower bound on mu* from random-restart projected ascent.
-
-    Plain projected-gradient ascent: the objective gradient is the identity
-    on every block, and the projection onto the feasible intersection
-    { x >= 0 blockwise, sum_lam D x_lam <= sigma_m } runs Dykstra's
-    alternating projections. Both elementary projections are closed form:
-    blockwise PSD clipping, and for a single constraint the violation
-    positive-part spread equally over its active blocks. Every restart ends
-    with a strictly feasible point, so the best total trace is a valid lower
-    bound on mu* no matter how tight it is. All restarts advance in one
-    vectorized batch.
-    """
-    d_mat = problem.d_matrix
-    targets = problem.targets
-    m_cons, n_lam = d_mat.shape
-    rng = np.random.default_rng(seed)
-    active = [np.flatnonzero(d_mat[m]) for m in range(m_cons)]
-
-    def worst_violation(xb):
-        slack = targets[None] - np.einsum("ml,rlij->rmij", d_mat, xb)
-        return np.minimum(min_eig(slack).min(axis=1), min_eig(xb).min(axis=1))
-
-    def dykstra(xb, sweeps):
-        corr = np.zeros((m_cons + 1,) + xb.shape, dtype=complex)
-        for _ in range(sweeps):
-            y = psd_project(xb + corr[0])
-            corr[0] = xb + corr[0] - y
-            xb = y
-            for m in range(m_cons):
-                z = xb + corr[m + 1]
-                idx = active[m]
-                excess = z[:, idx].sum(axis=1) - targets[m]
-                fix = psd_project(excess) / len(idx)
-                y = z.copy()
-                y[:, idx] -= fix[:, None]
-                corr[m + 1] = z - y
-                xb = y
-        return xb
-
-    def pocs_cleanup(xb, max_sweeps=3000):
-        # plain cyclic projections converge to a feasible point; unlike a
-        # global shrink they also repair violations along directions where
-        # the targets are singular
-        for sweep in range(1, max_sweeps + 1):
-            xb = psd_project(xb)
-            for m in range(m_cons):
-                idx = active[m]
-                fix = psd_project(xb[:, idx].sum(axis=1) - targets[m]) / len(idx)
-                xb[:, idx] -= fix[:, None]
-            if sweep % 100 == 0 and worst_violation(xb).min() >= -1e-14:
-                break
-        return xb
-
-    raw = rng.normal(size=(n_restarts, n_lam, 2, 2)) + 1j * rng.normal(
-        size=(n_restarts, n_lam, 2, 2)
-    )
-    x = dykstra(herm(raw @ raw.conj().swapaxes(-1, -2)) / (6.0 * n_lam), 40)
-    rates = np.exp(rng.uniform(np.log(0.05), np.log(0.8), size=n_restarts))
-    grad = np.broadcast_to(IDENTITY, (n_restarts, n_lam, 2, 2))
-
-    for step in range(n_steps):
-        eta = rates / (1.0 + step / 4.0)
-        x = dykstra(x + eta[:, None, None, None] * grad, 15)
-    x = pocs_cleanup(x)
-
-    # residual violations are repaired by the smallest global shrink that
-    # certifies each restart; anything unrepairable contributes the trivial
-    # bound zero, so the result is always a valid lower bound
-    best = np.zeros(n_restarts)
-    done = np.zeros(n_restarts, dtype=bool)
-    for shrink in (0.0, 1e-9, 1e-7, 1e-5, 3e-4, 3e-3, 3e-2, 3e-1):
-        xs = psd_project((1.0 - shrink) * x)
-        newly = (worst_violation(xs) >= -1e-13) & ~done
-        if newly.any():
-            best[newly] = np.einsum("rnii->r", xs).real[newly]
-            done |= newly
-        if bool(done.all()):
-            break
-    return float(best.max())

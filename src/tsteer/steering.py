@@ -28,7 +28,6 @@ from .errors import (
     InvalidState,
     NotPsd,
     OutOfRange,
-    SchemaError,
     UnknownLabel,
 )
 
@@ -89,11 +88,6 @@ class Assemblage:
     def stacked(self) -> np.ndarray:
         """Members as an array in constraint order: (x0,+1), (x0,-1), (x1,+1), ..."""
         return np.array([self.members[(x, a)] for x in self.labels for a in OUTCOMES])
-
-    def reduced_state(self) -> np.ndarray:
-        """sum_a sigma_{a|x} for the first setting (x-independent when valid)."""
-        x = self.labels[0]
-        return self.members[(x, 1)] + self.members[(x, -1)]
 
 
 def _from_stack(labels, stack, time_tag=0.0) -> Assemblage:
@@ -163,8 +157,8 @@ class StrategyTable:
 
 
 def strategy_table(n_meas: int) -> StrategyTable:
-    if not 1 <= int(n_meas) <= 6:
-        raise OutOfRange(f"n_meas must be in 1..6, got {n_meas}")
+    if not (float(n_meas).is_integer() and 1 <= n_meas <= 6):
+        raise OutOfRange(f"n_meas must be an integer in 1..6, got {n_meas}")
     n = int(n_meas)
     rows = np.empty((2 ** n, n), dtype=int)
     for i in range(2 ** n):
@@ -187,24 +181,11 @@ def lhs_assemblage(table: StrategyTable, sigmas, labels=None) -> Assemblage:
             labels = ("X", "Y", "Z")[: table.n_meas]
         else:
             labels = tuple(f"M{i + 1}" for i in range(table.n_meas))
+    elif len(labels) != table.n_meas:
+        raise CountMismatch(f"expected {table.n_meas} labels, got {len(labels)}")
     d = table.d_matrix()
     stack = np.tensordot(d, sigmas, axes=(1, 0))
     return _from_stack(labels, stack)
-
-
-def depolarized_assemblage(v: float, ms: MeasurementSet) -> Assemblage:
-    """Test fixture: identity-channel assemblage from I/2 mixed with white noise.
-
-    member(x, a) = (1/2) [ v P_{a|x} + (1-v) I/2 ]. At v=1 this is
-    premeasure(I/2, ms); at v=0 every member is I/4.
-    """
-    if not 0.0 <= v <= 1.0:
-        raise OutOfRange(f"visibility must lie in [0, 1], got {v}")
-    members = {}
-    for x, (pp, pm) in zip(ms.labels, ms.projectors):
-        members[(x, 1)] = 0.5 * (v * pp + (1 - v) * hermat.IDENTITY / 2)
-        members[(x, -1)] = 0.5 * (v * pm + (1 - v) * hermat.IDENTITY / 2)
-    return Assemblage(ms.labels, members, 0.0)
 
 
 class Violation(NamedTuple):
@@ -247,58 +228,3 @@ def validate(asm: Assemblage, tol: float = 1e-9) -> list:
     if tr_dev > tol:
         out.append(Violation("total-trace", "(all)", tr_dev))
     return out
-
-
-# --- JSON wire format -------------------------------------------------------
-#
-# { "n_meas": int, "labels": [str], "members":
-#     [ { "x": str, "a": +1|-1, "matrix": [[[re, im], ...], ...] } ] }
-
-
-def _matrix_to_json(m):
-    return [[[float(c.real), float(c.imag)] for c in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _matrix_from_json(obj):
-    try:
-        m = np.array([[complex(c[0], c[1]) for c in row] for row in obj])
-    except (TypeError, ValueError, IndexError) as exc:
-        raise SchemaError(f"bad matrix entry: {exc}") from exc
-    if m.shape != (2, 2):
-        raise SchemaError(f"matrix must be 2x2, got shape {m.shape}")
-    return m
-
-
-def assemblage_to_json(asm: Assemblage) -> dict:
-    return {
-        "n_meas": asm.n_meas,
-        "labels": list(asm.labels),
-        "members": [
-            {"x": x, "a": a, "matrix": _matrix_to_json(asm.members[(x, a)])}
-            for x in asm.labels
-            for a in OUTCOMES
-        ],
-    }
-
-
-def assemblage_from_json(obj) -> Assemblage:
-    if not isinstance(obj, dict):
-        raise SchemaError("top level must be an object")
-    for key in ("n_meas", "labels", "members"):
-        if key not in obj:
-            raise SchemaError(f"missing key {key!r}")
-    labels = tuple(str(l) for l in obj["labels"])
-    if len(labels) != int(obj["n_meas"]):
-        raise SchemaError("labels length disagrees with n_meas")
-    members = {}
-    for entry in obj["members"]:
-        if not isinstance(entry, dict) or not {"x", "a", "matrix"} <= set(entry):
-            raise SchemaError("each member needs keys x, a, matrix")
-        x, a = str(entry["x"]), int(entry["a"])
-        if x not in labels or a not in OUTCOMES:
-            raise SchemaError(f"unknown member index ({x}, {a})")
-        members[(x, a)] = _matrix_from_json(entry["matrix"])
-    expected = {(x, a) for x in labels for a in OUTCOMES}
-    if set(members) != expected:
-        raise SchemaError("members must cover every (label, outcome) pair exactly once")
-    return Assemblage(labels, members, 0.0)

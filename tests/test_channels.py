@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import eig_propagate
 from tsteer import channels
 from tsteer.channels import (
     Exchange,
@@ -9,15 +10,11 @@ from tsteer.channels import (
     RabiDecay,
     apply_channel,
     choi_matrix,
-    eig_propagate,
-    exchange_apply,
     liouvillian,
     lorentzian_G,
     lorentzian_G_derivative,
-    lorentzian_apply,
     lorentzian_gamma,
     propagate_assemblage,
-    rabi_decay_apply,
     random_kraus_channel,
     rk4_evolve,
 )
@@ -41,19 +38,19 @@ def random_density(rng, dim=2):
 
 def test_rabi_full_flop():
     # exp(-i g sx t) at t = pi/(2 g) maps the ground level to the excited one
-    out = rabi_decay_apply(1.0, 0.0, np.pi / 2, GG)
+    out = apply_channel(RabiDecay(1.0, 0.0), np.pi / 2, GG)
     assert np.linalg.norm(out - EE) < 1e-9
 
 
 def test_rabi_time_zero():
     rng = np.random.default_rng(0)
     rho = random_density(rng)
-    assert np.allclose(rabi_decay_apply(1.0, 0.3, 0.0, rho), rho)
+    assert np.allclose(apply_channel(RabiDecay(1.0, 0.3), 0.0, rho), rho)
 
 
 def test_rabi_fixed_point():
     lmat = liouvillian(*channels._generator(RabiDecay(1.0, 1.0)))
-    out = rabi_decay_apply(1.0, 1.0, 40.0, IDENTITY / 2)
+    out = apply_channel(RabiDecay(1.0, 1.0), 40.0, IDENTITY / 2)
     residual = np.linalg.norm(lmat @ out.reshape(4))
     assert residual < 1e-8
     # independent oracle: the null space of the Liouvillian
@@ -68,7 +65,7 @@ def test_rabi_fixed_point():
 
 def test_rabi_negative_time():
     with pytest.raises(NegativeTime):
-        rabi_decay_apply(1.0, 0.0, -0.1, IDENTITY / 2)
+        apply_channel(RabiDecay(1.0, 0.0), -0.1, IDENTITY / 2)
     with pytest.raises(BadParameter):
         RabiDecay(1.0, -0.5)
 
@@ -87,28 +84,28 @@ def test_exchange_full_swap():
     rng = np.random.default_rng(1)
     for _ in range(5):
         rho = random_density(rng)
-        out = exchange_apply(1.0, 0.0, np.pi / 2, rho)
+        out = apply_channel(Exchange(1.0, 0.0), np.pi / 2, rho)
         assert np.linalg.norm(out - EE * np.trace(rho)) < 1e-9
 
 
 def test_exchange_pi_phase():
     plus = (KET_E + KET_G) / np.sqrt(2)
     rho = np.outer(plus, plus.conj())
-    out = exchange_apply(1.0, 0.0, np.pi, rho)
+    out = apply_channel(Exchange(1.0, 0.0), np.pi, rho)
     assert np.linalg.norm(out - (IDENTITY - SIGMA_X) / 2) < 1e-9
 
 
 def test_exchange_periodic():
     rng = np.random.default_rng(2)
     rho = random_density(rng)
-    out = exchange_apply(1.0, 0.0, 2 * np.pi, rho)
+    out = apply_channel(Exchange(1.0, 0.0), 2 * np.pi, rho)
     assert np.linalg.norm(out - rho) < 1e-8
 
 
 def test_exchange_time_zero():
     rng = np.random.default_rng(3)
     rho = random_density(rng)
-    assert np.allclose(exchange_apply(1.0, 0.1, 0.0, rho), rho, atol=1e-12)
+    assert np.allclose(apply_channel(Exchange(1.0, 0.1), 0.0, rho), rho, atol=1e-12)
 
 
 # --- Lorentzian reservoir -------------------------------------------------------
@@ -179,13 +176,13 @@ def test_gamma_finite_difference_consistency():
 def test_lorentzian_map_cases():
     rng = np.random.default_rng(4)
     rho = random_density(rng)
-    assert np.allclose(lorentzian_apply(2.0, 1.0, 0.0, rho), rho)
+    assert np.allclose(apply_channel(LorentzianAD(2.0, 1.0), 0.0, rho), rho)
     t0 = 4 * np.pi / (3 * np.sqrt(3))
-    out = lorentzian_apply(2.0, 1.0, t0, rho)
+    out = apply_channel(LorentzianAD(2.0, 1.0), t0, rho)
     assert np.linalg.norm(out - GG * np.trace(rho)) < 1e-10
     gval = lorentzian_G(0.3, 1.0, 2.0)
     plus = (KET_E + KET_G) / np.sqrt(2)
-    out = lorentzian_apply(0.3, 1.0, 2.0, np.outer(plus, plus.conj()))
+    out = apply_channel(LorentzianAD(0.3, 1.0), 2.0, np.outer(plus, plus.conj()))
     assert out[0, 1] == pytest.approx(gval * 0.5)
 
 
@@ -250,6 +247,18 @@ def test_random_kraus_single_is_unitary():
 def test_kraus_rejects_incomplete():
     with pytest.raises(BadParameter):
         KrausChannel([np.diag([0.5, 0.5])])
+
+
+@pytest.mark.parametrize("operators", [
+    [np.full((2, 2), np.nan)],
+    [np.array([[1.0, 0.0], [0.0, np.inf]])],
+    [np.eye(3)],
+    [np.eye(2)[:, :1]],
+    [np.eye(2), np.zeros((3, 3))],
+])
+def test_kraus_rejects_non_finite_and_non_qubit_operators(operators):
+    with pytest.raises(BadParameter):
+        KrausChannel(operators)
 
 
 # --- propagation over assemblages -------------------------------------------------
@@ -323,10 +332,11 @@ def test_rabi_divisibility():
     # time-homogeneous semigroup: apply(t + tau) = apply(tau) o apply(t)
     rng = np.random.default_rng(7)
     for gamma1 in (0.0, 1.0 / 6.0, 1.0):
+        ch = RabiDecay(1.0, gamma1)
         rho = random_density(rng)
         for t, tau in ((0.3, 0.8), (1.0, 2.0)):
-            once = rabi_decay_apply(1.0, gamma1, t + tau, rho)
-            twice = rabi_decay_apply(1.0, gamma1, tau, rabi_decay_apply(1.0, gamma1, t, rho))
+            once = apply_channel(ch, t + tau, rho)
+            twice = apply_channel(ch, tau, apply_channel(ch, t, rho))
             assert np.linalg.norm(once - twice) < 1e-8
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_assemblage, random_density
+from conftest import depolarized_assemblage, eig_propagate, random_assemblage, random_density
 from tsteer.channels import (
     Exchange,
     KrausChannel,
@@ -25,7 +25,6 @@ from tsteer.measures import (
 from tsteer.sdp import SolveStatus
 from tsteer.steering import (
     Assemblage,
-    depolarized_assemblage,
     pauli_measurement_set,
     premeasure,
 )
@@ -309,7 +308,7 @@ def _ancilla_concurrence(ch, times):
     dim = state.shape[0]
     out = []
     for t in times:
-        m = channels.eig_propagate(lmat, t, state.reshape(dim * dim, 1)).reshape(dim, dim)
+        m = eig_propagate(lmat, t, state.reshape(dim * dim, 1)).reshape(dim, dim)
         if dim == 8:
             m = np.einsum("ijklmk->ijlm", m.reshape(2, 2, 2, 2, 2, 2)).reshape(4, 4)
         out.append(concurrence(0.5 * (m + m.conj().T)))

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import random_assemblage
-from tsteer.errors import CertificateInvalid, DimensionMismatch
+from conftest import depolarized_assemblage, primal_ascent_bound, random_assemblage, random_density
+from tsteer.errors import CertificateInvalid, DimensionMismatch, NumericalBreakdown
 from tsteer.hermat import IDENTITY, min_eig
 from tsteer.sdp import (
     SolveStatus,
     build_sw_sdp,
     dual_certificate,
-    primal_ascent_bound,
     primal_certificate,
     solve,
 )
 from tsteer.steering import (
-    depolarized_assemblage,
     pauli_measurement_set,
     premeasure,
     strategy_table,
@@ -74,10 +72,8 @@ def test_build_dimension_mismatch():
 
 def test_single_setting_never_steerable(rng):
     ms = pauli_measurement_set("Z")
-    from conftest import random_density
-
     for _ in range(5):
-        asm = premeasure(np.eye(2, dtype=complex) / 2, ms)
+        asm = premeasure(random_density(rng), ms)
         sol = solve(build_sw_sdp(asm, strategy_table(1)))
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.mu_star == pytest.approx(1.0, abs=1e-7)
@@ -132,6 +128,22 @@ def test_solution_invariants_random(rng):
         p = build_sw_sdp(asm, strategy_table(3))
         sol = solve(p)
         assert_solution_clean(sol, p)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": 0.0}, {"tol": -1e-8}, {"tol": float("nan")}, {"tol": float("inf")},
+    {"max_iter": -1}, {"max_iter": 2.5}, {"max_iter": None},
+])
+def test_solve_rejects_bad_arguments(kwargs):
+    with pytest.raises(NumericalBreakdown):
+        solve(depol_problem(0.5), **kwargs)
+
+
+def test_solve_with_zero_iterations_reports_the_cold_start():
+    p = build_sw_sdp(premeasure(IDENTITY / 2, XYZ), strategy_table(3))
+    sol = solve(p, max_iter=0)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.iterations == 0
 
 
 def test_infeasible_flag_for_malformed_targets():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import depolarized_assemblage
 from tsteer.errors import (
     CountMismatch,
     DuplicateLabel,
@@ -8,14 +9,10 @@ from tsteer.errors import (
     InvalidState,
     NotPsd,
     OutOfRange,
-    SchemaError,
     UnknownLabel,
 )
 from tsteer.hermat import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
 from tsteer.steering import (
-    assemblage_from_json,
-    assemblage_to_json,
-    depolarized_assemblage,
     lhs_assemblage,
     pauli_measurement_set,
     premeasure,
@@ -172,7 +169,7 @@ def test_strategy_single_setting():
 
 
 def test_strategy_out_of_range():
-    for bad in (0, 7, -1):
+    for bad in (0, 7, -1, 2.5, np.nan):
         with pytest.raises(OutOfRange):
             strategy_table(bad)
 
@@ -245,6 +242,9 @@ def test_lhs_errors():
     table = strategy_table(2)
     with pytest.raises(CountMismatch):
         lhs_assemblage(table, [IDENTITY / 8] * 3)
+    for labels in (("X",), ("X", "Y", "Z")):
+        with pytest.raises(CountMismatch):
+            lhs_assemblage(table, [IDENTITY / 8] * 4, labels=labels)
     for last in (np.diag([1.0, -0.5]), np.array([[0.25, 0.1], [0.0, 0.25]]),
                  np.full((2, 2), np.nan)):
         with pytest.raises(NotPsd):
@@ -319,27 +319,3 @@ def test_validate_reports_members_in_constraint_order():
         ("not-psd", "(X,-1)"), ("not-hermitian", "(Y,+1)")]
     assert found[0].magnitude == pytest.approx(1.0)
     assert found[1].magnitude == pytest.approx(0.5 * np.sqrt(2))
-
-
-# --- JSON round trip -----------------------------------------------------------
-
-
-def test_json_round_trip():
-    rng = np.random.default_rng(1)
-    asm = premeasure(random_density(rng), XYZ)
-    obj = assemblage_to_json(asm)
-    back = assemblage_from_json(obj)
-    assert back.labels == asm.labels
-    for key, m in asm.members.items():
-        assert np.allclose(back.members[key], m, atol=1e-15)
-
-
-def test_json_schema_errors():
-    with pytest.raises(SchemaError):
-        assemblage_from_json([1, 2, 3])
-    with pytest.raises(SchemaError):
-        assemblage_from_json({"n_meas": 2, "labels": ["X"], "members": []})
-    good = assemblage_to_json(premeasure(IDENTITY / 2, XYZ))
-    good["members"][0]["matrix"] = [[0, 0], [0, 0]]
-    with pytest.raises(SchemaError):
-        assemblage_from_json(good)
