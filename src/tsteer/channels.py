@@ -39,6 +39,7 @@ singular at zeros of G.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,7 @@ import numpy as np
 from . import hermat
 from .errors import (
     BadParameter,
+    InvalidState,
     NegativeTime,
     NumericalBreakdown,
     ValidationError,
@@ -245,8 +247,8 @@ def lorentzian_gamma(g, omega_w, t):
 
 def random_kraus_channel(seed, n_kraus):
     """Seeded random CPT channel built from a Haar-like isometry."""
-    if n_kraus < 1:
-        raise BadParameter(f"need n_kraus >= 1, got {n_kraus}")
+    if not (isinstance(n_kraus, numbers.Integral) and n_kraus >= 1):
+        raise BadParameter(f"need an integer n_kraus >= 1, got {n_kraus!r}")
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(2 * n_kraus, 2)) + 1j * rng.normal(size=(2 * n_kraus, 2))
     q, r = np.linalg.qr(raw)
@@ -323,6 +325,8 @@ def choi_from_transfer(tmat):
 def apply_channel(ch, t, rho):
     """rho(0) -> rho(t) for any channel variant."""
     rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise InvalidState(f"expected a 2x2 state, got shape {rho.shape}")
     return (transfer_grid(ch, [t])[0] @ rho.reshape(4)).reshape(2, 2)
 
 

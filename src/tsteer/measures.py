@@ -133,8 +133,15 @@ def tsw_trace(ch, ms: MeasurementSet, rho0, t_max: float, n_steps: int,
 
 
 def _filtered_increments(values, slope_threshold):
-    """Grid increments with sub-threshold positive steps zeroed as solver noise."""
-    d = np.diff(np.asarray(values, dtype=float))
+    """Grid increments with sub-threshold positive steps zeroed as solver noise.
+
+    A non-finite value is a broken point, not a flat one, so it raises.
+    """
+    values = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InvalidState(f"trace has non-finite values at grid indices {bad.tolist()}")
+    d = np.diff(values)
     d = np.where((d > 0.0) & (d <= slope_threshold), 0.0, d)
     return d
 

@@ -27,12 +27,15 @@ sum <sigma_{a|x}, F_{a|x}>; any dual-feasible point upper-bounds mu*.
 3. One primal-dual interior-point run on the reduced problem (Nesterov-Todd
    scaling, Mehrotra predictor-corrector, kernels from `hermat`), over
    A x = b with x = (sigma_tilde_1..L, slack_1..M) in PSD(2) blocks.
-4. A certified map back at every iterate: sigma_tilde is shrunk until it
-   and every slack are exactly PSD, and the multipliers are lifted along
-   the kernel of each rank-deficient member, F_m += K (I - P_m), with P_m
-   taken from sigma_m so the lift costs nothing when sigma_m is exactly
-   rank one, then shifted to be exactly cone-feasible. The run stops once
-   dual minus primal is within tol, so the gap is a certificate.
+4. A certified map back: sigma_tilde is shrunk until it and every slack
+   are exactly PSD, and the multipliers are lifted along the kernel of
+   each rank-deficient member, F_m += K (I - P_m), with P_m taken from
+   sigma_m so the lift costs nothing when sigma_m is exactly rank one,
+   then shifted to be exactly cone-feasible. The run stops once dual minus
+   primal is within tol, so the gap is a certificate. The map back only
+   lowers the primal value and raises the dual one, so its gap is at least
+   the reduced gap c.x - b.y; it runs only at iterates where that is
+   within tol, and at the iterate the run stops at.
 """
 
 from __future__ import annotations
@@ -152,8 +155,10 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     (see the module docstring). OPTIMAL means the certified gap between
     the exactly feasible primal and dual points is at most tol; MAX_ITER
     means max_iter Newton steps, or a numerical breakdown, came first; the
-    last iterate's certified bounds are returned either way. Healthy runs
-    take 10 to 25 steps.
+    last iterate's certified bounds are returned either way. The certified
+    map back is skipped at iterates whose reduced gap c.x - b.y exceeds
+    tol, since the certified gap is never smaller; that skip changes no
+    iterate and no returned value. Healthy runs take 10 to 25 steps.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise NumericalBreakdown(f"tolerance must be finite and positive, got {tol}")
@@ -261,6 +266,11 @@ class _Reduced:
         self.lift = np.zeros_like(targets)
         self.lift[rank1] = (tr_t * IDENTITY - targets[rank1]) / tr_t
         self.lift[zero] = IDENTITY
+        # per-problem constants of the map back
+        self.d_dense, self.t_dense = d_mat[self.dense], targets[self.dense]
+        self.t_rank1, self.tr_b_rank1 = targets[rank1], tr_b[rank1]
+        self.tr_t_sq = tr_t[:, 0, 0] ** 2
+        self.lift_cover = np.tensordot(d_mat.T, self.lift, axes=(1, 0))
 
     def primal(self, x):
         """Exactly feasible sigma_tilde in original coordinates, and its value.
@@ -280,8 +290,8 @@ class _Reduced:
         sig[keep[face]] = (xi[keep[face]] / self.tr_b[home[face]])[:, None, None] * p.targets[home[face]]
         load = p.d_matrix @ xi
         theta = np.where(self.rank1 & (load > self.tr_b), self.tr_b / np.maximum(load, 1e-300), 1.0)
-        used = np.tensordot(p.d_matrix[self.dense], sig, axes=(1, 0))
-        theta[self.dense] = 1.0 - _lift_size(p.targets[self.dense] - used, used)
+        used = np.tensordot(self.d_dense, sig, axes=(1, 0))
+        theta[self.dense] = 1.0 - _lift_size(self.t_dense - used, used)
         sig = min(max(float(theta.min()), 0.0), 1.0) * sig
         return sig, float(np.einsum("nii->", sig).real)
 
@@ -299,11 +309,10 @@ class _Reduced:
         d_mat, targets = p.d_matrix, p.targets
         f = np.zeros_like(targets)
         f[self.dense] = -(self.smat @ _unsvec(y[self.dense_rows].reshape(-1, 4)) @ self.smat)
-        tr_t = _trace(targets[self.rank1])
-        f[self.rank1] = ((-y[self.rank1_rows] * self.tr_b[self.rank1] / tr_t ** 2)[:, None, None]
-                         * targets[self.rank1])
+        f[self.rank1] = ((-y[self.rank1_rows] * self.tr_b_rank1 / self.tr_t_sq)[:, None, None]
+                         * self.t_rank1)
         cover = np.tensordot(d_mat.T, f, axes=(1, 0)) - IDENTITY
-        k_lam = 2.0 * _lift_size(cover, np.tensordot(d_mat.T, self.lift, axes=(1, 0)))
+        k_lam = 2.0 * _lift_size(cover, self.lift_cover)
         f = f + (d_mat * k_lam).max(axis=1)[:, None, None] * self.lift
         f = f + max(0.0, -float(min_eig(f).min())) * IDENTITY
         zeta = float(min_eig(np.tensordot(d_mat.T, f, axes=(1, 0)) - IDENTITY).min())
@@ -328,9 +337,18 @@ def _lift_size(g, q):
 
 
 def _interior_point(reduced: _Reduced, tol, max_iter):
-    """Primal-dual interior-point run on the reduced problem, from a cold start."""
+    """Primal-dual interior-point run on the reduced problem, from a cold start.
+
+    The map back only lowers the primal value below -c.x (theta <= 1, face
+    blocks keep their trace) and only raises the dual one above -b.y (lifts
+    and shifts add non-negative multiples of <sigma_m, PSD>), so its
+    certified gap is at least c.x - b.y, and at least -b.y - primal once
+    the primal side is known. While either exceeds tol the iterate cannot
+    stop and the rest of the map back is skipped; every exit maps back the
+    iterate it stops at.
+    """
     amat, b_vec = reduced.amat, reduced.b_vec
-    c_mat = _unsvec(reduced.c_vec)
+    c_mat, c_flat = _unsvec(reduced.c_vec), reduced.c_vec.reshape(-1)
     n_rows, n_blocks = amat.shape[:2]
     flat = amat.reshape(n_rows, -1)
 
@@ -340,22 +358,28 @@ def _interior_point(reduced: _Reduced, tol, max_iter):
     def at_op(y):
         return _unsvec((y @ flat).reshape(n_blocks, 4))
 
+    def map_back(bound=math.inf):
+        sig, primal = reduced.primal(x)
+        if -float(b_vec @ y) - primal > bound:
+            return None
+        f, dual = reduced.dual(y)
+        return sig, primal, f, dual, abs(dual - primal)
+
     x = np.broadcast_to(0.5 * IDENTITY, (n_blocks, 2, 2)).copy()
     z = np.broadcast_to(IDENTITY, (n_blocks, 2, 2)).copy()
     y = np.zeros(n_rows)
     b_norm = 1.0 + float(np.abs(b_vec).max())
     status = SolveStatus.MAX_ITER
     for it in range(max_iter + 1):
-        sig, primal = reduced.primal(x)
-        f, dual = reduced.dual(y)
-        gap = abs(dual - primal)
-        rp = b_vec - a_op(x)
+        sx = _svec(x).reshape(-1)
+        rp = b_vec - flat @ sx
         rd = c_mat - at_op(y) - z
         pinf = float(np.abs(rp).max()) / b_norm
         # degenerate constraints drive an unbounded dual ray, so judge the
         # dual residual relative to the multiplier size
         dinf = float(np.abs(rd).max()) / (1.0 + float(np.abs(y).max()))
-        if gap <= tol:
+        mapped = map_back(tol) if float(c_flat @ sx - b_vec @ y) <= tol else None
+        if mapped is not None and mapped[-1] <= tol:
             status = SolveStatus.OPTIMAL
             break
         mu = float(np.einsum("nij,nij->", x.conj(), z).real) / (2.0 * n_blocks)
@@ -365,14 +389,15 @@ def _interior_point(reduced: _Reduced, tol, max_iter):
             w = _nt_scaling(x, z)
             wg = np.einsum("rja,jab->rjb", amat, _congruence_matrix(w)).reshape(n_rows, -1)
             solve_schur = _factorized(wg @ flat.T)
+            wrw = w @ rd @ w
 
             def direction(rc):
-                dy = solve_schur(rp + a_op(w @ rd @ w - rc))
+                dy = solve_schur(rp + a_op(wrw - rc))
                 dz = rd - at_op(dy)
                 return herm(rc - w @ dz @ w), dy, herm(dz)
 
             dx, dy, dz = direction(-x)
-            a_p, a_d = _max_step(x, dx), _max_step(z, dz)
+            a_p, a_d = _max_steps(x, dx, z, dz)
             mu_aff = float(np.einsum("nij,nij->", (x + a_p * dx).conj(),
                                      z + a_d * dz).real) / (2.0 * n_blocks)
             sigma = min(0.8, max((max(mu_aff, 0.0) / mu) ** 3, 1e-10))
@@ -383,31 +408,35 @@ def _interior_point(reduced: _Reduced, tol, max_iter):
                                    - _second_order(w, x, dx, dz))
         except np.linalg.LinAlgError:
             break
-        a_p = min(1.0, _STEP * _max_step(x, dx))
-        a_d = min(1.0, _STEP * _max_step(z, dz))
+        a_p, a_d = _max_steps(x, dx, z, dz)
+        a_p, a_d = min(1.0, _STEP * a_p), min(1.0, _STEP * a_d)
         x, y, z = x + a_p * dx, y + a_d * dy, z + a_d * dz
+    sig, primal, f, dual, gap = mapped or map_back()
     return SdpSolution(primal, sig, f, dual, gap, it, status, pinf, dinf)
 
 
-def _max_step(x, dx):
-    """Largest alpha in [0, 1] with x + alpha dx PSD, per 2x2 block.
+def _max_steps(x, dx, z, dz):
+    """Largest alphas in [0, 1] with x + alpha_p dx and z + alpha_d dz PSD.
 
-    Trace and determinant must stay non-negative: one linear and one
-    quadratic condition per block, in closed form (no inverses, so nearly
-    singular blocks cannot overflow).
+    Both cones in one pass over the stacked 2x2 blocks. Trace and
+    determinant must stay non-negative: one linear and one quadratic
+    condition per block, in closed form (no inverses, so nearly singular
+    blocks cannot overflow).
     """
-    tr_x, tr_d = _trace(x), _trace(dx)
-    a, b, c = det2(dx), _cross(x, dx), det2(x)
+    v, dv = np.stack((x, z)), np.stack((dx, dz))
+    tr_v, tr_d = _trace(v), _trace(dv)
+    a, b, c = det2(dv), _cross(v, dv), det2(v)
     disc = b * b - 4.0 * a * c
     quad = (np.abs(a) > 1e-300) & (disc >= 0)
     sq = np.sqrt(np.where(quad, disc, 0.0))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         roots = np.where(quad, np.stack([(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]), np.inf)
         lin_det = np.where((np.abs(a) <= 1e-300) & (b < 0), c / np.maximum(-b, 1e-300), np.inf)
-        lin_tr = np.where(tr_d < 0, tr_x / np.maximum(-tr_d, 1e-300), np.inf)
-    alpha = min(1.0, float(np.where(roots > 1e-14, roots, np.inf).min()),
-                float(lin_det.min()), float(lin_tr.min()))
-    return max(alpha, 0.0)
+        lin_tr = np.where(tr_d < 0, tr_v / np.maximum(-tr_d, 1e-300), np.inf)
+    alpha = np.minimum(np.minimum(np.where(roots > 1e-14, roots, np.inf).min(axis=0), lin_det),
+                       lin_tr).min(axis=1)
+    a_p, a_d = np.clip(alpha, 0.0, 1.0)
+    return float(a_p), float(a_d)
 
 
 def _nt_scaling(x, z):

@@ -172,6 +172,9 @@ def lhs_assemblage(table: StrategyTable, sigmas, labels=None) -> Assemblage:
     sigmas = [np.asarray(s, dtype=complex) for s in sigmas]
     if len(sigmas) != table.n_lambda:
         raise CountMismatch(f"expected {table.n_lambda} hidden states, got {len(sigmas)}")
+    for i, s in enumerate(sigmas):
+        if s.shape != (2, 2):
+            raise InvalidState(f"hidden state {i} must be 2x2, got shape {s.shape}")
     sigmas = np.array(sigmas)
     defect = _first_defect(sigmas, 1e-10)
     if defect:

@@ -18,7 +18,7 @@ from tsteer.channels import (
     random_kraus_channel,
     rk4_evolve,
 )
-from tsteer.errors import BadParameter, NegativeTime, SingularAtZeroOfG
+from tsteer.errors import BadParameter, InvalidState, NegativeTime, SingularAtZeroOfG
 from tsteer.hermat import IDENTITY, KET_E, KET_G, SIGMA_X, kron
 from tsteer.steering import pauli_measurement_set, premeasure, validate
 
@@ -244,6 +244,16 @@ def test_random_kraus_single_is_unitary():
     assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-10
 
 
+@pytest.mark.parametrize("n_kraus", [0, 2.5, 2.0, float("nan"), None])
+def test_random_kraus_rejects_a_count_that_is_not_a_positive_integer(n_kraus):
+    with pytest.raises(BadParameter):
+        random_kraus_channel(0, n_kraus)
+
+
+def test_random_kraus_accepts_numpy_integer_counts():
+    assert len(random_kraus_channel(0, np.int64(3)).operators) == 3
+
+
 def test_kraus_rejects_incomplete():
     with pytest.raises(BadParameter):
         KrausChannel([np.diag([0.5, 0.5])])
@@ -259,6 +269,12 @@ def test_kraus_rejects_incomplete():
 def test_kraus_rejects_non_finite_and_non_qubit_operators(operators):
     with pytest.raises(BadParameter):
         KrausChannel(operators)
+
+
+@pytest.mark.parametrize("rho", [np.eye(3) / 3, np.full(4, 0.25), np.array(1.0)])
+def test_apply_channel_rejects_states_that_are_not_2x2(rho):
+    with pytest.raises(InvalidState):
+        apply_channel(RabiDecay(1.0, 0.5), 1.0, rho)
 
 
 # --- propagation over assemblages -------------------------------------------------

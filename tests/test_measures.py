@@ -10,7 +10,7 @@ from tsteer.channels import (
     propagate_assemblage,
     random_kraus_channel,
 )
-from tsteer import channels, hermat, measures
+from tsteer import channels, hermat, measures, sdp
 from tsteer.errors import InvalidState, ValidationError
 from tsteer.hermat import IDENTITY
 from tsteer.measures import (
@@ -142,15 +142,26 @@ def test_tsw_at_the_exact_swap_point_vanishes():
 ], ids=["exchange", "lorentz"])
 def test_paper_traces_one_certified_solve_per_point(ch, t_max, monkeypatch):
     real_solve = measures.solve
+    real_dual = sdp._Reduced.dual
     calls = []
+    map_backs = []
 
     def counting_solve(problem, **kwargs):
         calls.append(problem.time_tag)
         return real_solve(problem, **kwargs)
 
+    def counting_dual(reduced, y):
+        map_backs.append(1)
+        return real_dual(reduced, y)
+
     monkeypatch.setattr(measures, "solve", counting_solve)
+    monkeypatch.setattr(sdp._Reduced, "dual", counting_dual)
     ts = tsw_trace(ch, XYZ, MIXED, t_max, 81, tol=1e-8)
     assert calls == list(ts.times)
+    # the certified map back runs only where it can stop the run, not once
+    # per iterate (Newton steps + one final iterate per solve)
+    iterates = sum(sol.iterations for sol in ts.solutions) + len(ts.solutions)
+    assert len(map_backs) <= iterates / 2
     assert ts.metadata["non_optimal"] == []
     for sol in ts.solutions:
         assert sol.status is SolveStatus.OPTIMAL
@@ -202,6 +213,15 @@ def test_n_abs_telescoping_and_factor_two(rng):
     vals = 0.5 + rng.uniform(-1, 1, size=50) * 4e-7
     s = series(vals)
     assert n_abs(s).value == pytest.approx(2 * n_tsw(s).value, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_n_tsw_and_n_abs_reject_non_finite_values(bad):
+    # a broken point must not read as a flat (Markovian) stretch
+    s = series([0.0, bad, 1.0])
+    for measure in (n_tsw, n_abs):
+        with pytest.raises(InvalidState):
+            measure(s)
 
 
 def test_n_tsw_exchange_revival_large():

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import depolarized_assemblage, primal_ascent_bound, random_assemblage, random_density
+from tsteer import sdp
+from tsteer.channels import Exchange, LorentzianAD, propagate_assemblage
 from tsteer.errors import CertificateInvalid, DimensionMismatch, NumericalBreakdown
-from tsteer.hermat import IDENTITY, min_eig
+from tsteer.hermat import IDENTITY, KET_E, herm, min_eig
 from tsteer.sdp import (
     SolveStatus,
     build_sw_sdp,
@@ -246,6 +248,86 @@ def test_maximally_steerable_instance_has_zero_dual_value():
     p = build_sw_sdp(asm, strategy_table(3))
     sol = solve(p)
     assert sol.dual_value == pytest.approx(0.0, abs=1e-7)
+
+
+# --- the certified map back -----------------------------------------------------------
+
+
+def paper_point(ch, t):
+    return build_sw_sdp(propagate_assemblage(ch, t, premeasure(IDENTITY / 2, XYZ)),
+                        strategy_table(3))
+
+
+def reduced_problems(rng):
+    """Reduced problems with dense, rank-one and zero members."""
+    problems = [build_sw_sdp(random_assemblage(rng, labels), strategy_table(len(labels)))
+                for labels in ("XYZ", "XZ") for _ in range(4)]
+    problems += [paper_point(ch, t) for ch, t in ((Exchange(1.0, 0.0), 1.2),
+                                                   (Exchange(1.0, 0.0), 2.0),
+                                                   (LorentzianAD(2.0, 1.0), 1.3),
+                                                   (LorentzianAD(2.0, 1.0), 6.0))]
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    pure = [KET_E, plus] + [v / np.linalg.norm(v) for v in rng.normal(size=(4, 2, 2)) @ [1, 1j]]
+    problems += [build_sw_sdp(premeasure(np.outer(v, v.conj()), XYZ), strategy_table(3))
+                 for v in pure]
+    return [sdp._Reduced(p, herm(p.targets.sum(axis=0) / p.n_meas)) for p in problems]
+
+
+def test_map_back_gap_is_at_least_the_reduced_gap(rng):
+    # the solver skips the map back while c.x - b.y > tol, and its dual side
+    # while -b.y - primal(x) > tol; that is sound only if dual(y) never falls
+    # below -b.y and the certified gap never below c.x - b.y
+    reduced = reduced_problems(rng)
+    for kind in ("dense", "rank1", "zero"):
+        assert any(getattr(r, kind).any() for r in reduced)
+    for r in reduced:
+        n_blocks, n_rows = r.c_vec.shape[0], r.b_vec.size
+        for _ in range(5):
+            g = rng.normal(size=(n_blocks, 2, 2)) + 1j * rng.normal(size=(n_blocks, 2, 2))
+            x = herm(g @ g.conj().swapaxes(-1, -2))
+            y = rng.normal(size=n_rows)
+            cx, by = float(r.c_vec.ravel() @ sdp._svec(x).ravel()), float(r.b_vec @ y)
+            dual, primal = r.dual(y)[1], r.primal(x)[1]
+            assert dual >= -by - 1e-9 * (1.0 + abs(by))
+            assert dual - primal >= cx - by - 1e-9 * (1.0 + abs(cx) + abs(by))
+
+
+def assert_certified_exit(sol, p):
+    assert sol.status is SolveStatus.MAX_ITER
+    assert primal_certificate(sol, p) == sol.mu_star
+    f = sol.dual_vars
+    assert float(min_eig(f).min()) >= -1e-12
+    assert float(min_eig(np.tensordot(p.d_matrix.T, f, axes=(1, 0)) - IDENTITY).min()) >= -1e-9
+    assert sol.dual_value == pytest.approx(
+        float(np.einsum("mij,mij->", p.targets.conj(), f).real), abs=1e-12)
+    assert sol.gap == sol.dual_value - sol.mu_star > 1e-8
+
+
+def test_early_exits_return_the_certified_bounds_of_their_iterate(monkeypatch):
+    p = paper_point(LorentzianAD(2.0, 1.0), 5.0)
+    early = [solve(p, max_iter=k) for k in (1, 2, 3)]
+    for k, sol in enumerate(early, 1):
+        assert sol.iterations == k
+        assert_certified_exit(sol, p)
+    # each exit maps back its own iterate, not an earlier one
+    assert len({sol.mu_star for sol in early}) == len({sol.dual_value for sol in early}) == 3
+
+    # a breakdown at step 3 stops at the iterate max_iter=3 stops at
+    real_factorized, factorizations = sdp._factorized, []
+
+    def failing_factorized(mat):
+        factorizations.append(1)
+        if len(factorizations) == 4:
+            raise np.linalg.LinAlgError("injected")
+        return real_factorized(mat)
+
+    monkeypatch.setattr(sdp, "_factorized", failing_factorized)
+    broken = solve(p)
+    assert_certified_exit(broken, p)
+    assert broken.iterations == 3
+    assert broken.mu_star == early[-1].mu_star and broken.dual_value == early[-1].dual_value
+    assert np.array_equal(broken.sigma_tilde, early[-1].sigma_tilde)
+    assert np.array_equal(broken.dual_vars, early[-1].dual_vars)
 
 
 # --- oracle bracketing ------------------------------------------------------------

@@ -249,6 +249,9 @@ def test_lhs_errors():
                  np.full((2, 2), np.nan)):
         with pytest.raises(NotPsd):
             lhs_assemblage(table, [IDENTITY / 8] * 3 + [last])
+    for sigmas in ([np.eye(3) / 6] * 2, [IDENTITY / 4, np.eye(3) / 6], [IDENTITY / 4, np.ones(4) / 8]):
+        with pytest.raises(InvalidState):
+            lhs_assemblage(strategy_table(1), sigmas)
 
 
 # --- depolarized fixture ------------------------------------------------------
