@@ -135,8 +135,11 @@ def tsw_trace(ch, ms: MeasurementSet, rho0, t_max: float, n_steps: int,
 def _filtered_increments(values, slope_threshold):
     """Grid increments with sub-threshold positive steps zeroed as solver noise.
 
-    A non-finite value is a broken point, not a flat one, so it raises.
+    A non-finite value is a broken point, not a flat one, so it raises; so
+    does a threshold that is NaN (it would switch the filter off) or negative.
     """
+    if not (math.isfinite(slope_threshold) and slope_threshold >= 0):
+        raise InvalidState(f"slope_threshold must be finite and >= 0, got {slope_threshold}")
     values = np.asarray(values, dtype=float)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
@@ -176,11 +179,14 @@ def concurrence(rho) -> float:
         raise InvalidState(f"expected a 4x4 density matrix, got {rho.shape}")
     if not np.isfinite(rho).all():
         raise InvalidState("density matrix has non-finite entries")
+    rho_conj = rho.conj()
+    if float(np.abs(rho - rho_conj.T).max()) > 1e-8:
+        raise InvalidState("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-8:
         raise InvalidState(f"trace {np.trace(rho).real} != 1")
-    if float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]) < -1e-8:
+    if float(np.linalg.eigvalsh(rho)[0]) < -1e-8:
         raise InvalidState("state is not positive semidefinite")
-    rho_tilde = _SY_SY @ rho.conj() @ _SY_SY
+    rho_tilde = _SY_SY @ rho_conj @ _SY_SY
     evals = np.linalg.eigvals(rho @ rho_tilde)
     lams = np.sqrt(np.clip(np.sort(evals.real)[::-1], 0.0, None))
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))

@@ -26,7 +26,10 @@ sum <sigma_{a|x}, F_{a|x}>; any dual-feasible point upper-bounds mu*.
    next to a constant map the iteration returned TSW 0 instead of 0.25.
 3. One primal-dual interior-point run on the reduced problem (Nesterov-Todd
    scaling, Mehrotra predictor-corrector, kernels from `hermat`), over
-   A x = b with x = (sigma_tilde_1..L, slack_1..M) in PSD(2) blocks.
+   A x = b with x = (sigma_tilde_1..L, slack_1..M) in PSD(2) blocks. Each
+   Newton direction is one pivoted LU solve of the Schur system A W A^T,
+   which is backward stable without that matrix being positive definite;
+   a singular one ends the run at its current iterate.
 4. A certified map back: sigma_tilde is shrunk until it and every slack
    are exactly PSD, and the multipliers are lifted along the kernel of
    each rank-deficient member, F_m += K (I - P_m), with P_m taken from
@@ -165,6 +168,12 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
         raise NumericalBreakdown(f"max_iter must be a non-negative integer, got {max_iter!r}")
     targets = problem.targets
+    m_cons = problem.n_constraints
+    if (np.shape(problem.d_matrix) != (m_cons, problem.n_lambda)
+            or np.shape(targets) != (m_cons, 2, 2)):
+        raise DimensionMismatch(
+            f"n_meas={problem.n_meas} needs a ({m_cons}, {problem.n_lambda}) d_matrix and "
+            f"({m_cons}, 2, 2) targets, got {np.shape(problem.d_matrix)} and {np.shape(targets)}")
     if not np.all(np.isfinite(targets)):
         raise NumericalBreakdown("assemblage targets contain non-finite entries")
     if float(min_eig(targets).min()) < -1e-8:
@@ -388,11 +397,11 @@ def _interior_point(reduced: _Reduced, tol, max_iter):
         try:
             w = _nt_scaling(x, z)
             wg = np.einsum("rja,jab->rjb", amat, _congruence_matrix(w)).reshape(n_rows, -1)
-            solve_schur = _factorized(wg @ flat.T)
+            schur = wg @ flat.T
             wrw = w @ rd @ w
 
             def direction(rc):
-                dy = solve_schur(rp + a_op(wrw - rc))
+                dy = np.linalg.solve(schur, rp + a_op(wrw - rc))
                 dz = rd - at_op(dy)
                 return herm(rc - w @ dz @ w), dy, herm(dz)
 
@@ -473,26 +482,6 @@ def _congruence_matrix(w):
     return 0.5 * (g + g.swapaxes(1, 2))
 
 
-def _factorized(mat):
-    """Cholesky solve with escalating regularization and refinement."""
-    scale = float(np.abs(np.diag(mat)).max())
-    eye = np.eye(len(mat))
-    for reg in (0.0, 1e-14, 1e-11, 1e-8):
-        try:
-            low = np.linalg.cholesky(mat + (reg * scale) * eye)
-        except np.linalg.LinAlgError:
-            continue
-
-        def solver(rhs, low=low):
-            sol = np.linalg.solve(low.T, np.linalg.solve(low, rhs))
-            for _ in range(2):
-                sol = sol + np.linalg.solve(low.T, np.linalg.solve(low, rhs - mat @ sol))
-            return sol
-
-        return solver
-    raise np.linalg.LinAlgError("Schur complement not factorizable")
-
-
 @dataclass
 class CertificateReport:
     dual_value: float
@@ -508,13 +497,18 @@ def dual_certificate(sol: SdpSolution, problem: SdpProblem,
     Checks that every multiplier block is PSD, that the strategy coverage
     sum_{a,x} D_lam(a|x) F_{a|x} dominates the identity for every lam, and
     that the recorded gap equals dual minus primal objective. Raises
-    CertificateInvalid when any check fails beyond tol.
+    CertificateInvalid when any check fails beyond tol, when a value it
+    reads is not finite, or when tol is not finite and positive.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise CertificateInvalid(f"tolerance must be finite and positive, got {tol}")
     if sol.status is not SolveStatus.OPTIMAL:
         raise CertificateInvalid(f"solution status is {sol.status.value}, not optimal")
     f = sol.dual_vars
     if f.shape != (problem.n_constraints, 2, 2):
         raise CertificateInvalid("multiplier count does not match constraints")
+    _require_finite(dual_vars=f, dual_value=sol.dual_value, mu_star=sol.mu_star,
+                    gap=sol.gap, targets=problem.targets)
     m_eig = float(min_eig(f).min())
     cover = np.tensordot(problem.d_matrix.T, f, axes=(1, 0)) - IDENTITY
     c_eig = float(min_eig(cover).min())
@@ -539,11 +533,13 @@ def primal_certificate(sol: SdpSolution, problem: SdpProblem) -> float:
     sigma_tilde.
     Returns mu_star, then a lower bound on the optimum: with
     `dual_certificate`, [1 - dual_value, 1 - mu_star] brackets the
-    steerable weight. Raises CertificateInvalid when any check fails.
+    steerable weight. Raises CertificateInvalid when any check fails or a
+    value it reads is not finite.
     """
     sig, tol = sol.sigma_tilde, 1e-12
     if sig.shape != (problem.n_lambda, 2, 2):
         raise CertificateInvalid("sigma_tilde count does not match strategies")
+    _require_finite(sigma_tilde=sig, mu_star=sol.mu_star, targets=problem.targets)
     if float(anti_herm_norm(sig).max()) > tol:
         raise CertificateInvalid("sigma_tilde is not Hermitian")
     b_eig = float(min_eig(sig).min())
@@ -557,3 +553,11 @@ def primal_certificate(sol: SdpSolution, problem: SdpProblem) -> float:
     if abs(value - sol.mu_star) > 1e-12 * max(1.0, abs(value)):
         raise CertificateInvalid("recorded mu_star is not the trace of sigma_tilde")
     return value
+
+
+def _require_finite(**values):
+    """Raise CertificateInvalid naming every value with a non-finite entry:
+    NaN fails every comparison, so it would pass each check silently."""
+    bad = [name for name, v in values.items() if not np.all(np.isfinite(v))]
+    if bad:
+        raise CertificateInvalid(f"non-finite {', '.join(bad)}")

@@ -200,6 +200,11 @@ def test_n_tsw_threshold_filters_noise():
     ts = series([0.5, 0.5 + 5e-7, 0.5, 0.5 + 5e-7, 0.5])
     assert n_tsw(ts, slope_threshold=1e-6).value == 0.0
     assert n_tsw(ts, slope_threshold=1e-8).value == pytest.approx(1e-6, rel=1e-6)
+    # a NaN threshold would switch the filter off, a negative one is meaningless
+    for bad in (np.nan, np.inf, -1e-6):
+        for measure in (n_tsw, n_abs):
+            with pytest.raises(InvalidState):
+                measure(series([0.0, 0.5, 1.0]), slope_threshold=bad)
 
 
 def test_n_abs_telescoping_and_factor_two(rng):
@@ -267,6 +272,13 @@ def test_concurrence_rejects_bad_input():
         concurrence(np.eye(2) / 2)
     with pytest.raises(InvalidState):
         concurrence(np.eye(4))
+    # not Hermitian, though its Hermitian part is a valid state
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 1] = 0.2
+    with pytest.raises(InvalidState):
+        concurrence(rho)
+    rho[0, 1] = 1e-10  # roundoff-sized asymmetry is still accepted
+    assert concurrence(rho) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_concurrence_rejects_non_finite_input():

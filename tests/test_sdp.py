@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,19 @@ def test_solve_rejects_bad_arguments(kwargs):
         solve(depol_problem(0.5), **kwargs)
 
 
+@pytest.mark.parametrize("d_meas, n_targets, dim", [
+    (2, 6, 2),  # a 2-setting strategy matrix with 3-setting targets
+    (3, 4, 2),  # 4 targets for 3 settings
+    (3, 6, 3),  # 3x3 targets
+])
+def test_solve_rejects_shape_inconsistent_problems(d_meas, n_targets, dim):
+    p = depol_problem(0.5)
+    p.d_matrix = strategy_table(d_meas).d_matrix()
+    p.targets = np.broadcast_to(np.eye(dim) / dim, (n_targets, dim, dim)).astype(complex)
+    with pytest.raises(DimensionMismatch):
+        solve(p)
+
+
 def test_solve_with_zero_iterations_reports_the_cold_start():
     p = build_sw_sdp(premeasure(IDENTITY / 2, XYZ), strategy_table(3))
     sol = solve(p, max_iter=0)
@@ -192,6 +207,25 @@ def test_certificate_requires_optimal_status():
     sol.status = SolveStatus.MAX_ITER
     with pytest.raises(CertificateInvalid):
         dual_certificate(sol, p)
+
+
+def test_certificates_reject_non_finite_values():
+    # NaN fails every comparison, so each check would pass it silently
+    p = depol_problem(0.8)
+    sol = solve(p)
+    nan = float("nan")
+    for certificate, fields in ((dual_certificate, ("dual_vars", "dual_value", "mu_star", "gap")),
+                                (primal_certificate, ("sigma_tilde", "mu_star"))):
+        for name in fields:
+            bad = dataclasses.replace(sol, **{name: np.full_like(getattr(sol, name), nan)})
+            with pytest.raises(CertificateInvalid):
+                certificate(bad, p)
+    for tol in (nan, float("inf"), 0.0, -1e-7):
+        with pytest.raises(CertificateInvalid):
+            dual_certificate(sol, p, tol=tol)
+    # the untouched solution still passes both
+    assert primal_certificate(sol, p) == sol.mu_star
+    assert dual_certificate(sol, p).gap == sol.gap
 
 
 def test_primal_certificate_accepts_optimal_solves(rng):
@@ -312,16 +346,17 @@ def test_early_exits_return_the_certified_bounds_of_their_iterate(monkeypatch):
     # each exit maps back its own iterate, not an earlier one
     assert len({sol.mu_star for sol in early}) == len({sol.dual_value for sol in early}) == 3
 
-    # a breakdown at step 3 stops at the iterate max_iter=3 stops at
-    real_factorized, factorizations = sdp._factorized, []
+    # a breakdown at step 3 stops at the iterate max_iter=3 stops at; each
+    # Newton step makes two Schur solves, so the 7th is step 3's first
+    real_solve, schur_solves = np.linalg.solve, []
 
-    def failing_factorized(mat):
-        factorizations.append(1)
-        if len(factorizations) == 4:
+    def failing_solve(a, b):
+        schur_solves.append(1)
+        if len(schur_solves) == 7:
             raise np.linalg.LinAlgError("injected")
-        return real_factorized(mat)
+        return real_solve(a, b)
 
-    monkeypatch.setattr(sdp, "_factorized", failing_factorized)
+    monkeypatch.setattr(sdp.np.linalg, "solve", failing_solve)
     broken = solve(p)
     assert_certified_exit(broken, p)
     assert broken.iterations == 3
