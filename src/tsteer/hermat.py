@@ -5,7 +5,9 @@ at once. `min_eig`, `psd_project` and `det2` are closed form and read a
 block's upper triangle only (the real part of the diagonal and the (0, 1)
 entry); `mat_pow` goes through `np.linalg.eigh`, which reads the lower
 triangle. So a caller that cannot vouch for Hermiticity checks
-`anti_herm_norm` or symmetrizes with `herm` first.
+`anti_herm_norm` or symmetrizes with `herm` first. `mat_pow` is used only
+to whiten an assemblage by its mean reduced state, once per solve; the
+interior-point iteration computes no matrix function (see `sdp`).
 """
 
 from __future__ import annotations

@@ -24,12 +24,13 @@ sum <sigma_{a|x}, F_{a|x}>; any dual-feasible point upper-bounds mu*.
    P_m, and keeps a single constraint row; a strategy touching two
    different ranges is 0. Without this the primal has no interior, and
    next to a constant map the iteration returned TSW 0 instead of 0.25.
-3. One primal-dual interior-point run on the reduced problem (Nesterov-Todd
-   scaling, Mehrotra predictor-corrector, kernels from `hermat`), over
-   A x = b with x = (sigma_tilde_1..L, slack_1..M) in PSD(2) blocks. Each
-   Newton direction is one pivoted LU solve of the Schur system A W A^T,
-   which is backward stable without that matrix being positive definite;
-   a singular one ends the run at its current iterate.
+3. One primal-dual interior-point run over A x = b, x = (sigma_tilde_1..L,
+   slack_1..M), on Lorentz-cone coordinates (`_svec`: a 2x2 Hermitian block
+   is PSD iff u0 >= |u[1:]|), where Nesterov-Todd scaling and the Mehrotra
+   corrector are rank-one closed forms. Guards floor each block's small
+   spectral value at 1e-16 times its large one, and gamma^2 at 1. Each
+   direction is one LU solve of the augmented system [[-I, (AW)^T], [AW, 0]],
+   as its Schur complement squares the condition; a singular one ends the run.
 4. A certified map back: sigma_tilde is shrunk until it and every slack
    are exactly PSD, and the multipliers are lifted along the kernel of
    each rank-deficient member, F_m += K (I - P_m), with P_m taken from
@@ -53,37 +54,37 @@ import numpy as np
 from .errors import (
     CertificateInvalid,
     DimensionMismatch,
+    NotPsd,
     NumericalBreakdown,
 )
 from .hermat import IDENTITY, anti_herm_norm, det2, herm, mat_pow, min_eig, psd_project
-from .steering import Assemblage, StrategyTable
+from .steering import Assemblage, StrategyTable, strategy_table
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 300
 _RANK_EPS = 1e-14  # a 2x2 PSD block with det <= _RANK_EPS * tr^2 has rank one
 _STEP = 0.95       # fraction of the step to the cone boundary taken per iteration
+_SQRT_HALF = math.sqrt(0.5)
+_J = np.array([1.0, -1.0, -1.0, -1.0])  # the Lorentz form u.J u = u0^2 - |u[1:]|^2
+_E = np.array([1.0, 0.0, 0.0, 0.0])     # the Jordan identity, the coordinates of I / sqrt 2
 
 
 def _svec(h):
-    out = np.empty(h.shape[:-2] + (4,))
-    out[..., 0] = h[..., 0, 0].real
-    out[..., 1] = h[..., 1, 1].real
-    out[..., 2] = np.sqrt(2.0) * h[..., 0, 1].real
-    out[..., 3] = np.sqrt(2.0) * h[..., 0, 1].imag
-    return out
+    """Orthonormal coordinates of h = (u0 I + u1 sz + u2 sx - u3 sy) / sqrt 2: <h, g> = u.v,
+    det h = u.J u / 2, h >= 0 iff u0 >= |u[1:]|, and (hg + gh) / 2 maps to (u o v) / sqrt 2."""
+    a, d, b = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 0, 1]
+    return _SQRT_HALF * np.stack((a + d, a - d, 2.0 * b.real, 2.0 * b.imag), axis=-1)
 
 
-def _unsvec(v):
-    h = np.empty(v.shape[:-1] + (2, 2), dtype=complex)
-    h[..., 0, 0] = v[..., 0]
-    h[..., 1, 1] = v[..., 1]
-    h[..., 0, 1] = (v[..., 2] + 1j * v[..., 3]) / np.sqrt(2.0)
-    h[..., 1, 0] = (v[..., 2] - 1j * v[..., 3]) / np.sqrt(2.0)
+def _unsvec(u):
+    h = np.empty(u.shape[:-1] + (2, 2), dtype=complex)
+    h[..., 0, 0] = _SQRT_HALF * (u[..., 0] + u[..., 1])
+    h[..., 1, 1] = _SQRT_HALF * (u[..., 0] - u[..., 1])
+    h[..., 0, 1] = _SQRT_HALF * (u[..., 2] + 1j * u[..., 3])
+    h[..., 1, 0] = h[..., 0, 1].conj()
     return h
 
 
-# Orthonormal Hermitian basis used to express congruences as real 4x4 blocks.
-_EBASIS = _unsvec(np.eye(4))
 _HALF_TRACE = 0.5 * _svec(IDENTITY)  # tr(X) / 2 = _HALF_TRACE . svec(X)
 
 
@@ -100,7 +101,6 @@ def _cross(g, q):
 class SolveStatus(enum.Enum):
     OPTIMAL = "optimal"
     MAX_ITER = "max_iter"
-    INFEASIBLE = "infeasible"
 
 
 @dataclass
@@ -160,27 +160,23 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     means max_iter Newton steps, or a numerical breakdown, came first; the
     last iterate's certified bounds are returned either way. The certified
     map back is skipped at iterates whose reduced gap c.x - b.y exceeds
-    tol, since the certified gap is never smaller; that skip changes no
-    iterate and no returned value. Healthy runs take 10 to 25 steps.
+    tol, since the certified gap is never smaller. Healthy runs take 10 to
+    25 Lorentz-cone steps, which floor each block's small spectral value at
+    1e-16 times its large one, and gamma^2 at 1. Raises DimensionMismatch
+    unless d_matrix is the strategy table of n_meas settings and targets
+    are 2 n_meas 2x2 blocks, and NotPsd for a target eigenvalue < -1e-8.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise NumericalBreakdown(f"tolerance must be finite and positive, got {tol}")
     if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
         raise NumericalBreakdown(f"max_iter must be a non-negative integer, got {max_iter!r}")
+    _check_structure(problem, DimensionMismatch)
     targets = problem.targets
-    m_cons = problem.n_constraints
-    if (np.shape(problem.d_matrix) != (m_cons, problem.n_lambda)
-            or np.shape(targets) != (m_cons, 2, 2)):
-        raise DimensionMismatch(
-            f"n_meas={problem.n_meas} needs a ({m_cons}, {problem.n_lambda}) d_matrix and "
-            f"({m_cons}, 2, 2) targets, got {np.shape(problem.d_matrix)} and {np.shape(targets)}")
     if not np.all(np.isfinite(targets)):
         raise NumericalBreakdown("assemblage targets contain non-finite entries")
-    if float(min_eig(targets).min()) < -1e-8:
-        # sigma_tilde = 0 is feasible for any PSD target; a clearly negative
-        # target block means the problem data is malformed.
-        return SdpSolution(mu_star=0.0, sigma_tilde=np.zeros((problem.n_lambda, 2, 2), complex),
-                           dual_vars=np.zeros_like(targets), status=SolveStatus.INFEASIBLE)
+    low = float(min_eig(targets).min())
+    if low < -1e-8:
+        raise NotPsd(f"a target block has eigenvalue {low:.3e} < -1e-8")
     red = herm(targets.sum(axis=0) / problem.n_meas)
     if det2(red) <= _RANK_EPS * _trace(red) ** 2:
         return _constant_map(problem, red, tol)
@@ -346,140 +342,134 @@ def _lift_size(g, q):
 
 
 def _interior_point(reduced: _Reduced, tol, max_iter):
-    """Primal-dual interior-point run on the reduced problem, from a cold start.
+    """Primal-dual interior-point run on (n_blocks, 4) Lorentz-cone vectors.
 
-    The map back only lowers the primal value below -c.x (theta <= 1, face
-    blocks keep their trace) and only raises the dual one above -b.y (lifts
-    and shifts add non-negative multiples of <sigma_m, PSD>), so its
-    certified gap is at least c.x - b.y, and at least -b.y - primal once
-    the primal side is known. While either exceeds tol the iterate cannot
-    stop and the rest of the map back is skipped; every exit maps back the
-    iterate it stops at.
-    """
-    amat, b_vec = reduced.amat, reduced.b_vec
-    c_mat, c_flat = _unsvec(reduced.c_vec), reduced.c_vec.reshape(-1)
+    From a cold start; 2x2 blocks exist only in the map back. That only
+    lowers the primal value below -c.x (theta <= 1, face blocks keep their
+    trace) and only raises the dual one above -b.y (lifts and shifts add
+    non-negative multiples of <sigma_m, PSD>), so while c.x - b.y, or -b.y -
+    primal once known, exceeds tol the rest of the map back is skipped; every
+    exit maps back the iterate it stops at."""
+    amat, b_vec, c_vec = reduced.amat, reduced.b_vec, reduced.c_vec
     n_rows, n_blocks = amat.shape[:2]
-    flat = amat.reshape(n_rows, -1)
-
-    def a_op(x):
-        return flat @ _svec(x).reshape(-1)
-
-    def at_op(y):
-        return _unsvec((y @ flat).reshape(n_blocks, 4))
+    n_x = 4 * n_blocks
+    flat = amat.reshape(n_rows, n_x)
+    kkt = np.diag(np.concatenate((-np.ones(n_x), np.zeros(n_rows))))
 
     def map_back(bound=math.inf):
-        sig, primal = reduced.primal(x)
+        sig, primal = reduced.primal(_unsvec(x))
         if -float(b_vec @ y) - primal > bound:
             return None
         f, dual = reduced.dual(y)
         return sig, primal, f, dual, abs(dual - primal)
 
-    x = np.broadcast_to(0.5 * IDENTITY, (n_blocks, 2, 2)).copy()
-    z = np.broadcast_to(IDENTITY, (n_blocks, 2, 2)).copy()
+    x, z = (np.tile(_svec(c * IDENTITY), (n_blocks, 1)) for c in (0.5, 1.0))
     y = np.zeros(n_rows)
     b_norm = 1.0 + float(np.abs(b_vec).max())
     status = SolveStatus.MAX_ITER
     for it in range(max_iter + 1):
-        sx = _svec(x).reshape(-1)
-        rp = b_vec - flat @ sx
-        rd = c_mat - at_op(y) - z
+        rp = b_vec - flat @ x.reshape(-1)
+        rd = c_vec - (y @ flat).reshape(n_blocks, 4) - z
         pinf = float(np.abs(rp).max()) / b_norm
         # degenerate constraints drive an unbounded dual ray, so judge the
         # dual residual relative to the multiplier size
         dinf = float(np.abs(rd).max()) / (1.0 + float(np.abs(y).max()))
-        mapped = map_back(tol) if float(c_flat @ sx - b_vec @ y) <= tol else None
+        mapped = map_back(tol) if float(np.vdot(c_vec, x) - b_vec @ y) <= tol else None
         if mapped is not None and mapped[-1] <= tol:
             status = SolveStatus.OPTIMAL
             break
-        mu = float(np.einsum("nij,nij->", x.conj(), z).real) / (2.0 * n_blocks)
+        mu = float(np.vdot(x, z)) / (2.0 * n_blocks)
         if it == max_iter or not math.isfinite(mu) or mu <= 0:
             break
         try:
-            w = _nt_scaling(x, z)
-            wg = np.einsum("rja,jab->rjb", amat, _congruence_matrix(w)).reshape(n_rows, -1)
-            schur = wg @ flat.T
-            wrw = w @ rd @ w
+            beta, v, lam, lam_det = _nt_scaling(x, z)
+
+            def scale(u):  # W u = beta (2 v (v.u) - J u) per block, W symmetric
+                return beta * (2.0 * np.sum(v * u, axis=-1, keepdims=True) * v - _J * u)
+
+            aw = scale(amat).reshape(n_rows, n_x)
+            kkt[:n_x, n_x:], kkt[n_x:, :n_x] = aw.T, aw
+            w_rd = scale(rd).reshape(-1)
 
             def direction(rc):
-                dy = np.linalg.solve(schur, rp + a_op(wrw - rc))
-                dz = rd - at_op(dy)
-                return herm(rc - w @ dz @ w), dy, herm(dz)
+                # A W dxs = rp, A^T dy + dz = rd, dxs + W dz = rc, with dxs = W^-1 dx
+                sol = np.linalg.solve(kkt, np.concatenate((w_rd - rc.reshape(-1), rp)))
+                dxs, dy = sol[:n_x].reshape(n_blocks, 4), sol[n_x:]
+                return dxs, scale(dxs), dy, rd - (dy @ flat).reshape(n_blocks, 4)
 
-            dx, dy, dz = direction(-x)
+            dxs, dx, dy, dz = direction(-lam)
             a_p, a_d = _max_steps(x, dx, z, dz)
-            mu_aff = float(np.einsum("nij,nij->", (x + a_p * dx).conj(),
-                                     z + a_d * dz).real) / (2.0 * n_blocks)
+            mu_aff = float(np.vdot(x + a_p * dx, z + a_d * dz)) / (2.0 * n_blocks)
             sigma = min(0.8, max((max(mu_aff, 0.0) / mu) ** 3, 1e-10))
             if max(pinf, dinf) > 10.0 * mu:
                 # infeasibility dominates; keep enough centering to absorb it
                 sigma = max(sigma, 0.2)
-            dx, dy, dz = direction(sigma * mu * mat_pow(z, -1.0) - x
-                                   - _second_order(w, x, dx, dz))
+            # Mehrotra: lam o (dxs + dzs) = 2 sigma mu e - lam o lam - dxs_aff o dzs_aff
+            rhs = 2.0 * sigma * mu * _E - _jordan(dxs, scale(dz))
+            dx, dy, dz = direction(_arw_solve(lam, lam_det, rhs) - lam)[1:]
         except np.linalg.LinAlgError:
             break
-        a_p, a_d = _max_steps(x, dx, z, dz)
-        a_p, a_d = min(1.0, _STEP * a_p), min(1.0, _STEP * a_d)
+        a_p, a_d = (min(1.0, _STEP * a) for a in _max_steps(x, dx, z, dz))
         x, y, z = x + a_p * dx, y + a_d * dy, z + a_d * dz
     sig, primal, f, dual, gap = mapped or map_back()
     return SdpSolution(primal, sig, f, dual, gap, it, status, pinf, dinf)
 
 
 def _max_steps(x, dx, z, dz):
-    """Largest alphas in [0, 1] with x + alpha_p dx and z + alpha_d dz PSD.
-
-    Both cones in one pass over the stacked 2x2 blocks. Trace and
-    determinant must stay non-negative: one linear and one quadratic
-    condition per block, in closed form (no inverses, so nearly singular
-    blocks cannot overflow).
-    """
+    """Largest alphas in [0, 1] keeping x + alpha_p dx, z + alpha_d dz in the cone: u0 and
+    u.J u stay >= 0, one linear and one quadratic condition per block, with no inverse."""
     v, dv = np.stack((x, z)), np.stack((dx, dz))
-    tr_v, tr_d = _trace(v), _trace(dv)
-    a, b, c = det2(dv), _cross(v, dv), det2(v)
+    a, b, c = _jdot(dv, dv), 2.0 * _jdot(v, dv), _jdot(v, v)
     disc = b * b - 4.0 * a * c
     quad = (np.abs(a) > 1e-300) & (disc >= 0)
     sq = np.sqrt(np.where(quad, disc, 0.0))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         roots = np.where(quad, np.stack([(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]), np.inf)
         lin_det = np.where((np.abs(a) <= 1e-300) & (b < 0), c / np.maximum(-b, 1e-300), np.inf)
-        lin_tr = np.where(tr_d < 0, tr_v / np.maximum(-tr_d, 1e-300), np.inf)
+        lin_u0 = np.where(dv[..., 0] < 0, v[..., 0] / np.maximum(-dv[..., 0], 1e-300), np.inf)
     alpha = np.minimum(np.minimum(np.where(roots > 1e-14, roots, np.inf).min(axis=0), lin_det),
-                       lin_tr).min(axis=1)
-    a_p, a_d = np.clip(alpha, 0.0, 1.0)
-    return float(a_p), float(a_d)
+                       lin_u0).min(axis=1)
+    return tuple(float(a) for a in np.clip(alpha, 0.0, 1.0))
+
+
+def _jdot(u, v):
+    return u[..., 0] * v[..., 0] - np.einsum("...i,...i->...", u[..., 1:], v[..., 1:])
+
+
+def _jordan(u, v):
+    """Jordan product u o v = (u.v, u0 v[1:] + v0 u[1:]) per block."""
+    return np.concatenate((np.einsum("ni,ni->n", u, v)[:, None],
+                           u[:, :1] * v[:, 1:] + v[:, :1] * u[:, 1:]), axis=1)
+
+
+def _arw_solve(lam, det, r):
+    """d with lam o d = r per block, for lam inside the cone with lam.J lam = det."""
+    d0 = (lam[:, :1] * r[:, :1] - np.sum(lam[:, 1:] * r[:, 1:], axis=1, keepdims=True)) / det
+    return np.concatenate((d0, (r[:, 1:] - d0 * lam[:, 1:]) / lam[:, :1]), axis=1)
 
 
 def _nt_scaling(x, z):
-    """Nesterov-Todd scaling point W with W z W = x, per block."""
-    xs = mat_pow(x, 0.5)
-    mid = herm(xs @ z @ xs)
-    return herm(xs @ mat_pow(mid, -0.5) @ xs)
-
-
-def _second_order(w, x, dx_aff, dz_aff):
-    """Mehrotra cross term mapped back from the NT-scaled space.
-
-    In scaled variables the linearized complementarity picks up
-    H(dX^ dZ^) from the affine step; inverting the Lyapunov operator of
-    the scaled point V = W^{-1/2} X W^{-1/2} and unscaling yields the
-    correction subtracted from the combined right-hand side. Blocks are
-    2x2, so the Lyapunov solve is a direct eigenbasis division.
-    """
-    p = mat_pow(w, -0.5)
-    pi = mat_pow(w, 0.5)
-    cross = herm((p @ dx_aff @ p) @ (pi @ dz_aff @ pi))
-    v = herm(p @ x @ p)
-    ev, q = np.linalg.eigh(v)
-    ev = np.maximum(ev, 1e-16 * np.maximum(np.abs(ev).max(axis=-1, keepdims=True), 1e-200))
-    mt = q.conj().swapaxes(-1, -2) @ cross @ q
-    denom = ev[..., :, None] + ev[..., None, :]
-    u = q @ (2.0 * mt / denom) @ q.conj().swapaxes(-1, -2)
-    return herm(pi @ u @ pi)
-
-
-def _congruence_matrix(w):
-    """Real 4x4 representation of u -> W u W on the Hermitian basis."""
-    g = np.einsum("kab,nbc,lcd,nda->nkl", _EBASIS, w, _EBASIS, w).real
-    return 0.5 * (g + g.swapaxes(1, 2))
+    """Nesterov-Todd scaling (Alizadeh & Goldfarb 2003; Vandenberghe 2010,
+    sec. 4.2): W = beta (2 v v^T - J) with W z = W^-1 x = lam, so W^2 z = x.
+    Returns beta, v, lam and lam.J lam = sqrt(x.J x z.J z) free of cancellation;
+    guards: u0 - |u[1:]| >= 1e-16 (u0 + |u[1:]|), gamma^2 = (1 + xn.zn)/2 >= 1."""
+    unit, det = [], []
+    for u in (x, z):
+        r = np.linalg.norm(u[:, 1:], axis=1, keepdims=True)
+        hi, lo = u[:, :1] + r, u[:, :1] - r
+        lift = np.maximum(1e-16 * hi - lo, 0.0)
+        det.append(hi * (lo + lift))
+        shrink = 1.0 - 0.5 * lift / np.where(r > 0.0, r, 1.0)
+        unit.append(np.concatenate((u[:, :1] + 0.5 * lift, shrink * u[:, 1:]), axis=1)
+                    / np.sqrt(det[-1]))
+    (xn, zn), (det_x, det_z) = unit, det
+    gamma = np.sqrt(np.maximum(0.5 * (1.0 + np.sum(xn * zn, axis=1, keepdims=True)), 1.0))
+    v = (xn + _J * zn) / (2.0 * gamma) + _E
+    v /= np.sqrt(2.0 * v[:, :1])
+    lam_det = np.sqrt(det_x * det_z)
+    lam = np.sqrt(lam_det) * np.concatenate((gamma, ((gamma + zn[:, :1]) * xn[:, 1:] + (
+        gamma + xn[:, :1]) * zn[:, 1:]) / (xn[:, :1] + zn[:, :1] + 2.0 * gamma)), axis=1)
+    return (det_x / det_z) ** 0.25, v, lam, lam_det
 
 
 @dataclass
@@ -494,9 +484,9 @@ def dual_certificate(sol: SdpSolution, problem: SdpProblem,
                      tol: float = 1e-7) -> CertificateReport:
     """Verify the dual multipliers independently of the solve path.
 
-    Checks that every multiplier block is PSD, that the strategy coverage
-    sum_{a,x} D_lam(a|x) F_{a|x} dominates the identity for every lam, and
-    that the recorded gap equals dual minus primal objective. Raises
+    Checks the problem's structure, that every multiplier block is PSD, that
+    the strategy coverage sum_{a,x} D_lam(a|x) F_{a|x} dominates the identity
+    for every lam, and that the recorded gap equals dual minus primal. Raises
     CertificateInvalid when any check fails beyond tol, when a value it
     reads is not finite, or when tol is not finite and positive.
     """
@@ -504,6 +494,7 @@ def dual_certificate(sol: SdpSolution, problem: SdpProblem,
         raise CertificateInvalid(f"tolerance must be finite and positive, got {tol}")
     if sol.status is not SolveStatus.OPTIMAL:
         raise CertificateInvalid(f"solution status is {sol.status.value}, not optimal")
+    _check_structure(problem, CertificateInvalid)
     f = sol.dual_vars
     if f.shape != (problem.n_constraints, 2, 2):
         raise CertificateInvalid("multiplier count does not match constraints")
@@ -527,15 +518,15 @@ def dual_certificate(sol: SdpSolution, problem: SdpProblem,
 def primal_certificate(sol: SdpSolution, problem: SdpProblem) -> float:
     """Verify the primal point independently of the solve path.
 
-    Checks in closed form that every sigma_tilde block is Hermitian and PSD,
-    that every slack sigma_{a|x} - sum_lam D_lam(a|x) sigma_tilde_lam is PSD
-    (all up to roundoff, 1e-12), and that mu_star is the total trace of
-    sigma_tilde.
-    Returns mu_star, then a lower bound on the optimum: with
-    `dual_certificate`, [1 - dual_value, 1 - mu_star] brackets the
-    steerable weight. Raises CertificateInvalid when any check fails or a
+    Checks the problem's structure, then in closed form that every
+    sigma_tilde block is Hermitian and PSD, that every slack sigma_{a|x} -
+    sum_lam D_lam(a|x) sigma_tilde_lam is PSD (up to roundoff, 1e-12), and
+    that mu_star is their total trace. Returns mu_star, a lower bound on the
+    optimum: with `dual_certificate`, [1 - dual_value, 1 - mu_star] brackets
+    the steerable weight. Raises CertificateInvalid when any check fails or a
     value it reads is not finite.
     """
+    _check_structure(problem, CertificateInvalid)
     sig, tol = sol.sigma_tilde, 1e-12
     if sig.shape != (problem.n_lambda, 2, 2):
         raise CertificateInvalid("sigma_tilde count does not match strategies")
@@ -553,6 +544,15 @@ def primal_certificate(sol: SdpSolution, problem: SdpProblem) -> float:
     if abs(value - sol.mu_star) > 1e-12 * max(1.0, abs(value)):
         raise CertificateInvalid("recorded mu_star is not the trace of sigma_tilde")
     return value
+
+
+def _check_structure(problem, error):
+    """Raise error unless d_matrix and targets are those of n_meas settings."""
+    n = problem.n_meas
+    if np.shape(problem.targets) != (2 * n, 2, 2) or not np.array_equal(
+            problem.d_matrix, strategy_table(n).d_matrix()):
+        raise error(f"n_meas={n} needs its strategy table and {2 * n} 2x2 targets, got "
+                    f"{np.shape(problem.d_matrix)} and {np.shape(problem.targets)}")
 
 
 def _require_finite(**values):

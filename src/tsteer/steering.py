@@ -168,7 +168,11 @@ def strategy_table(n_meas: int) -> StrategyTable:
 
 
 def lhs_assemblage(table: StrategyTable, sigmas, labels=None) -> Assemblage:
-    """Unsteerable assemblage sum_lam D_lam(a|x) sigma_lam from fixed states sigma_lam."""
+    """Unsteerable assemblage sum_lam D_lam(a|x) sigma_lam from fixed states sigma_lam.
+
+    labels, when given, must be n_meas distinct names (DuplicateLabel
+    otherwise), since members are keyed by (label, outcome).
+    """
     sigmas = [np.asarray(s, dtype=complex) for s in sigmas]
     if len(sigmas) != table.n_lambda:
         raise CountMismatch(f"expected {table.n_lambda} hidden states, got {len(sigmas)}")
@@ -186,6 +190,8 @@ def lhs_assemblage(table: StrategyTable, sigmas, labels=None) -> Assemblage:
             labels = tuple(f"M{i + 1}" for i in range(table.n_meas))
     elif len(labels) != table.n_meas:
         raise CountMismatch(f"expected {table.n_meas} labels, got {len(labels)}")
+    elif len(set(labels)) != len(labels):
+        raise DuplicateLabel(f"repeated label in {tuple(labels)}")
     d = table.d_matrix()
     stack = np.tensordot(d, sigmas, axes=(1, 0))
     return _from_stack(labels, stack)

@@ -6,8 +6,8 @@ import pytest
 from conftest import depolarized_assemblage, primal_ascent_bound, random_assemblage, random_density
 from tsteer import sdp
 from tsteer.channels import Exchange, LorentzianAD, propagate_assemblage
-from tsteer.errors import CertificateInvalid, DimensionMismatch, NumericalBreakdown
-from tsteer.hermat import IDENTITY, KET_E, herm, min_eig
+from tsteer.errors import CertificateInvalid, DimensionMismatch, NotPsd, NumericalBreakdown
+from tsteer.hermat import IDENTITY, KET_E, SIGMA_X, SIGMA_Y, SIGMA_Z, det2, herm, min_eig
 from tsteer.sdp import (
     SolveStatus,
     build_sw_sdp,
@@ -156,6 +156,35 @@ def test_solve_rejects_shape_inconsistent_problems(d_meas, n_targets, dim):
         solve(p)
 
 
+def test_solve_rejects_a_d_matrix_that_is_not_the_strategy_table():
+    p = depol_problem(0.5)
+    for d_mat in (np.ones((6, 8)), strategy_table(3).d_matrix()[::-1]):
+        p.d_matrix = d_mat
+        with pytest.raises(DimensionMismatch):
+            solve(p)
+
+
+def test_certificates_check_the_problem_they_certify():
+    # an optimal solve certified against a problem of the wrong structure:
+    # a (6, 4) d_matrix used to pass the dual certificate, a (4, 4) one made
+    # both certificates fail inside numpy
+    good = build_sw_sdp(premeasure(IDENTITY / 2, XYZ), strategy_table(3))
+    sol = solve(good)
+    assert sol.status is SolveStatus.OPTIMAL
+    for d_mat in (np.ones((6, 4)), np.ones((4, 4)), np.ones((6, 8))):
+        bad = dataclasses.replace(good, d_matrix=d_mat)
+        for certificate in (dual_certificate, primal_certificate):
+            with pytest.raises(CertificateInvalid):
+                certificate(sol, bad)
+    for bad in (dataclasses.replace(good, targets=good.targets[:4]),
+                dataclasses.replace(good, n_meas=7)):
+        for certificate in (dual_certificate, primal_certificate):
+            with pytest.raises(CertificateInvalid):
+                certificate(sol, bad)
+    assert primal_certificate(sol, good) == sol.mu_star
+    assert dual_certificate(sol, good).gap == sol.gap
+
+
 def test_solve_with_zero_iterations_reports_the_cold_start():
     p = build_sw_sdp(premeasure(IDENTITY / 2, XYZ), strategy_table(3))
     sol = solve(p, max_iter=0)
@@ -164,11 +193,15 @@ def test_solve_with_zero_iterations_reports_the_cold_start():
 
 
 def test_infeasible_flag_for_malformed_targets():
+    # a clearly negative target block is malformed data, not a solvable problem
     p = depol_problem(0.5)
     p.targets = p.targets.copy()
     p.targets[0] = np.diag([0.5, -0.2]).astype(complex)
-    sol = solve(p)
-    assert sol.status is SolveStatus.INFEASIBLE
+    with pytest.raises(NotPsd):
+        solve(p)
+    assert not hasattr(SolveStatus, "INFEASIBLE")
+    p.targets[0] = np.diag([0.5, -1e-9]).astype(complex)  # roundoff-sized: no raise
+    assert np.isfinite(solve(p).mu_star)
 
 
 # --- certificates ----------------------------------------------------------------
@@ -282,6 +315,117 @@ def test_maximally_steerable_instance_has_zero_dual_value():
     p = build_sw_sdp(asm, strategy_table(3))
     sol = solve(p)
     assert sol.dual_value == pytest.approx(0.0, abs=1e-7)
+
+
+# --- Lorentz-cone kernels ---------------------------------------------------------
+
+LORENTZ = np.diag([1.0, -1.0, -1.0, -1.0])
+RATIOS = (1.0, 0.3, 1e-3, 1e-6, 1e-9, 1e-12)  # small over large spectral value
+
+
+def cone_points(rng, n, ratios=RATIOS):
+    """n random interior points of the Lorentz cone per spectral ratio, with
+    their determinants u.J u = hi lo computed without cancellation."""
+    d = rng.normal(size=(n * len(ratios), 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    hi = np.exp(rng.uniform(-3.0, 3.0, size=(n * len(ratios), 1)))
+    lo = hi * np.repeat(ratios, n)[:, None]
+    return np.concatenate(((hi + lo) / 2, (hi - lo) / 2 * d), axis=1), hi * lo
+
+
+def apply(m, u):
+    return np.einsum("nab,nb->na", m, u)
+
+
+def test_svec_is_an_isometry_onto_the_lorentz_cone(rng):
+    g = rng.normal(size=(2, 60, 2, 2)) + 1j * rng.normal(size=(2, 60, 2, 2))
+    h, k = herm(g[0]), herm(g[1])
+    u, v = sdp._svec(h), sdp._svec(k)
+    assert np.allclose(np.einsum("nij,nji->n", h, k).real, np.sum(u * v, axis=1),
+                       rtol=0, atol=1e-12)
+    assert np.allclose(sdp._unsvec(u), h, rtol=0, atol=1e-14)
+    # the Jordan product (hk + kh) / 2 has coordinates (u o v) / sqrt 2
+    assert np.allclose(sdp._svec(0.5 * (h @ k + k @ h)), sdp._jordan(u, v) / np.sqrt(2.0),
+                       rtol=0, atol=1e-12)
+    assert np.allclose(det2(h), 0.5 * sdp._jdot(u, u), rtol=0, atol=1e-12)
+    assert np.array_equal(min_eig(h) >= 0.0, u[:, 0] >= np.linalg.norm(u[:, 1:], axis=1))
+    for i, pauli in enumerate((IDENTITY, SIGMA_Z, SIGMA_X, -SIGMA_Y)):
+        assert np.allclose(sdp._unsvec(np.eye(4)[i]), pauli / np.sqrt(2.0), rtol=0, atol=1e-15)
+    assert np.allclose(sdp._HALF_TRACE, [np.sqrt(0.5), 0.0, 0.0, 0.0], rtol=0, atol=1e-16)
+
+
+def test_nt_scaling_maps_z_to_x_in_closed_form(rng):
+    # W = beta (2 v v^T - J), W^-1 = (2 J v v^T J - J) / beta: W^2 z = x,
+    # W z = W^-1 x = lam, W W^-1 = I, each to roundoff of its largest term
+    x, det_x = cone_points(rng, 20)
+    z, det_z = cone_points(rng, 20)
+    perm = rng.permutation(len(z))
+    z, det_z = z[perm], det_z[perm]
+    beta, v, lam, lam_det = sdp._nt_scaling(x, z)
+    outer = 2.0 * v[:, :, None] * v[:, None, :]
+    w = beta[:, :, None] * (outer - LORENTZ)
+    w_inv = (LORENTZ @ outer @ LORENTZ - LORENTZ) / beta[:, :, None]
+    norm = np.linalg.norm
+    size = norm(w, axis=(1, 2)) * norm(w_inv, axis=(1, 2))
+    assert np.all(norm(w @ w_inv - np.eye(4), axis=(1, 2)) <= 1e-13 * size)
+    assert np.all(norm(apply(w, apply(w, z)) - x, axis=1)
+                  <= 1e-13 * norm(w, axis=(1, 2)) ** 2 * norm(z, axis=1))
+    assert np.all(norm(apply(w, z) - lam, axis=1) <= 1e-13 * norm(w, axis=(1, 2)) * norm(z, axis=1))
+    assert np.all(norm(apply(w_inv, x) - lam, axis=1)
+                  <= 1e-13 * norm(w_inv, axis=(1, 2)) * norm(x, axis=1))
+    # lam is inside the cone, with the determinant sqrt(x.J x z.J z)
+    assert np.all(lam[:, 0] > 0.0)
+    # u.J u is known to relative precision eps u0^2 / u.J u only
+    slack = 1e-14 * (x[:, :1] ** 2 / det_x + z[:, :1] ** 2 / det_z)
+    assert np.all(np.abs(lam_det ** 2 / (det_x * det_z) - 1.0) <= slack)
+
+
+def test_nt_scaling_floors_the_small_spectral_value(rng):
+    # blocks outside the cone by more than roundoff are raised to a small
+    # spectral value of 1e-16 times the large one, and the scaling stays finite
+    u, _ = cone_points(rng, 10, (-1e-10, 0.0))
+    hi = u[:, :1] + np.linalg.norm(u[:, 1:], axis=1, keepdims=True)
+    det = sdp._nt_scaling(u, u)[3]  # sqrt(x.J x z.J z) with x = z
+    assert np.allclose(det[:10], 1e-16 * hi[:10] ** 2, rtol=1e-6, atol=0)
+    assert np.all(det >= 0.99e-16 * hi ** 2)
+    for z in (u[::-1], cone_points(rng, 20, (0.5,))[0]):
+        beta, v, lam, lam_det = sdp._nt_scaling(u, z)
+        assert all(np.all(np.isfinite(a)) for a in (beta, v, lam, lam_det))
+        assert np.all(lam[:, 0] > 0.0) and np.all(lam_det > 0.0)
+
+
+def test_arw_solve_inverts_the_jordan_product(rng):
+    lam, det = cone_points(rng, 30, RATIOS[:4])
+    r = rng.normal(size=lam.shape)
+    d = sdp._arw_solve(lam, det, r)
+    assert np.allclose(sdp._jordan(lam, d), r, rtol=0, atol=1e-8)
+    # and lam^-1 = J lam / det solves lam o d = e
+    e = np.tile([1.0, 0.0, 0.0, 0.0], (len(lam), 1))
+    assert np.allclose(sdp._arw_solve(lam, det, e) * det, lam @ LORENTZ, rtol=1e-9, atol=0)
+
+
+def test_max_steps_stop_where_the_block_leaves_the_cone(rng):
+    x, _ = cone_points(rng, 10, RATIOS[:5])
+    z, _ = cone_points(rng, 10, RATIOS[:5])
+    hit_p = hit_d = 0
+    for _ in range(40):
+        dx = rng.normal(size=x.shape) * x[:, :1] * rng.uniform(0.1, 3.0)
+        dz = rng.normal(size=z.shape) * z[:, :1] * rng.uniform(0.1, 3.0)
+        for alpha, u, du in zip(sdp._max_steps(x, dx, z, dz), (x, z), (dx, dz)):
+            size = u[:, 0] + np.abs(du[:, 0])
+
+            def low(t):
+                return (min_eig(sdp._unsvec(u + t * du)) / size).min()
+
+            assert low(0.999 * alpha) > 0.0
+            if alpha < 1.0:
+                # min_eig of the first block to leave crosses 0 at alpha
+                assert abs(low(alpha)) <= 1e-12 and low(1.001 * alpha) < 0.0
+                hit_p += u is x
+                hit_d += u is z
+            else:
+                assert low(1.0) >= -1e-15
+    assert hit_p > 10 and hit_d > 10
 
 
 # --- the certified map back -----------------------------------------------------------

@@ -254,6 +254,17 @@ def test_lhs_errors():
             lhs_assemblage(strategy_table(1), sigmas)
 
 
+def test_lhs_rejects_repeated_labels():
+    # members are keyed by (label, outcome), so a repeated label would keep
+    # only the last setting's members and stack the wrong assemblage
+    table = strategy_table(2)
+    for labels in (("X", "X"), ["Z", "Z"]):
+        with pytest.raises(DuplicateLabel):
+            lhs_assemblage(table, [IDENTITY / 8] * 4, labels=labels)
+    asm = lhs_assemblage(table, [IDENTITY / 8] * 4, labels=("X", "Z"))
+    assert len(asm.members) == 4
+
+
 # --- depolarized fixture ------------------------------------------------------
 
 
