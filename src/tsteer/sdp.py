@@ -35,11 +35,12 @@ sum <sigma_{a|x}, F_{a|x}>; any dual-feasible point upper-bounds mu*.
    are exactly PSD, and the multipliers are lifted along the kernel of
    each rank-deficient member, F_m += K (I - P_m), with P_m taken from
    sigma_m so the lift costs nothing when sigma_m is exactly rank one,
-   then shifted to be exactly cone-feasible. The run stops once dual minus
-   primal is within tol, so the gap is a certificate. The map back only
-   lowers the primal value and raises the dual one, so its gap is at least
-   the reduced gap c.x - b.y; it runs only at iterates where that is
-   within tol, and at the iterate the run stops at.
+   then shifted to be exactly cone-feasible. The map back only lowers the
+   primal value and raises the dual one, so its gap is at least the reduced
+   gap c.x - b.y; it runs only at iterates where that is within tol, and at
+   the iterate the run stops at. The run stops once the signed gap dual -
+   primal is in [-1e-12 max(1, |dual|), tol]: weak duality forbids dual <
+   primal, and 1e-12 is the primal certificate's own roundoff.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .steering import Assemblage, StrategyTable, strategy_table
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 300
 _RANK_EPS = 1e-14  # a 2x2 PSD block with det <= _RANK_EPS * tr^2 has rank one
+_ROUNDOFF = 1e-12  # relative roundoff of the certified values, as in primal_certificate
 _STEP = 0.95       # fraction of the step to the cone boundary taken per iteration
 _SQRT_HALF = math.sqrt(0.5)
 _J = np.array([1.0, -1.0, -1.0, -1.0])  # the Lorentz form u.J u = u0^2 - |u[1:]|^2
@@ -103,15 +105,29 @@ class SolveStatus(enum.Enum):
     MAX_ITER = "max_iter"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SdpProblem:
-    """Steerable-weight SDP data: strategy matrix plus target blocks."""
+    """Steerable-weight SDP data: the target blocks sigma_{a|x} and a time tag.
 
-    n_meas: int
-    d_matrix: np.ndarray = field(repr=False)  # (2 n_meas, 2^n_meas) of 0/1
-    targets: np.ndarray = field(repr=False)   # (2 n_meas, 2, 2) sigma_{a|x}
-    labels: tuple = ()
+    The rest is derived from the target count 2 n_meas, d_matrix too: it is
+    the shared, read-only D of `strategy_table(n_meas)`. Raises
+    DimensionMismatch unless targets has shape (2 n, 2, 2) with 1 <= n <= 6.
+    """
+
+    targets: np.ndarray = field(repr=False)  # (2 n_meas, 2, 2) in constraint order
     time_tag: float = 0.0
+
+    def __post_init__(self):
+        if (shape := np.shape(self.targets)) not in [(2 * n, 2, 2) for n in range(1, 7)]:
+            raise DimensionMismatch(f"need 2 n 2x2 targets, 1 <= n <= 6, got shape {shape}")
+
+    @property
+    def n_meas(self) -> int:
+        return len(self.targets) // 2
+
+    @property
+    def d_matrix(self) -> np.ndarray:
+        return strategy_table(self.n_meas).d_matrix()
 
     @property
     def n_constraints(self) -> int:
@@ -128,26 +144,27 @@ class SdpSolution:
     sigma_tilde: np.ndarray = field(repr=False)  # (n_lambda, 2, 2), exactly feasible
     dual_vars: np.ndarray = field(repr=False)    # (n_constraints, 2, 2), exactly feasible
     dual_value: float = 0.0
-    gap: float = 0.0
     iterations: int = 0
     status: SolveStatus = SolveStatus.MAX_ITER
     primal_residual: float = 0.0
     dual_residual: float = 0.0
 
+    @property
+    def gap(self) -> float:
+        """Signed certified gap dual_value - mu_star; negative only by roundoff when OPTIMAL."""
+        return self.dual_value - self.mu_star
+
+
+def _certifies(primal, dual, tol):
+    """Whether dual - primal is at most tol, and below 0 by roundoff only."""
+    return -_ROUNDOFF * max(1.0, abs(dual)) <= dual - primal <= tol
+
 
 def build_sw_sdp(asm: Assemblage, table: StrategyTable) -> SdpProblem:
     """Assemble the SDP for a validated assemblage and matching strategy table."""
     if table.n_meas != asm.n_meas:
-        raise DimensionMismatch(
-            f"table has {table.n_meas} settings, assemblage has {asm.n_meas}"
-        )
-    return SdpProblem(
-        n_meas=asm.n_meas,
-        d_matrix=table.d_matrix(),
-        targets=asm.stacked(),
-        labels=asm.labels,
-        time_tag=asm.time_tag,
-    )
+        raise DimensionMismatch(f"table has {table.n_meas} settings, assemblage has {asm.n_meas}")
+    return SdpProblem(asm.stacked(), asm.time_tag)
 
 
 def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
@@ -155,22 +172,19 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     """Solve the steerable-weight SDP to a certified duality gap.
 
     Whitens, face-reduces and runs the interior-point method once, cold
-    (see the module docstring). OPTIMAL means the certified gap between
-    the exactly feasible primal and dual points is at most tol; MAX_ITER
+    (see the module docstring). OPTIMAL means the signed gap dual_value -
+    mu_star of the exactly feasible primal and dual points is at most tol,
+    and below 0 by at most roundoff, 1e-12 max(1, |dual_value|); MAX_ITER
     means max_iter Newton steps, or a numerical breakdown, came first; the
     last iterate's certified bounds are returned either way. The certified
     map back is skipped at iterates whose reduced gap c.x - b.y exceeds
     tol, since the certified gap is never smaller. Healthy runs take 10 to
-    25 Lorentz-cone steps, which floor each block's small spectral value at
-    1e-16 times its large one, and gamma^2 at 1. Raises DimensionMismatch
-    unless d_matrix is the strategy table of n_meas settings and targets
-    are 2 n_meas 2x2 blocks, and NotPsd for a target eigenvalue < -1e-8.
+    25 Lorentz-cone steps. Raises NotPsd for a target eigenvalue < -1e-8.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise NumericalBreakdown(f"tolerance must be finite and positive, got {tol}")
     if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
         raise NumericalBreakdown(f"max_iter must be a non-negative integer, got {max_iter!r}")
-    _check_structure(problem, DimensionMismatch)
     targets = problem.targets
     if not np.all(np.isfinite(targets)):
         raise NumericalBreakdown("assemblage targets contain non-finite entries")
@@ -206,9 +220,8 @@ def _constant_map(problem, red, tol):
     f = alpha[:, None, None] * proj + (IDENTITY - proj) / problem.n_meas
     primal = float(np.einsum("nii->", sig).real)
     dual = float(np.einsum("mij,mij->", targets.conj(), f).real)
-    gap = abs(dual - primal)
-    return SdpSolution(primal, sig, f, dual, gap,
-                       status=SolveStatus.OPTIMAL if gap <= tol else SolveStatus.MAX_ITER)
+    return SdpSolution(primal, sig, f, dual, status=SolveStatus.OPTIMAL
+                       if _certifies(primal, dual, tol) else SolveStatus.MAX_ITER)
 
 
 class _Reduced:
@@ -360,8 +373,7 @@ def _interior_point(reduced: _Reduced, tol, max_iter):
         sig, primal = reduced.primal(_unsvec(x))
         if -float(b_vec @ y) - primal > bound:
             return None
-        f, dual = reduced.dual(y)
-        return sig, primal, f, dual, abs(dual - primal)
+        return (sig, primal, *reduced.dual(y))
 
     x, z = (np.tile(_svec(c * IDENTITY), (n_blocks, 1)) for c in (0.5, 1.0))
     y = np.zeros(n_rows)
@@ -375,7 +387,7 @@ def _interior_point(reduced: _Reduced, tol, max_iter):
         # dual residual relative to the multiplier size
         dinf = float(np.abs(rd).max()) / (1.0 + float(np.abs(y).max()))
         mapped = map_back(tol) if float(np.vdot(c_vec, x) - b_vec @ y) <= tol else None
-        if mapped is not None and mapped[-1] <= tol:
+        if mapped is not None and _certifies(mapped[1], mapped[3], tol):
             status = SolveStatus.OPTIMAL
             break
         mu = float(np.vdot(x, z)) / (2.0 * n_blocks)
@@ -411,8 +423,8 @@ def _interior_point(reduced: _Reduced, tol, max_iter):
             break
         a_p, a_d = (min(1.0, _STEP * a) for a in _max_steps(x, dx, z, dz))
         x, y, z = x + a_p * dx, y + a_d * dy, z + a_d * dz
-    sig, primal, f, dual, gap = mapped or map_back()
-    return SdpSolution(primal, sig, f, dual, gap, it, status, pinf, dinf)
+    sig, primal, f, dual = mapped or map_back()
+    return SdpSolution(primal, sig, f, dual, it, status, pinf, dinf)
 
 
 def _max_steps(x, dx, z, dz):
@@ -484,22 +496,21 @@ def dual_certificate(sol: SdpSolution, problem: SdpProblem,
                      tol: float = 1e-7) -> CertificateReport:
     """Verify the dual multipliers independently of the solve path.
 
-    Checks the problem's structure, that every multiplier block is PSD, that
-    the strategy coverage sum_{a,x} D_lam(a|x) F_{a|x} dominates the identity
-    for every lam, and that the recorded gap equals dual minus primal. Raises
-    CertificateInvalid when any check fails beyond tol, when a value it
-    reads is not finite, or when tol is not finite and positive.
+    Checks that every multiplier block is PSD, that the strategy coverage
+    sum_{a,x} D_lam(a|x) F_{a|x} dominates the identity for every lam, and
+    that the dual value is recorded right, not below mu_star beyond roundoff.
+    Raises CertificateInvalid when any check fails beyond tol, when a value
+    it reads is not finite, or when tol is not finite and positive.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise CertificateInvalid(f"tolerance must be finite and positive, got {tol}")
     if sol.status is not SolveStatus.OPTIMAL:
         raise CertificateInvalid(f"solution status is {sol.status.value}, not optimal")
-    _check_structure(problem, CertificateInvalid)
     f = sol.dual_vars
     if f.shape != (problem.n_constraints, 2, 2):
         raise CertificateInvalid("multiplier count does not match constraints")
     _require_finite(dual_vars=f, dual_value=sol.dual_value, mu_star=sol.mu_star,
-                    gap=sol.gap, targets=problem.targets)
+                    targets=problem.targets)
     m_eig = float(min_eig(f).min())
     cover = np.tensordot(problem.d_matrix.T, f, axes=(1, 0)) - IDENTITY
     c_eig = float(min_eig(cover).min())
@@ -510,24 +521,22 @@ def dual_certificate(sol: SdpSolution, problem: SdpProblem,
         raise CertificateInvalid(f"strategy coverage min eigenvalue {c_eig:.3e} < -{tol:.1e}")
     if abs(dual - sol.dual_value) > 1e-9 * max(1.0, abs(dual)):
         raise CertificateInvalid("recorded dual value does not match the multipliers")
-    if abs(abs(dual - sol.mu_star) - sol.gap) > 1e-9:
-        raise CertificateInvalid("recorded gap is not dual minus primal")
+    if dual < sol.mu_star - _ROUNDOFF * max(1.0, abs(dual)):
+        raise CertificateInvalid(f"dual value {dual!r} is below mu_star {sol.mu_star!r}")
     return CertificateReport(dual, sol.gap, m_eig, c_eig)
 
 
 def primal_certificate(sol: SdpSolution, problem: SdpProblem) -> float:
     """Verify the primal point independently of the solve path.
 
-    Checks the problem's structure, then in closed form that every
-    sigma_tilde block is Hermitian and PSD, that every slack sigma_{a|x} -
-    sum_lam D_lam(a|x) sigma_tilde_lam is PSD (up to roundoff, 1e-12), and
-    that mu_star is their total trace. Returns mu_star, a lower bound on the
-    optimum: with `dual_certificate`, [1 - dual_value, 1 - mu_star] brackets
-    the steerable weight. Raises CertificateInvalid when any check fails or a
-    value it reads is not finite.
+    Checks in closed form that every sigma_tilde block is Hermitian and PSD,
+    that every slack sigma_{a|x} - sum_lam D_lam(a|x) sigma_tilde_lam is PSD
+    (up to roundoff, 1e-12), and that mu_star is their total trace. Returns
+    mu_star, a lower bound on the optimum: with `dual_certificate`,
+    [1 - dual_value, 1 - mu_star] brackets the steerable weight. Raises
+    CertificateInvalid when any check fails or a value it reads is not finite.
     """
-    _check_structure(problem, CertificateInvalid)
-    sig, tol = sol.sigma_tilde, 1e-12
+    sig, tol = sol.sigma_tilde, _ROUNDOFF
     if sig.shape != (problem.n_lambda, 2, 2):
         raise CertificateInvalid("sigma_tilde count does not match strategies")
     _require_finite(sigma_tilde=sig, mu_star=sol.mu_star, targets=problem.targets)
@@ -541,18 +550,9 @@ def primal_certificate(sol: SdpSolution, problem: SdpProblem) -> float:
         raise CertificateInvalid(f"sigma_tilde min eigenvalue {b_eig:.3e} < -{tol:.1e}")
     if s_eig < -tol:
         raise CertificateInvalid(f"slack min eigenvalue {s_eig:.3e} < -{tol:.1e}")
-    if abs(value - sol.mu_star) > 1e-12 * max(1.0, abs(value)):
+    if abs(value - sol.mu_star) > _ROUNDOFF * max(1.0, abs(value)):
         raise CertificateInvalid("recorded mu_star is not the trace of sigma_tilde")
     return value
-
-
-def _check_structure(problem, error):
-    """Raise error unless d_matrix and targets are those of n_meas settings."""
-    n = problem.n_meas
-    if np.shape(problem.targets) != (2 * n, 2, 2) or not np.array_equal(
-            problem.d_matrix, strategy_table(n).d_matrix()):
-        raise error(f"n_meas={n} needs its strategy table and {2 * n} 2x2 targets, got "
-                    f"{np.shape(problem.d_matrix)} and {np.shape(problem.targets)}")
 
 
 def _require_finite(**values):

@@ -15,6 +15,8 @@ mixture sigma_{a|x} = sum_lam D_lam(a|x) sigma_lam.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -45,6 +47,13 @@ class MeasurementSet:
     labels: tuple
     projectors: tuple  # one (P_plus, P_minus) pair per label
 
+    def __post_init__(self):
+        if len(set(self.labels)) != len(self.labels):
+            raise DuplicateLabel(f"repeated label in {tuple(self.labels)}")
+        if len(self.projectors) != len(self.labels):
+            raise CountMismatch(f"{len(self.projectors)} projector pairs for "
+                                f"{len(self.labels)} labels")
+
     @property
     def n_meas(self) -> int:
         return len(self.labels)
@@ -59,8 +68,6 @@ def pauli_measurement_set(labels) -> MeasurementSet:
     labels = tuple(str(l).upper() for l in labels)
     if not labels:
         raise EmptySet("need at least one measurement label")
-    if len(set(labels)) != len(labels):
-        raise DuplicateLabel(f"repeated label in {labels}")
     pairs = []
     for lab in labels:
         if lab not in PAULI:
@@ -77,6 +84,12 @@ class Assemblage:
     labels: tuple
     members: dict = field(repr=False)  # (label, outcome) -> 2x2 complex array
     time_tag: float = 0.0
+
+    def __post_init__(self):
+        keys = {(x, a) for x in self.labels for a in OUTCOMES}
+        if len(self.members) != 2 * len(self.labels) or set(self.members) != keys:
+            raise CountMismatch(f"members must be keyed by exactly {tuple(self.labels)} x "
+                                f"{OUTCOMES}, got {sorted(self.members, key=str)}")
 
     @property
     def n_meas(self) -> int:
@@ -132,7 +145,7 @@ def premeasure(rho0, ms: MeasurementSet) -> Assemblage:
     return Assemblage(ms.labels, members, 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StrategyTable:
     """All deterministic outcome assignments for n settings.
 
@@ -141,29 +154,35 @@ class StrategyTable:
     """
 
     n_meas: int
-    rows: np.ndarray  # (2^n, n) of +-1
+    rows: np.ndarray  # (2^n, n) of +-1, read-only
 
     @property
     def n_lambda(self) -> int:
         return 2 ** self.n_meas
 
     def d_matrix(self) -> np.ndarray:
-        """0/1 matrix D[(x,a), lam] in constraint order (x0,+1), (x0,-1), ..."""
-        d = np.zeros((2 * self.n_meas, self.n_lambda))
-        for x in range(self.n_meas):
-            for k, a in enumerate(OUTCOMES):
-                d[2 * x + k] = (self.rows[:, x] == a).astype(float)
+        """Read-only 0/1 matrix D[(x,a), lam] in constraint order (x0,+1), (x0,-1), ..."""
+        return self._d_matrix
+
+    @functools.cached_property
+    def _d_matrix(self) -> np.ndarray:
+        d = (self.rows.T[:, None, :] == np.array(OUTCOMES)[:, None]).astype(float)
+        d = d.reshape(2 * self.n_meas, self.n_lambda)
+        d.flags.writeable = False
         return d
 
 
 def strategy_table(n_meas: int) -> StrategyTable:
+    """The strategy table of n_meas settings, built once per n and shared."""
     if not (float(n_meas).is_integer() and 1 <= n_meas <= 6):
         raise OutOfRange(f"n_meas must be an integer in 1..6, got {n_meas}")
-    n = int(n_meas)
-    rows = np.empty((2 ** n, n), dtype=int)
-    for i in range(2 ** n):
-        for j in range(n):
-            rows[i, j] = 1 if (i >> (n - 1 - j)) & 1 else -1
+    return _strategy_table(int(n_meas))
+
+
+@functools.lru_cache(maxsize=None)
+def _strategy_table(n):
+    rows = 2 * (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1) - 1
+    rows.flags.writeable = False
     return StrategyTable(n, rows)
 
 
@@ -213,8 +232,11 @@ def validate(asm: Assemblage, tol: float = 1e-9) -> list:
     condition (sum over outcomes independent of the setting), and unit total
     trace. A member with a NaN or infinite entry is reported as "non-finite"
     (magnitude inf) and nothing else is checked, since every other invariant
-    would be computed from it.
+    would be computed from it. Raises InvalidState unless tol is finite and
+    >= 0, since a NaN tol passes every check and a negative one fails them all.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidState(f"tol must be finite and >= 0, got {tol}")
     stack = asm.stacked()
     where = [f"({x},{a:+d})" for x in asm.labels for a in OUTCOMES]
     finite = np.isfinite(stack).all(axis=(-2, -1))

@@ -9,6 +9,7 @@ from tsteer.channels import Exchange, LorentzianAD, propagate_assemblage
 from tsteer.errors import CertificateInvalid, DimensionMismatch, NotPsd, NumericalBreakdown
 from tsteer.hermat import IDENTITY, KET_E, SIGMA_X, SIGMA_Y, SIGMA_Z, det2, herm, min_eig
 from tsteer.sdp import (
+    SdpProblem,
     SolveStatus,
     build_sw_sdp,
     dual_certificate,
@@ -72,6 +73,24 @@ def test_build_dimension_mismatch():
     asm = depolarized_assemblage(0.5, XYZ)
     with pytest.raises(DimensionMismatch):
         build_sw_sdp(asm, strategy_table(2))
+
+
+def test_problem_stores_only_its_targets():
+    # n_meas, the counts and d_matrix are derived from the targets; d_matrix
+    # is the one shared, read-only table of its setting count
+    p = depol_problem(0.5)
+    assert [f.name for f in dataclasses.fields(SdpProblem)] == ["targets", "time_tag"]
+    assert p.d_matrix is strategy_table(3).d_matrix() is depol_problem(0.2).d_matrix
+    assert not p.d_matrix.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.targets = p.targets.copy()
+    for labels in ("Z", "XZ", "XYZ"):
+        n = len(labels)
+        q = depol_problem(0.5, labels)
+        assert (q.n_meas, q.n_constraints, q.n_lambda) == (n, 2 * n, 2 ** n)
+        assert np.array_equal(q.d_matrix, strategy_table(n).d_matrix())
+    six = SdpProblem(np.broadcast_to(IDENTITY / 24, (12, 2, 2)))
+    assert six.d_matrix.shape == (12, 64)
 
 
 def test_single_setting_never_steerable(rng):
@@ -149,38 +168,45 @@ def test_solve_rejects_bad_arguments(kwargs):
     (3, 6, 3),  # 3x3 targets
 ])
 def test_solve_rejects_shape_inconsistent_problems(d_meas, n_targets, dim):
+    # the strategy matrix and setting count follow from the targets, so no
+    # problem pairs them with another count, and targets that are not 2 n
+    # 2x2 blocks (1 <= n <= 6) are rejected before a solve can see them
     p = depol_problem(0.5)
-    p.d_matrix = strategy_table(d_meas).d_matrix()
-    p.targets = np.broadcast_to(np.eye(dim) / dim, (n_targets, dim, dim)).astype(complex)
-    with pytest.raises(DimensionMismatch):
-        solve(p)
-
-
-def test_solve_rejects_a_d_matrix_that_is_not_the_strategy_table():
-    p = depol_problem(0.5)
-    for d_mat in (np.ones((6, 8)), strategy_table(3).d_matrix()[::-1]):
-        p.d_matrix = d_mat
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.d_matrix = strategy_table(d_meas).d_matrix()
+    with pytest.raises(TypeError):
+        dataclasses.replace(p, n_meas=d_meas)
+    targets = np.broadcast_to(np.eye(dim) / dim, (n_targets, dim, dim)).astype(complex)
+    if dim == 2:
+        q = dataclasses.replace(p, targets=targets)
+        assert q.n_meas == n_targets // 2
+        assert solve(q).status is SolveStatus.OPTIMAL
+    for bad in (targets[:, :1], targets[:-1], np.concatenate([targets] * 7)):
         with pytest.raises(DimensionMismatch):
-            solve(p)
+            SdpProblem(bad)
+    if dim != 2:
+        with pytest.raises(DimensionMismatch):
+            dataclasses.replace(p, targets=targets)
 
 
 def test_certificates_check_the_problem_they_certify():
-    # an optimal solve certified against a problem of the wrong structure:
-    # a (6, 4) d_matrix used to pass the dual certificate, a (4, 4) one made
-    # both certificates fail inside numpy
+    # an optimal solve certified against a problem of another setting count;
+    # a d_matrix or n_meas that does not match the targets cannot be built,
+    # since both are derived from them
     good = build_sw_sdp(premeasure(IDENTITY / 2, XYZ), strategy_table(3))
     sol = solve(good)
     assert sol.status is SolveStatus.OPTIMAL
-    for d_mat in (np.ones((6, 4)), np.ones((4, 4)), np.ones((6, 8))):
-        bad = dataclasses.replace(good, d_matrix=d_mat)
+    for name, value in (("d_matrix", np.ones((6, 4))), ("n_meas", 7)):
+        with pytest.raises(TypeError):
+            dataclasses.replace(good, **{name: value})
+    for targets in (good.targets[:4], np.concatenate((good.targets, good.targets[:2]))):
+        bad = dataclasses.replace(good, targets=targets)
         for certificate in (dual_certificate, primal_certificate):
             with pytest.raises(CertificateInvalid):
                 certificate(sol, bad)
-    for bad in (dataclasses.replace(good, targets=good.targets[:4]),
-                dataclasses.replace(good, n_meas=7)):
-        for certificate in (dual_certificate, primal_certificate):
-            with pytest.raises(CertificateInvalid):
-                certificate(sol, bad)
+    for shape in ((7, 2, 2), (6, 3, 3), (14, 2, 2)):
+        with pytest.raises(DimensionMismatch):
+            dataclasses.replace(good, targets=np.zeros(shape, dtype=complex))
     assert primal_certificate(sol, good) == sol.mu_star
     assert dual_certificate(sol, good).gap == sol.gap
 
@@ -195,7 +221,7 @@ def test_solve_with_zero_iterations_reports_the_cold_start():
 def test_infeasible_flag_for_malformed_targets():
     # a clearly negative target block is malformed data, not a solvable problem
     p = depol_problem(0.5)
-    p.targets = p.targets.copy()
+    p = dataclasses.replace(p, targets=p.targets.copy())
     p.targets[0] = np.diag([0.5, -0.2]).astype(complex)
     with pytest.raises(NotPsd):
         solve(p)
@@ -226,7 +252,6 @@ def test_certificate_rejects_zero_multipliers():
         sigma_tilde=sol.sigma_tilde,
         dual_vars=np.zeros_like(sol.dual_vars),
         dual_value=0.0,
-        gap=sol.gap,
         iterations=sol.iterations,
         status=sol.status,
     )
@@ -247,7 +272,7 @@ def test_certificates_reject_non_finite_values():
     p = depol_problem(0.8)
     sol = solve(p)
     nan = float("nan")
-    for certificate, fields in ((dual_certificate, ("dual_vars", "dual_value", "mu_star", "gap")),
+    for certificate, fields in ((dual_certificate, ("dual_vars", "dual_value", "mu_star")),
                                 (primal_certificate, ("sigma_tilde", "mu_star"))):
         for name in fields:
             bad = dataclasses.replace(sol, **{name: np.full_like(getattr(sol, name), nan)})
@@ -295,8 +320,7 @@ def test_constant_map_is_solved_in_closed_form():
     # 0.5, 0.4 and 0.45 (signaling) and a zero member: mu* is the smallest
     psi = np.array([0.6, 0.8j])
     weights = np.array([0.3, 0.2, 0.1, 0.3, 0.0, 0.45])
-    p = depol_problem(0.5)
-    p.targets = weights[:, None, None] * np.outer(psi, psi.conj())
+    p = SdpProblem(weights[:, None, None] * np.outer(psi, psi.conj()))
     sol = solve(p)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.mu_star == pytest.approx(0.4, abs=1e-12)
@@ -509,6 +533,39 @@ def test_early_exits_return_the_certified_bounds_of_their_iterate(monkeypatch):
     assert np.array_equal(broken.dual_vars, early[-1].dual_vars)
 
 
+def rotated_problems():
+    """Rank-deficient paper points conjugated by one fixed random unitary.
+
+    TSW is unitarily invariant, but the kernels of the rank-one members are
+    no longer basis vectors, so the lift K (I - P_m) meets roundoff in
+    sigma_m; at t = 3 and 4 of LorentzianAD(2, 1) that once certified a dual
+    value below mu_star by 3e-9.
+    """
+    u = np.linalg.qr(np.random.default_rng(0).normal(size=(2, 2, 2)) @ [1, 1j])[0]
+    for ch in (LorentzianAD(2.0, 1.0), Exchange(1.0, 0.0)):
+        for t in (1.0, 2.0, 3.0, 4.0, 5.0):
+            p = paper_point(ch, t)
+            yield dataclasses.replace(p, targets=u @ p.targets @ u.conj().T)
+
+
+def test_optimal_solves_never_certify_an_inverted_bracket():
+    # weak duality puts mu* between mu_star and dual_value, so an OPTIMAL
+    # solve may have dual_value below mu_star by roundoff only
+    optimal = [(sol, p) for p in rotated_problems()
+               if (sol := solve(p)).status is SolveStatus.OPTIMAL]
+    assert len(optimal) >= 5
+    for sol, p in optimal:
+        assert sol.dual_value - sol.mu_star >= -1e-12 * max(1.0, abs(sol.dual_value))
+        assert sol.gap == sol.dual_value - sol.mu_star <= 1e-8
+    for sol, p in optimal:
+        assert primal_certificate(sol, p) == sol.mu_star
+        assert dual_certificate(sol, p).gap == sol.gap
+        inverted = dataclasses.replace(sol, mu_star=sol.dual_value + 5e-9)
+        assert inverted.gap == pytest.approx(-5e-9, rel=1e-6)
+        with pytest.raises(CertificateInvalid, match="below mu_star"):
+            dual_certificate(inverted, p)
+
+
 # --- oracle bracketing ------------------------------------------------------------
 
 
@@ -536,8 +593,7 @@ def test_scale_covariance(rng):
     p = build_sw_sdp(asm, strategy_table(3))
     base = solve(p)
     for c in (0.25, 0.5, 0.9):
-        scaled = build_sw_sdp(asm, strategy_table(3))
-        scaled.targets = c * scaled.targets
+        scaled = dataclasses.replace(p, targets=c * p.targets)
         sol = solve(scaled)
         assert sol.mu_star == pytest.approx(c * base.mu_star, abs=1e-7)
         # normalized weight is scale free
@@ -550,7 +606,6 @@ def test_mixing_concavity(rng):
         asm = random_assemblage(rng)
         base = solve(build_sw_sdp(asm, strategy_table(3))).mu_star
         for s in (0.25, 0.5, 0.75):
-            mixed = build_sw_sdp(asm, strategy_table(3))
-            mixed.targets = (1 - s) * asm.stacked() + s * uns.stacked()
+            mixed = SdpProblem((1 - s) * asm.stacked() + s * uns.stacked())
             mu = solve(mixed).mu_star
             assert mu >= (1 - s) * base + s - 1e-6

@@ -12,7 +12,10 @@ from tsteer.errors import (
     UnknownLabel,
 )
 from tsteer.hermat import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
+from tsteer.measures import tsw
 from tsteer.steering import (
+    Assemblage,
+    MeasurementSet,
     lhs_assemblage,
     pauli_measurement_set,
     premeasure,
@@ -72,6 +75,19 @@ def test_pauli_set_errors():
         pauli_measurement_set("XX")
     with pytest.raises(UnknownLabel):
         pauli_measurement_set("XQ")
+
+
+def test_measurement_set_needs_distinct_labels_one_pair_each():
+    # ("X", "X") with the X and Z pairs used to keep 2 of 4 members and read
+    # TSW ~ 0; ("X", "Z") with one pair died with a raw KeyError in tsw
+    x_pair, z_pair = pauli_measurement_set("XZ").projectors
+    with pytest.raises(DuplicateLabel):
+        MeasurementSet(("X", "X"), (x_pair, z_pair))
+    for labels, pairs in ((("X", "Z"), (x_pair,)), (("X",), (x_pair, z_pair))):
+        with pytest.raises(CountMismatch):
+            MeasurementSet(labels, pairs)
+    ms = MeasurementSet(("X", "Z"), (x_pair, z_pair))
+    assert tsw(premeasure(IDENTITY / 2, ms)).value == pytest.approx(1.0, abs=1e-7)
 
 
 # --- premeasure --------------------------------------------------------------
@@ -140,6 +156,21 @@ def test_premeasure_validates_random(seed=13):
         assert validate(asm, 1e-12) == []
 
 
+def test_assemblage_members_are_keyed_by_labels_and_outcomes():
+    # a missing, extra or mislabelled member used to surface as a raw
+    # KeyError in validate or tsw
+    full = premeasure(IDENTITY / 2, XYZ).members
+    missing = {k: v for k, v in full.items() if k != ("Z", -1)}
+    extra = {**full, ("W", 1): IDENTITY / 4}
+    renamed = {(x, 0 if a == -1 else a): v for (x, a), v in full.items()}
+    for labels, members in ((XYZ.labels, missing), (XYZ.labels, extra),
+                            (XYZ.labels, renamed), (("X", "Y"), full),
+                            (("X", "X", "Y", "Z"), full)):
+        with pytest.raises(CountMismatch):
+            Assemblage(labels, members)
+    assert validate(Assemblage(XYZ.labels, dict(full)), 1e-12) == []
+
+
 # --- strategy tables ---------------------------------------------------------
 
 
@@ -166,6 +197,20 @@ def test_strategy_deterministic_distributions():
 def test_strategy_single_setting():
     table = strategy_table(1)
     assert list(table.rows[:, 0]) == [-1, 1]
+
+
+def test_strategy_table_is_built_once_and_read_only():
+    for n in range(1, 7):
+        table = strategy_table(n)
+        assert strategy_table(float(n)) is table
+        assert table.rows.shape == (2 ** n, n) and table.d_matrix().shape == (2 * n, 2 ** n)
+        # row lam, read as bits with +1 -> 1, is lam in binary
+        assert np.array_equal((table.rows > 0) @ (2 ** np.arange(n - 1, -1, -1)),
+                              np.arange(2 ** n))
+        for array in (table.rows, table.d_matrix()):
+            assert not array.flags.writeable
+    with pytest.raises(AttributeError):
+        strategy_table(2).rows = np.zeros((4, 2), dtype=int)
 
 
 def test_strategy_out_of_range():
@@ -297,6 +342,19 @@ def test_depolarized_out_of_range():
 
 def test_validate_clean():
     assert validate(premeasure(IDENTITY / 2, XYZ), 1e-12) == []
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+def test_validate_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
+    # a NaN tol reported a member with eigenvalue -0.3, signalling and off in
+    # trace, as clean; tol = -1 flagged a valid assemblage "not-hermitian 0"
+    broken = premeasure(IDENTITY / 2, XYZ)
+    broken.members[("X", 1)] = np.diag([0.9, -0.3]).astype(complex)
+    assert {v.kind for v in validate(broken, 1e-9)} == {"not-psd", "non-signaling",
+                                                         "total-trace"}
+    for asm in (broken, premeasure(IDENTITY / 2, XYZ)):
+        with pytest.raises(InvalidState, match="tol"):
+            validate(asm, tol)
 
 
 def test_validate_flags_non_psd_member():
