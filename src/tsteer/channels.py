@@ -50,6 +50,7 @@ from .errors import (
     InvalidState,
     NegativeTime,
     NumericalBreakdown,
+    SingularAtZeroOfG,
     ValidationError,
 )
 from .steering import Assemblage, _from_stack, validate
@@ -171,22 +172,24 @@ def rk4_evolve(lmat, vecs, t, h_target):
 
 
 def _check_time(t):
-    if not math.isfinite(t):
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
         raise BadParameter(f"evolution time must be finite, got {t}")
-    if t < 0:
+    if np.any(t < 0):
         raise NegativeTime(f"evolution time must be non-negative, got {t}")
+    return t
 
 
 # --- Lorentzian memory amplitude and random Kraus maps -----------------------
 
 
 def _sinhc(z):
-    """sinh(z)/z, series near the origin so the b -> 0 limit is smooth."""
-    z = complex(z)
-    if abs(z) < 1e-4:
-        z2 = z * z
-        return 1.0 + z2 / 6.0 + z2 * z2 / 120.0
-    return np.sinh(z) / z
+    """sinh(z)/z per element, series near the origin so the b -> 0 limit is smooth."""
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < 1e-4
+    z2 = z * z
+    safe = np.where(small, 1.0, z)
+    return np.where(small, 1.0 + z2 / 6.0 + z2 * z2 / 120.0, np.sinh(safe) / safe)
 
 
 def _lorentzian_b(g, omega_w):
@@ -200,32 +203,31 @@ def _lorentzian_b(g, omega_w):
 
 
 def _as_real(value, what):
-    if abs(value.imag) > 1e-12:
-        raise NumericalBreakdown(f"{what} acquired imaginary part {value.imag:.3e}")
-    return float(value.real)
+    imag = float(np.abs(value.imag).max(initial=0.0))
+    if imag > 1e-12:
+        raise NumericalBreakdown(f"{what} acquired imaginary part {imag:.3e}")
+    return float(value.real) if value.ndim == 0 else value.real
 
 
 def lorentzian_G(g, omega_w, t):
     """Memory amplitude G(t) of the Lorentzian-reservoir damping channel.
 
-    b is evaluated in complex arithmetic throughout, so the underdamped
-    regime (2 g > omega_w, b imaginary) needs no case split; the result is
-    real either way.
+    t is a time (a float is returned) or an array of times. b is complex
+    throughout, so the underdamped regime (2 g > omega_w, b imaginary)
+    needs no case split; the result is real either way.
     """
-    _check_time(t)
+    half = 0.5 * _check_time(t)
     b = _lorentzian_b(g, omega_w)
-    half = 0.5 * t
     val = np.exp(-omega_w * half) * (np.cosh(b * half) + omega_w * half * _sinhc(b * half))
-    return _as_real(complex(val), "G(t)")
+    return _as_real(val, "G(t)")
 
 
 def lorentzian_G_derivative(g, omega_w, t):
-    """dG/dt in closed form: -(g w t / 2) sinhc(b t / 2) exp(-w t / 2)."""
-    _check_time(t)
+    """dG/dt in closed form: -(g w t / 2) sinhc(b t / 2) exp(-w t / 2), per time in t."""
+    half = 0.5 * _check_time(t)
     b = _lorentzian_b(g, omega_w)
-    half = 0.5 * t
     val = -g * omega_w * half * _sinhc(b * half) * np.exp(-omega_w * half)
-    return _as_real(complex(val), "dG/dt")
+    return _as_real(val, "dG/dt")
 
 
 def lorentzian_gamma(g, omega_w, t):
@@ -236,8 +238,6 @@ def lorentzian_gamma(g, omega_w, t):
     while |G| grows (information backflow), e.g. just past a zero of G.
     Undefined at zeros of G.
     """
-    from .errors import SingularAtZeroOfG
-
     gval = lorentzian_G(g, omega_w, t)
     if abs(gval) < 1e-12:
         raise SingularAtZeroOfG(f"G({t}) = {gval:.3e}")
@@ -281,15 +281,12 @@ def transfer_grid(ch, times):
     if np.any(np.diff(times) < 0):
         raise BadParameter("time grid must be non-decreasing")
     if isinstance(ch, LorentzianAD):
+        gval = lorentzian_G(ch.g, ch.omega_w, times)
         out = np.zeros((times.size, 4, 4), dtype=complex)
-        for i, t in enumerate(times):
-            gval = lorentzian_G(ch.g, ch.omega_w, t)
-            a2 = gval * gval
-            out[i, 0, 0] = a2
-            out[i, 1, 1] = gval
-            out[i, 2, 2] = gval
-            out[i, 3, 0] = 1.0 - a2
-            out[i, 3, 3] = 1.0
+        out[:, 0, 0] = gval * gval
+        out[:, 1, 1] = out[:, 2, 2] = gval
+        out[:, 3, 0] = 1.0 - gval * gval
+        out[:, 3, 3] = 1.0
         return out
     if isinstance(ch, KrausChannel):
         tmat = sum(np.kron(k, k.conj()) for k in ch.operators)
@@ -330,11 +327,6 @@ def apply_channel(ch, t, rho):
     return (transfer_grid(ch, [t])[0] @ rho.reshape(4)).reshape(2, 2)
 
 
-def choi_matrix(ch, t):
-    """Unnormalized Choi matrix sum_ij |i><j| (x) Lambda(|i><j|); PSD iff CP."""
-    return choi_from_transfer(transfer_grid(ch, [t])[0])
-
-
 def propagate_assemblage(ch, t, asm: Assemblage) -> Assemblage:
     """Evolve every member of an assemblage independently to time t.
 
@@ -358,6 +350,8 @@ def evolve_grid(ch, mats, times):
     times the transfer matrix T(t) of every grid point.
     """
     mats = np.asarray(mats, dtype=complex)
+    if mats.ndim != 3 or mats.shape[1:] != (2, 2):
+        raise InvalidState(f"expected a (k, 2, 2) stack, got shape {mats.shape}")
     tmat = transfer_grid(ch, times)
     vecs = mats.reshape(mats.shape[0], 4)
     out = np.einsum("tij,kj->tki", tmat, vecs)

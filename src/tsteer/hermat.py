@@ -1,13 +1,10 @@
 """Qubit operators and closed-form kernels on stacks of 2x2 Hermitian blocks.
 
-Every kernel takes an array of shape (..., 2, 2) and works on all blocks
-at once. `min_eig`, `psd_project` and `det2` are closed form and read a
-block's upper triangle only (the real part of the diagonal and the (0, 1)
-entry); `mat_pow` goes through `np.linalg.eigh`, which reads the lower
-triangle. So a caller that cannot vouch for Hermiticity checks
-`anti_herm_norm` or symmetrizes with `herm` first. `mat_pow` is used only
-to whiten an assemblage by its mean reduced state, once per solve; the
-interior-point iteration computes no matrix function (see `sdp`).
+Every kernel takes an array of shape (..., 2, 2), works on all blocks at
+once and is closed form. `min_eig`, `psd_project` and `det2` read only a
+block's upper triangle: the real part of its diagonal and its (0, 1)
+entry. So a caller that cannot vouch for Hermiticity checks
+`anti_herm_norm` or symmetrizes with `herm` first.
 """
 
 from __future__ import annotations
@@ -74,11 +71,3 @@ def det2(h):
     return (h[..., 0, 0].real * h[..., 1, 1].real
             - (h[..., 0, 1].real ** 2 + h[..., 0, 1].imag ** 2))
 
-
-def mat_pow(h, p):
-    """h**p for PSD blocks; eigenvalues floored so roundoff negatives
-    cannot poison fractional or negative powers."""
-    w, v = np.linalg.eigh(h)
-    floor = 1e-16 * np.maximum(np.abs(w).max(axis=-1, keepdims=True), 1e-200)
-    w = np.maximum(w, floor)
-    return np.einsum("...ij,...j,...kj->...ik", v, w ** p, v.conj())

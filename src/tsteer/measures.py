@@ -92,7 +92,8 @@ def tsw(asm: Assemblage, tol: float = 1e-8) -> TswResult:
     but I/2) is tolerated; the weight stays well defined because the
     hidden-state side of the decomposition is non-signaling by construction.
     One cold `solve`; when it ends OPTIMAL the value is certified to within
-    its gap, 1 - dual_value <= TSW <= 1 - mu_star.
+    its gap, 1 - dual_value <= TSW <= 1 - mu_star. A non-OPTIMAL exit
+    certifies only its primal side, so only TSW <= 1 - mu_star.
     """
     hard = [v for v in validate(asm, 1e-8) if v.kind != "non-signaling"]
     if hard:
@@ -107,8 +108,9 @@ def tsw_trace(ch, ms: MeasurementSet, rho0, t_max: float, n_steps: int,
     """TSW of the premeasured-and-evolved assemblage on a uniform grid.
 
     Every grid point is one `tsw`, so one cold `solve`. A point whose solve
-    does not end OPTIMAL keeps its value 1 - mu* but its grid index is
-    listed in metadata["non_optimal"].
+    does not end OPTIMAL keeps its value 1 - mu_star, which is then only a
+    certified upper bound on the TSW, and its grid index is listed in
+    metadata["non_optimal"].
     """
     times = _uniform_grid(float(t_max), float(n_steps))
     stacks = channels.evolve_grid(ch, premeasure(rho0, ms).stacked(), times)

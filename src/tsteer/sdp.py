@@ -15,9 +15,11 @@ sum <sigma_{a|x}, F_{a|x}>; any dual-feasible point upper-bounds mu*.
 `solve` is one cold path:
 
 1. Whitening: sigma -> S sigma S with S = R^{-1/2}, R the mean reduced
-   state (1/n_meas) sum sigma_{a|x}; the objective weight becomes R. A
+   state (1/n_meas) sum sigma_{a|x}; the objective weight becomes R. S and
+   S^-1 = R^{1/2} are closed form: with s = sqrt det R and t = sqrt(tr R +
+   2 s), R^{1/2} = (R + s I) / t and R^{-1/2} = (adj R + s I) / (s t). A
    rank-one R means every member is a multiple of one pure state (a
-   constant map), solved in closed form.
+   constant map), solved in closed form with its range P = R / tr R.
 2. Facial reduction of the whitened members. A zero member sets every
    strategy touching it to 0. A rank-one member (det <= eps tr^2) confines
    every strategy touching it, and its slack, to multiples of its range
@@ -58,7 +60,7 @@ from .errors import (
     NotPsd,
     NumericalBreakdown,
 )
-from .hermat import IDENTITY, anti_herm_norm, det2, herm, mat_pow, min_eig, psd_project
+from .hermat import IDENTITY, anti_herm_norm, det2, herm, min_eig, psd_project
 from .steering import Assemblage, StrategyTable, strategy_table
 
 DEFAULT_TOL = 1e-8
@@ -151,7 +153,8 @@ class SdpSolution:
 
     @property
     def gap(self) -> float:
-        """Signed certified gap dual_value - mu_star; negative only by roundoff when OPTIMAL."""
+        """Signed gap dual_value - mu_star: certified, and below 0 by roundoff only, when
+        OPTIMAL. A non-OPTIMAL exit certifies only mu_star; its gap can be far below 0."""
         return self.dual_value - self.mu_star
 
 
@@ -174,12 +177,13 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     Whitens, face-reduces and runs the interior-point method once, cold
     (see the module docstring). OPTIMAL means the signed gap dual_value -
     mu_star of the exactly feasible primal and dual points is at most tol,
-    and below 0 by at most roundoff, 1e-12 max(1, |dual_value|); MAX_ITER
-    means max_iter Newton steps, or a numerical breakdown, came first; the
-    last iterate's certified bounds are returned either way. The certified
-    map back is skipped at iterates whose reduced gap c.x - b.y exceeds
-    tol, since the certified gap is never smaller. Healthy runs take 10 to
-    25 Lorentz-cone steps. Raises NotPsd for a target eigenvalue < -1e-8.
+    and below 0 by at most roundoff, 1e-12 max(1, |dual_value|). MAX_ITER
+    means max_iter Newton steps, or a numerical breakdown, came first; such
+    an exit certifies only its primal side, mu_star <= mu*, and its
+    dual_value can lie far below mu_star. The certified map back is skipped
+    at iterates whose reduced gap c.x - b.y exceeds tol, since the certified
+    gap is never smaller. Healthy runs take 10 to 25 Lorentz-cone steps.
+    Raises NotPsd for a target eigenvalue < -1e-8.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise NumericalBreakdown(f"tolerance must be finite and positive, got {tol}")
@@ -198,19 +202,18 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
 
 
 def _constant_map(problem, red, tol):
-    """Closed-form optimum when every member is c_m psi psi^dag.
+    """Closed-form optimum when every member is a multiple of one pure state.
 
-    psi is the top eigenvector of R, r_x = c_{+|x} + c_{-|x}, and both
-    sigma_tilde_lam = r_min prod_x (c_{lam(x)|x} / r_x) psi psi^dag and
-    F_m = alpha_m psi psi^dag + (I - psi psi^dag) / n_meas, with alpha = 1
-    on a setting attaining r_min and 0 elsewhere, reach r_min (1 for a
-    normalized non-signaling assemblage, so TSW = 0): each strategy takes
-    one outcome of that setting, so its coverage is exactly I.
+    P = R / tr R is its range, c_m = <sigma_m, P>, r_x = c_{+|x} + c_{-|x},
+    and both sigma_tilde_lam = r_min prod_x (c_{lam(x)|x} / r_x) P and F_m =
+    alpha_m P + (I - P) / n_meas >= 0, with alpha = 1 on a setting attaining
+    r_min and 0 elsewhere, reach r_min (1 for a normalized non-signaling
+    assemblage, so TSW = 0): each strategy takes one outcome of that
+    setting, so its coverage is exactly P + (I - P) = I.
     """
     d_mat, targets = problem.d_matrix, problem.targets
-    psi = np.linalg.eigh(red)[1][:, 1]
-    proj = np.outer(psi, psi.conj())
-    c = np.maximum(np.einsum("i,mij,j->m", psi.conj(), targets, psi).real, 0.0)
+    proj = red / _trace(red)
+    c = np.maximum(np.einsum("mij,ij->m", targets.conj(), proj).real, 0.0)
     r = c[0::2] + c[1::2]
     best = int(np.argmin(r))
     share = c / np.maximum(np.repeat(r, 2), 1e-300)
@@ -239,7 +242,11 @@ class _Reduced:
         d_mat, targets = problem.d_matrix, problem.targets
         m_cons, n_lam = d_mat.shape
         self.problem = problem
-        self.smat, self.sinv = mat_pow(red, -0.5), mat_pow(red, 0.5)
+        # R^{-1/2}, R^{1/2} as in step 1 (s > 0); adj R, not (tr R + s) I - R, does not cancel
+        s = math.sqrt(det2(red))
+        t = math.sqrt(_trace(red) + 2.0 * s)
+        adj = np.array([[red[1, 1], -red[0, 1]], [-red[1, 0], red[0, 0]]])
+        self.smat, self.sinv = (adj + s * IDENTITY) / (s * t), (red + s * IDENTITY) / t
         b = herm(self.smat @ targets @ self.smat)
         self.tr_b = tr_b = _trace(b)
         self.zero = zero = tr_b <= _RANK_EPS * problem.n_meas

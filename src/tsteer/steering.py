@@ -53,6 +53,8 @@ class MeasurementSet:
         if len(self.projectors) != len(self.labels):
             raise CountMismatch(f"{len(self.projectors)} projector pairs for "
                                 f"{len(self.labels)} labels")
+        if any(np.shape(p) != (2, 2) for pair in self.projectors for p in pair):
+            raise InvalidState("every projector must be 2x2")
 
     @property
     def n_meas(self) -> int:
@@ -90,6 +92,8 @@ class Assemblage:
         if len(self.members) != 2 * len(self.labels) or set(self.members) != keys:
             raise CountMismatch(f"members must be keyed by exactly {tuple(self.labels)} x "
                                 f"{OUTCOMES}, got {sorted(self.members, key=str)}")
+        if any(np.shape(m) != (2, 2) for m in self.members.values()):
+            raise InvalidState("every member must be 2x2")
 
     @property
     def n_meas(self) -> int:

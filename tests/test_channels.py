@@ -9,7 +9,6 @@ from tsteer.channels import (
     LorentzianAD,
     RabiDecay,
     apply_channel,
-    choi_matrix,
     liouvillian,
     lorentzian_G,
     lorentzian_G_derivative,
@@ -121,6 +120,34 @@ def test_G_critical_coupling_limit():
     for t in np.linspace(0.0, 12.0, 40):
         expect = np.exp(-0.5 * t) * (1 + 0.5 * t)
         assert lorentzian_G(0.5, 1.0, t) == pytest.approx(expect, abs=1e-12)
+
+
+def scalar_G(g, w, t):
+    """G(t) at one time in scalar complex arithmetic, the per-time reference."""
+    b = complex(np.sqrt(complex(w * w - 2.0 * g * w)))
+    half = 0.5 * t
+    z = b * half
+    sinhc = 1.0 + z * z / 6.0 + (z * z) ** 2 / 120.0 if abs(z) < 1e-4 else np.sinh(z) / z
+    return complex(np.exp(-w * half) * (np.cosh(z) + w * half * sinhc)).real
+
+
+def test_G_of_an_array_is_the_pointwise_G():
+    # (0.5, 1) has b = 0 and takes the series branch; 1e-9 does for any b
+    times = np.sort(np.concatenate(([1e-9, 3e-5], np.linspace(0.0, 10.0, 81))))
+    for g, w in ((2.0, 1.0), (2.017722244222895, 1.0002265510562873), (0.3, 1.0), (0.5, 1.0)):
+        gval = [scalar_G(g, w, t) for t in times]
+        assert np.array_equal(lorentzian_G(g, w, times), gval)
+        assert [lorentzian_G(g, w, t) for t in times] == gval
+        tmat = channels.transfer_grid(LorentzianAD(g, w), times)
+        assert np.array_equal(tmat[:, 1, 1], gval)
+        assert np.array_equal(tmat[:, 0, 0], np.square(gval))
+        pointwise = [lorentzian_G_derivative(g, w, t) for t in times]
+        assert all(type(v) is float for v in pointwise)
+        assert np.array_equal(lorentzian_G_derivative(g, w, times), pointwise)
+    with pytest.raises(NegativeTime):
+        lorentzian_G(2.0, 1.0, [1.0, -1.0])
+    with pytest.raises(BadParameter):
+        lorentzian_G_derivative(2.0, 1.0, [1.0, np.nan])
 
 
 def test_G_first_zero_strong_coupling():
@@ -339,7 +366,7 @@ def test_trace_preservation_and_linearity():
 def test_complete_positivity_choi():
     for ch, times in CHANNEL_GRID:
         for t in times:
-            cm = choi_matrix(ch, t)
+            cm = channels.choi_from_transfer(channels.transfer_grid(ch, [t])[0])
             assert np.linalg.norm(cm - cm.conj().T) < 1e-9
             assert np.linalg.eigvalsh(0.5 * (cm + cm.conj().T))[0] >= -1e-8
 
@@ -390,6 +417,13 @@ def test_evolve_grid_matches_pointwise_apply():
             for k in range(3):
                 direct = apply_channel(ch, t, mats[k])
                 assert np.abs(grid[i, k] - direct).max() < 1e-9
+
+
+def test_evolve_grid_rejects_stacks_that_are_not_2x2_blocks():
+    # a (k, 3, 3) stack died in a raw numpy reshape
+    for mats in (np.zeros((2, 3, 3)), np.eye(2), np.zeros((2, 4))):
+        with pytest.raises(InvalidState):
+            channels.evolve_grid(LorentzianAD(2.0, 1.0), mats, [0.0, 1.0])
 
 
 def _sequential_rk4(lmat, v, t, h_target):

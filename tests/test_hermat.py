@@ -11,7 +11,6 @@ from tsteer.hermat import (
     det2,
     herm,
     kron,
-    mat_pow,
     min_eig,
     psd_project,
 )
@@ -26,11 +25,6 @@ def random_blocks(rng, n):
     """n random 2x2 Hermitian blocks whose entries span several decades."""
     g = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
     return herm(g) * 10.0 ** rng.uniform(-6, 3, size=(n, 1, 1))
-
-
-def random_psd_blocks(rng, n):
-    g = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    return herm(g @ g.conj().swapaxes(-1, -2)) + 1e-3 * IDENTITY
 
 
 def test_eig_identity():
@@ -95,17 +89,6 @@ def test_psd_project_idempotent():
     assert np.all(np.abs(p - clipped) <= 1e-12 * scale)
     assert np.all(min_eig(p) >= -1e-13 * scale[:, 0, 0])
     assert np.all(np.abs(psd_project(p) - p) <= 1e-12 * scale)
-
-
-def test_mat_pow_square_root_and_inverse():
-    rng = np.random.default_rng(8)
-    h = random_psd_blocks(rng, 500)
-    scale = np.abs(h).max(axis=(-2, -1))[:, None, None]
-    root = mat_pow(h, 0.5)
-    assert np.all(np.abs(root @ root - h) <= 1e-12 * scale)
-    assert np.all(min_eig(root) > 0.0)
-    cond = (np.linalg.norm(h, axis=(-2, -1)) / min_eig(h))[:, None, None]
-    assert np.all(np.abs(mat_pow(h, -1.0) @ h - IDENTITY) <= 1e-13 * cond)
 
 
 def test_kron_basics():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import depolarized_assemblage, primal_ascent_bound, random_assemblage, random_density
 from tsteer import sdp
-from tsteer.channels import Exchange, LorentzianAD, propagate_assemblage
+from tsteer.channels import Exchange, LorentzianAD, evolve_grid, propagate_assemblage
 from tsteer.errors import CertificateInvalid, DimensionMismatch, NotPsd, NumericalBreakdown
 from tsteer.hermat import IDENTITY, KET_E, SIGMA_X, SIGMA_Y, SIGMA_Z, det2, herm, min_eig
 from tsteer.sdp import (
@@ -328,6 +328,36 @@ def test_constant_map_is_solved_in_closed_form():
     assert dual_certificate(sol, p).dual_value == pytest.approx(0.4, abs=1e-12)
 
 
+def whitening(r):
+    """S = R^{-1/2} and S^-1 = R^{1/2} as the solve computes them for a mean reduced state R."""
+    red = sdp._Reduced(SdpProblem(np.stack([r / 2, r / 2])), r)
+    return red.smat, red.sinv
+
+
+def test_whitening_is_accurate_up_to_the_condition_number(rng):
+    for _ in range(1000):
+        u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        top = 10.0 ** rng.uniform(-3.0, 3.0)
+        r = herm(u @ np.diag([top, top * 10.0 ** -rng.uniform(0.0, 12.0)]) @ u.conj().T)
+        low, high = np.linalg.eigvalsh(r)
+        smat, sinv = whitening(r)
+        bound = 1e-14 * high / low
+        assert np.linalg.norm(smat @ r @ smat - IDENTITY, 2) <= bound
+        assert np.linalg.norm(smat @ sinv - IDENTITY, 2) <= bound
+
+
+def test_whitening_keeps_diagonal_entries_to_an_ulp(rng):
+    # every paper model started from I/2 has a diagonal R, and next to a
+    # constant map its small population carries the steerable weight
+    for ratio in 10.0 ** np.linspace(-12.0, 12.0, 241):
+        a = 10.0 ** rng.uniform(-3.0, 3.0)
+        diag = np.array([a, a * ratio])
+        smat, sinv = whitening(np.diag(diag).astype(complex))
+        assert np.all(np.abs(np.diagonal(smat) * np.sqrt(diag) - 1.0) <= 1e-15)
+        assert np.all(np.abs(np.diagonal(sinv) / np.sqrt(diag) - 1.0) <= 1e-15)
+        assert smat[0, 1] == smat[1, 0] == sinv[0, 1] == sinv[1, 0] == 0.0
+
+
 def test_unsteerable_instance_has_unit_dual_value():
     p = depol_problem(0.0)
     sol = solve(p)
@@ -564,6 +594,25 @@ def test_optimal_solves_never_certify_an_inverted_bracket():
         assert inverted.gap == pytest.approx(-5e-9, rel=1e-6)
         with pytest.raises(CertificateInvalid, match="below mu_star"):
             dual_certificate(inverted, p)
+
+
+def test_non_optimal_exits_certify_their_primal_side():
+    # the fourth unitary of default_rng(2024) on Exchange(1, 0) at t = 2 pi 31/40
+    # once ended MAX_ITER with mu_star 0.74 and dual_value -1.5e-4, from
+    # multipliers of size 4e16; the points around it exit either way
+    rng = np.random.default_rng(2024)
+    u = [np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+         for _ in range(4)][-1]
+    base = premeasure(IDENTITY / 2, XYZ).stacked()
+    for ch, t_max, points in ((Exchange(1.0, 0.0), 2 * np.pi, (29, 30, 31, 33, 34)),
+                              (LorentzianAD(2.0, 1.0), 10.0, (13, 30, 31))):
+        stacks = evolve_grid(ch, base, np.linspace(0.0, t_max, 41))
+        for i in points:
+            p = SdpProblem(u @ stacks[i] @ u.conj().T)
+            sol = solve(p)
+            assert primal_certificate(sol, p) == sol.mu_star
+            if sol.status is SolveStatus.OPTIMAL:
+                assert dual_certificate(sol, p).gap == sol.gap
 
 
 # --- oracle bracketing ------------------------------------------------------------

@@ -171,6 +171,20 @@ def test_assemblage_members_are_keyed_by_labels_and_outcomes():
     assert validate(Assemblage(XYZ.labels, dict(full)), 1e-12) == []
 
 
+def test_assemblage_and_measurement_set_reject_blocks_that_are_not_2x2():
+    # validate read only the 2x2 corner of a 3x3 member, so diag(0.5, 0.5, -5)
+    # was never "not-psd", and premeasure died in matmul on 3x3 projectors
+    bad = np.diag([0.5, 0.5, -5.0])
+    for member in (bad, np.zeros((3, 3)), np.ones(4) / 4, 0.5):
+        members = {("X", 1): member, ("X", -1): np.zeros((2, 2))}
+        with pytest.raises(InvalidState, match="2x2"):
+            Assemblage(("X",), members)
+    for pair in ((np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])),
+                 (XYZ.projectors[0][0], np.eye(3))):
+        with pytest.raises(InvalidState, match="2x2"):
+            MeasurementSet(("X",), (pair,))
+
+
 # --- strategy tables ---------------------------------------------------------
 
 
