@@ -34,7 +34,6 @@ from .sdp import (
 from .steering import (
     Assemblage,
     MeasurementSet,
-    StrategyTable,
     lhs_assemblage,
     pauli_measurement_set,
     premeasure,

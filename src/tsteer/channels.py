@@ -236,11 +236,12 @@ def lorentzian_gamma(g, omega_w, t):
     This is the rate for which rho_ee(t) = |G|^2 rho_ee(0) solves
     d rho_ee/dt = -gamma(t) rho_ee at all times; it turns negative exactly
     while |G| grows (information backflow), e.g. just past a zero of G.
-    Undefined at zeros of G.
+    Undefined at zeros of G. t is a time (a float is returned) or an array
+    of times; SingularAtZeroOfG is raised if any |G(t)| < 1e-12.
     """
     gval = lorentzian_G(g, omega_w, t)
-    if abs(gval) < 1e-12:
-        raise SingularAtZeroOfG(f"G({t}) = {gval:.3e}")
+    if np.any(np.abs(gval) < 1e-12):
+        raise SingularAtZeroOfG(f"min |G(t)| = {np.min(np.abs(gval)):.3e} < 1e-12")
     dg = lorentzian_G_derivative(g, omega_w, t)
     return -2.0 * dg / gval
 

@@ -61,7 +61,7 @@ from .errors import (
     NumericalBreakdown,
 )
 from .hermat import IDENTITY, anti_herm_norm, det2, herm, min_eig, psd_project
-from .steering import Assemblage, StrategyTable, strategy_table
+from .steering import Assemblage, _first_defect, strategy_table
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 300
@@ -112,8 +112,9 @@ class SdpProblem:
     """Steerable-weight SDP data: the target blocks sigma_{a|x} and a time tag.
 
     The rest is derived from the target count 2 n_meas, d_matrix too: it is
-    the shared, read-only D of `strategy_table(n_meas)`. Raises
-    DimensionMismatch unless targets has shape (2 n, 2, 2) with 1 <= n <= 6.
+    `strategy_table(n_meas)` itself, the shared, read-only (2 n, 2^n) 0/1
+    matrix D[(x,a), lam]. Raises DimensionMismatch unless targets has shape
+    (2 n, 2, 2) with 1 <= n <= 6.
     """
 
     targets: np.ndarray = field(repr=False)  # (2 n_meas, 2, 2) in constraint order
@@ -129,7 +130,7 @@ class SdpProblem:
 
     @property
     def d_matrix(self) -> np.ndarray:
-        return strategy_table(self.n_meas).d_matrix()
+        return strategy_table(self.n_meas)
 
     @property
     def n_constraints(self) -> int:
@@ -163,10 +164,10 @@ def _certifies(primal, dual, tol):
     return -_ROUNDOFF * max(1.0, abs(dual)) <= dual - primal <= tol
 
 
-def build_sw_sdp(asm: Assemblage, table: StrategyTable) -> SdpProblem:
-    """Assemble the SDP for a validated assemblage and matching strategy table."""
-    if table.n_meas != asm.n_meas:
-        raise DimensionMismatch(f"table has {table.n_meas} settings, assemblage has {asm.n_meas}")
+def build_sw_sdp(asm: Assemblage, table: np.ndarray) -> SdpProblem:
+    """Assemble the SDP for a validated assemblage and its strategy_table(n_meas)."""
+    if np.shape(table) != (2 * asm.n_meas, 2 ** asm.n_meas):
+        raise DimensionMismatch(f"table shape {np.shape(table)} does not fit {asm.n_meas} settings")
     return SdpProblem(asm.stacked(), asm.time_tag)
 
 
@@ -183,7 +184,8 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     dual_value can lie far below mu_star. The certified map back is skipped
     at iterates whose reduced gap c.x - b.y exceeds tol, since the certified
     gap is never smaller. Healthy runs take 10 to 25 Lorentz-cone steps.
-    Raises NotPsd for a target eigenvalue < -1e-8.
+    Raises NotPsd for a target block that is not Hermitian (relative
+    tolerance 1e-10) or has an eigenvalue < -1e-8.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise NumericalBreakdown(f"tolerance must be finite and positive, got {tol}")
@@ -192,9 +194,9 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     targets = problem.targets
     if not np.all(np.isfinite(targets)):
         raise NumericalBreakdown("assemblage targets contain non-finite entries")
-    low = float(min_eig(targets).min())
-    if low < -1e-8:
-        raise NotPsd(f"a target block has eigenvalue {low:.3e} < -1e-8")
+    defect = _first_defect(targets, 1e-8)
+    if defect:
+        raise NotPsd(f"target block {defect[0]} has {defect[1]}")
     red = herm(targets.sum(axis=0) / problem.n_meas)
     if det2(red) <= _RANK_EPS * _trace(red) ** 2:
         return _constant_map(problem, red, tol)

@@ -10,7 +10,10 @@ and after the state is pushed through a channel the family at time t keeps
 the same index structure. A deterministic strategy assigns one outcome to
 every setting; enumerating all 2^n of them gives the extreme points of the
 classical response polytope, from which any unsteerable assemblage is a
-mixture sigma_{a|x} = sum_lam D_lam(a|x) sigma_lam.
+mixture sigma_{a|x} = sum_lam D_lam(a|x) sigma_lam. The 0/1 response
+matrix D of `strategy_table` is the one representation of the strategy set:
+row (x, a) in constraint order, column lam with bit n-1-x set iff
+lam(x) = +1.
 """
 
 from __future__ import annotations
@@ -42,7 +45,12 @@ OUTCOMES = (1, -1)
 
 @dataclass
 class MeasurementSet:
-    """Ordered binary projective measurements, one projector pair per setting."""
+    """Ordered binary projective measurements, one projector pair per setting.
+
+    Raises InvalidState, naming the setting, unless both members of each
+    pair are finite, Hermitian and PSD (the `_first_defect` check), P_plus^2 =
+    P_plus and P_plus + P_minus = I, each within 1e-10.
+    """
 
     labels: tuple
     projectors: tuple  # one (P_plus, P_minus) pair per label
@@ -55,6 +63,12 @@ class MeasurementSet:
                                 f"{len(self.labels)} labels")
         if any(np.shape(p) != (2, 2) for pair in self.projectors for p in pair):
             raise InvalidState("every projector must be 2x2")
+        for x, pair in zip(self.labels, self.projectors):
+            pair = np.asarray(pair, dtype=complex)
+            pp, pm = pair
+            if _first_defect(pair, 1e-10) or max(np.linalg.norm(pp @ pp - pp),
+                                                 np.linalg.norm(pp + pm - hermat.IDENTITY)) > 1e-10:
+                raise InvalidState(f"setting {x!r} is not a binary projective measurement")
 
     @property
     def n_meas(self) -> int:
@@ -149,35 +163,13 @@ def premeasure(rho0, ms: MeasurementSet) -> Assemblage:
     return Assemblage(ms.labels, members, 0.0)
 
 
-@dataclass(frozen=True)
-class StrategyTable:
-    """All deterministic outcome assignments for n settings.
+def strategy_table(n_meas: int) -> np.ndarray:
+    """The read-only (2 n, 2^n) 0/1 matrix D[(x,a), lam] of n_meas settings, built once per n.
 
-    Row lam_n holds the outcomes for setting 1..n; row 1 is all -1, the last
-    row is all +1, and the last setting varies fastest.
+    Rows follow constraint order (x0,+1), (x0,-1), (x1,+1), ...; strategy
+    lam gives setting x the outcome +1 iff bit n-1-x of lam is set, so lam = 0
+    is all -1, the last column all +1, and the last setting varies fastest.
     """
-
-    n_meas: int
-    rows: np.ndarray  # (2^n, n) of +-1, read-only
-
-    @property
-    def n_lambda(self) -> int:
-        return 2 ** self.n_meas
-
-    def d_matrix(self) -> np.ndarray:
-        """Read-only 0/1 matrix D[(x,a), lam] in constraint order (x0,+1), (x0,-1), ..."""
-        return self._d_matrix
-
-    @functools.cached_property
-    def _d_matrix(self) -> np.ndarray:
-        d = (self.rows.T[:, None, :] == np.array(OUTCOMES)[:, None]).astype(float)
-        d = d.reshape(2 * self.n_meas, self.n_lambda)
-        d.flags.writeable = False
-        return d
-
-
-def strategy_table(n_meas: int) -> StrategyTable:
-    """The strategy table of n_meas settings, built once per n and shared."""
     if not (float(n_meas).is_integer() and 1 <= n_meas <= 6):
         raise OutOfRange(f"n_meas must be an integer in 1..6, got {n_meas}")
     return _strategy_table(int(n_meas))
@@ -185,20 +177,23 @@ def strategy_table(n_meas: int) -> StrategyTable:
 
 @functools.lru_cache(maxsize=None)
 def _strategy_table(n):
-    rows = 2 * (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1) - 1
-    rows.flags.writeable = False
-    return StrategyTable(n, rows)
+    plus = np.arange(2 ** n) >> np.arange(n - 1, -1, -1)[:, None] & 1
+    d = np.stack([plus, 1 - plus], axis=1).reshape(2 * n, 2 ** n).astype(float)
+    d.flags.writeable = False
+    return d
 
 
-def lhs_assemblage(table: StrategyTable, sigmas, labels=None) -> Assemblage:
+def lhs_assemblage(table: np.ndarray, sigmas, labels=None) -> Assemblage:
     """Unsteerable assemblage sum_lam D_lam(a|x) sigma_lam from fixed states sigma_lam.
 
-    labels, when given, must be n_meas distinct names (DuplicateLabel
-    otherwise), since members are keyed by (label, outcome).
+    table is the D of `strategy_table(n_meas)`. labels, when given, must be
+    n_meas distinct names (DuplicateLabel otherwise), since members are keyed
+    by (label, outcome).
     """
+    n_meas, n_lambda = table.shape[0] // 2, table.shape[1]
     sigmas = [np.asarray(s, dtype=complex) for s in sigmas]
-    if len(sigmas) != table.n_lambda:
-        raise CountMismatch(f"expected {table.n_lambda} hidden states, got {len(sigmas)}")
+    if len(sigmas) != n_lambda:
+        raise CountMismatch(f"expected {n_lambda} hidden states, got {len(sigmas)}")
     for i, s in enumerate(sigmas):
         if s.shape != (2, 2):
             raise InvalidState(f"hidden state {i} must be 2x2, got shape {s.shape}")
@@ -207,16 +202,15 @@ def lhs_assemblage(table: StrategyTable, sigmas, labels=None) -> Assemblage:
     if defect:
         raise NotPsd(f"hidden state {defect[0]} has {defect[1]}")
     if labels is None:
-        if table.n_meas <= 3:
-            labels = ("X", "Y", "Z")[: table.n_meas]
+        if n_meas <= 3:
+            labels = ("X", "Y", "Z")[:n_meas]
         else:
-            labels = tuple(f"M{i + 1}" for i in range(table.n_meas))
-    elif len(labels) != table.n_meas:
-        raise CountMismatch(f"expected {table.n_meas} labels, got {len(labels)}")
+            labels = tuple(f"M{i + 1}" for i in range(n_meas))
+    elif len(labels) != n_meas:
+        raise CountMismatch(f"expected {n_meas} labels, got {len(labels)}")
     elif len(set(labels)) != len(labels):
         raise DuplicateLabel(f"repeated label in {tuple(labels)}")
-    d = table.d_matrix()
-    stack = np.tensordot(d, sigmas, axes=(1, 0))
+    stack = np.tensordot(table, sigmas, axes=(1, 0))
     return _from_stack(labels, stack)
 
 
@@ -233,11 +227,12 @@ def validate(asm: Assemblage, tol: float = 1e-9) -> list:
     """Check the assemblage invariants; empty list means all hold within tol.
 
     Checks each member for Hermiticity and positivity, the non-signaling
-    condition (sum over outcomes independent of the setting), and unit total
-    trace. A member with a NaN or infinite entry is reported as "non-finite"
-    (magnitude inf) and nothing else is checked, since every other invariant
-    would be computed from it. Raises InvalidState unless tol is finite and
-    >= 0, since a NaN tol passes every check and a negative one fails them all.
+    condition (sum over outcomes independent of the setting), and unit
+    trace of each setting's outcome sum. A member with a NaN or infinite
+    entry is reported as "non-finite" (magnitude inf) and nothing else is
+    checked, since every other invariant would be computed from it. Raises
+    InvalidState unless tol is finite and >= 0, since a NaN tol passes
+    every check and a negative one fails them all.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidState(f"tol must be finite and >= 0, got {tol}")
@@ -259,7 +254,8 @@ def validate(asm: Assemblage, tol: float = 1e-9) -> list:
         dev = float(np.linalg.norm(total - sums[0]))
         if dev > tol:
             out.append(Violation("non-signaling", f"(x={x})", dev))
-    tr_dev = abs(np.trace(sums[0]).real - 1.0)
-    if tr_dev > tol:
-        out.append(Violation("total-trace", "(all)", tr_dev))
+    for x, total in zip(asm.labels, sums):
+        tr_dev = abs(np.trace(total).real - 1.0)
+        if tr_dev > tol:
+            out.append(Violation("total-trace", f"(x={x})", tr_dev))
     return out

@@ -188,6 +188,17 @@ def test_gamma_singular_at_zero_of_G():
         lorentzian_gamma(2.0, 1.0, t0)
 
 
+def test_gamma_of_an_array_is_the_pointwise_gamma():
+    # an array of times died with numpy's "truth value of an array" ValueError
+    times = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
+    pointwise = [lorentzian_gamma(2.0, 1.0, t) for t in times]
+    assert all(type(v) is float for v in pointwise)
+    assert np.allclose(lorentzian_gamma(2.0, 1.0, times), pointwise, rtol=1e-12, atol=1e-15)
+    t0 = 4 * np.pi / (3 * np.sqrt(3))
+    with pytest.raises(SingularAtZeroOfG):
+        lorentzian_gamma(2.0, 1.0, np.array([1.0, t0, 5.0]))
+
+
 def test_gamma_finite_difference_consistency():
     # gamma(t) vs -(2/G) (|G(t+h)| - |G(t-h)|)/(2h) at h = 1e-5: O(h^2) agreement
     h = 1e-5

@@ -64,7 +64,7 @@ def test_build_counts_two_settings():
 
 def test_build_constraint_pattern_matches_strategy_table():
     p = depol_problem(0.3)
-    d = strategy_table(3).d_matrix()
+    d = strategy_table(3)
     assert np.array_equal(p.d_matrix, d)
     assert set(np.unique(p.d_matrix)) == {0.0, 1.0}
 
@@ -80,7 +80,7 @@ def test_problem_stores_only_its_targets():
     # is the one shared, read-only table of its setting count
     p = depol_problem(0.5)
     assert [f.name for f in dataclasses.fields(SdpProblem)] == ["targets", "time_tag"]
-    assert p.d_matrix is strategy_table(3).d_matrix() is depol_problem(0.2).d_matrix
+    assert p.d_matrix is strategy_table(3) is depol_problem(0.2).d_matrix
     assert not p.d_matrix.flags.writeable
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.targets = p.targets.copy()
@@ -88,7 +88,7 @@ def test_problem_stores_only_its_targets():
         n = len(labels)
         q = depol_problem(0.5, labels)
         assert (q.n_meas, q.n_constraints, q.n_lambda) == (n, 2 * n, 2 ** n)
-        assert np.array_equal(q.d_matrix, strategy_table(n).d_matrix())
+        assert np.array_equal(q.d_matrix, strategy_table(n))
     six = SdpProblem(np.broadcast_to(IDENTITY / 24, (12, 2, 2)))
     assert six.d_matrix.shape == (12, 64)
 
@@ -173,7 +173,7 @@ def test_solve_rejects_shape_inconsistent_problems(d_meas, n_targets, dim):
     # 2x2 blocks (1 <= n <= 6) are rejected before a solve can see them
     p = depol_problem(0.5)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        p.d_matrix = strategy_table(d_meas).d_matrix()
+        p.d_matrix = strategy_table(d_meas)
     with pytest.raises(TypeError):
         dataclasses.replace(p, n_meas=d_meas)
     targets = np.broadcast_to(np.eye(dim) / dim, (n_targets, dim, dim)).astype(complex)
@@ -228,6 +228,17 @@ def test_infeasible_flag_for_malformed_targets():
     assert not hasattr(SolveStatus, "INFEASIBLE")
     p.targets[0] = np.diag([0.5, -1e-9]).astype(complex)  # roundoff-sized: no raise
     assert np.isfinite(solve(p).mu_star)
+
+
+def test_solve_rejects_non_hermitian_targets():
+    # min_eig reads only the upper triangle, so this block was solved as if
+    # Hermitian and ran all 300 steps to MAX_ITER with mu_star 0
+    targets = premeasure(IDENTITY / 2, XYZ).stacked()
+    targets[0][1, 0] += 0.05
+    with pytest.raises(NotPsd, match="target block 0 has relative anti-Hermitian part"):
+        solve(SdpProblem(targets))
+    targets[0][1, 0] -= 0.05 - 1e-12  # roundoff-sized: no raise
+    assert solve(SdpProblem(targets)).status is SolveStatus.OPTIMAL
 
 
 # --- certificates ----------------------------------------------------------------

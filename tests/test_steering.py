@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import depolarized_assemblage
+from tsteer.channels import KrausChannel, propagate_assemblage
 from tsteer.errors import (
     CountMismatch,
     DuplicateLabel,
@@ -10,6 +11,7 @@ from tsteer.errors import (
     NotPsd,
     OutOfRange,
     UnknownLabel,
+    ValidationError,
 )
 from tsteer.hermat import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
 from tsteer.measures import tsw
@@ -33,10 +35,10 @@ def random_density(rng):
 
 
 def bloch_corner_sigmas():
-    """Hidden states (1/16)(I + (i sx + j sy + k sz)/sqrt(3)) in table row order."""
-    table = strategy_table(3)
+    """Hidden states (1/16)(I + (i sx + j sy + k sz)/sqrt(3)) in strategy order."""
+    rows = 2 * strategy_table(3)[0::2].T - 1  # outcome of each setting, per strategy
     out = []
-    for i, j, k in table.rows:
+    for i, j, k in rows:
         out.append((IDENTITY + (i * SIGMA_X + j * SIGMA_Y + k * SIGMA_Z) / np.sqrt(3)) / 16)
     return out
 
@@ -88,6 +90,22 @@ def test_measurement_set_needs_distinct_labels_one_pair_each():
             MeasurementSet(labels, pairs)
     ms = MeasurementSet(("X", "Z"), (x_pair, z_pair))
     assert tsw(premeasure(IDENTITY / 2, ms)).value == pytest.approx(1.0, abs=1e-7)
+
+
+def test_measurement_set_rejects_pairs_that_are_not_projective():
+    # (I, I) was accepted, and premeasure gave its setting total trace 2
+    z_pair = XYZ.projectors[2]
+    for pair in ((IDENTITY, IDENTITY),  # P+ + P- = 2 I
+                 (IDENTITY / 2, IDENTITY / 2),  # sums to I, P+ not idempotent
+                 (np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[0.0, -1.0], [0.0, 1.0]])),
+                 (np.full((2, 2), np.nan), IDENTITY)):
+        with pytest.raises(InvalidState, match="setting 'A'"):
+            MeasurementSet(("B", "A"), (z_pair, pair))
+    # a rotated pair, exact up to roundoff, is projective
+    n = np.array([np.sin(0.7) * np.cos(1.9), np.sin(0.7) * np.sin(1.9), np.cos(0.7)])
+    s = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
+    ms = MeasurementSet(("N",), (((IDENTITY + s) / 2, (IDENTITY - s) / 2),))
+    assert validate(premeasure(IDENTITY / 2, ms), 1e-12) == []
 
 
 # --- premeasure --------------------------------------------------------------
@@ -189,17 +207,17 @@ def test_assemblage_and_measurement_set_reject_blocks_that_are_not_2x2():
 
 
 def test_strategy_rows_enumeration():
-    table = strategy_table(3)
-    assert table.rows.shape == (8, 3)
-    assert list(table.rows[0]) == [-1, -1, -1]
-    assert list(table.rows[4]) == [1, -1, -1]  # row 5 in 1-based counting
-    assert list(table.rows[7]) == [1, 1, 1]
+    rows = 2 * strategy_table(3)[0::2].T - 1  # outcome of each setting, per strategy
+    assert rows.shape == (8, 3)
+    assert list(rows[0]) == [-1, -1, -1]
+    assert list(rows[4]) == [1, -1, -1]  # strategy 5 in 1-based counting
+    assert list(rows[7]) == [1, 1, 1]
     # last setting varies fastest
-    assert list(table.rows[1]) == [-1, -1, 1]
+    assert list(rows[1]) == [-1, -1, 1]
 
 
 def test_strategy_deterministic_distributions():
-    d = strategy_table(3).d_matrix()
+    d = strategy_table(3)
     assert list(d[0]) == [0, 0, 0, 0, 1, 1, 1, 1]  # D(+1|X)
     assert list(d[1]) == [1, 1, 1, 1, 0, 0, 0, 0]  # D(-1|X)
     assert list(d[5]) == [1, 0, 1, 0, 1, 0, 1, 0]  # D(-1|Z)
@@ -209,22 +227,23 @@ def test_strategy_deterministic_distributions():
 
 
 def test_strategy_single_setting():
-    table = strategy_table(1)
-    assert list(table.rows[:, 0]) == [-1, 1]
+    rows = 2 * strategy_table(1)[0::2].T - 1
+    assert list(rows[:, 0]) == [-1, 1]
 
 
 def test_strategy_table_is_built_once_and_read_only():
     for n in range(1, 7):
-        table = strategy_table(n)
-        assert strategy_table(float(n)) is table
-        assert table.rows.shape == (2 ** n, n) and table.d_matrix().shape == (2 * n, 2 ** n)
-        # row lam, read as bits with +1 -> 1, is lam in binary
-        assert np.array_equal((table.rows > 0) @ (2 ** np.arange(n - 1, -1, -1)),
-                              np.arange(2 ** n))
-        for array in (table.rows, table.d_matrix()):
-            assert not array.flags.writeable
-    with pytest.raises(AttributeError):
-        strategy_table(2).rows = np.zeros((4, 2), dtype=int)
+        d = strategy_table(n)
+        assert strategy_table(float(n)) is d
+        assert d.shape == (2 * n, 2 ** n) and d.dtype == np.float64
+        assert np.isin(d, (0.0, 1.0)).all()
+        # column lam, read as bits with D(+1|x) -> bit n-1-x, is lam in binary
+        assert np.array_equal(2 ** np.arange(n - 1, -1, -1) @ d[0::2], np.arange(2 ** n))
+        # exactly one outcome per setting and strategy
+        assert np.array_equal(d[0::2] + d[1::2], np.ones((n, 2 ** n)))
+        assert not d.flags.writeable
+    with pytest.raises(ValueError):
+        strategy_table(2)[0, 0] = 1.0
 
 
 def test_strategy_out_of_range():
@@ -384,6 +403,19 @@ def test_validate_flags_signaling_and_trace():
     kinds = {v.kind for v in validate(asm, 1e-9)}
     assert "non-signaling" in kinds
     assert "total-trace" in kinds
+
+
+def test_validate_checks_the_total_trace_of_every_setting():
+    # setting Z summing to trace 1/2 was reported only as signaling, which
+    # tsw tolerates, and read TSW 1.0 with status OPTIMAL
+    asm = premeasure(IDENTITY / 2, pauli_measurement_set("XZ"))
+    asm.members[("Z", -1)] = np.zeros((2, 2), dtype=complex)
+    traces = [v for v in validate(asm, 1e-8) if v.kind == "total-trace"]
+    assert [(v.where, v.magnitude) for v in traces] == [("(x=Z)", pytest.approx(0.5))]
+    with pytest.raises(ValidationError, match="total-trace"):
+        tsw(asm)
+    with pytest.raises(ValidationError, match="total-trace"):
+        propagate_assemblage(KrausChannel([IDENTITY]), 0.5, asm)
 
 
 def test_validate_flags_non_finite_members_only():
