@@ -38,11 +38,18 @@ sum <sigma_{a|x}, F_{a|x}>; any dual-feasible point upper-bounds mu*.
    each rank-deficient member, F_m += K (I - P_m), with P_m taken from
    sigma_m so the lift costs nothing when sigma_m is exactly rank one,
    then shifted to be exactly cone-feasible. The map back only lowers the
-   primal value and raises the dual one, so its gap is at least the reduced
-   gap c.x - b.y; it runs only at iterates where that is within tol, and at
-   the iterate the run stops at. The run stops once the signed gap dual -
-   primal is in [-1e-12 max(1, |dual|), tol]: weak duality forbids dual <
-   primal, and 1e-12 is the primal certificate's own roundoff.
+   primal value, to theta (-c.x) for its shrink theta <= 1, and only
+   raises the dual one above -b.y. So its gap is at least the reduced gap
+   c.x - b.y, and at least -b.y + (1 - k) c.x for any lower bound k on
+   1 - theta. It runs at the iterate the run stops at, and elsewhere only
+   where neither bound exceeds tol. k is read in reduced coordinates: a
+   rank-one slack needs exactly 1 - tr b_m / load_m, and a dense one, E_m
+   + k U_m >= 0, needs k >= -lambda_min(E_m) / <v, U_m v>, taken where U_m
+   is well conditioned; the second bound must clear tol by tol / 16 plus
+   2^-48 cond(R) |c.x|, the roundoff of the whitened map back. The run
+   stops once the signed gap dual - primal is in [-1e-12 max(1, |dual|),
+   tol]: weak duality forbids dual < primal, and 1e-12 is the primal
+   certificate's own roundoff.
 """
 
 from __future__ import annotations
@@ -77,7 +84,10 @@ def _svec(h):
     """Orthonormal coordinates of h = (u0 I + u1 sz + u2 sx - u3 sy) / sqrt 2: <h, g> = u.v,
     det h = u.J u / 2, h >= 0 iff u0 >= |u[1:]|, and (hg + gh) / 2 maps to (u o v) / sqrt 2."""
     a, d, b = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 0, 1]
-    return _SQRT_HALF * np.stack((a + d, a - d, 2.0 * b.real, 2.0 * b.imag), axis=-1)
+    u = np.empty(a.shape + (4,))
+    u[..., 0], u[..., 1], u[..., 2], u[..., 3] = a + d, a - d, 2.0 * b.real, 2.0 * b.imag
+    u *= _SQRT_HALF
+    return u
 
 
 def _unsvec(u):
@@ -90,6 +100,7 @@ def _unsvec(u):
 
 
 _HALF_TRACE = 0.5 * _svec(IDENTITY)  # tr(X) / 2 = _HALF_TRACE . svec(X)
+_COLD_START = np.stack((_svec(0.5 * IDENTITY), _svec(IDENTITY)))[:, None]  # x = I / 2, z = I
 
 
 def _trace(h):
@@ -182,8 +193,10 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     means max_iter Newton steps, or a numerical breakdown, came first; such
     an exit certifies only its primal side, mu_star <= mu*, and its
     dual_value can lie far below mu_star. The certified map back is skipped
-    at iterates whose reduced gap c.x - b.y exceeds tol, since the certified
-    gap is never smaller. Healthy runs take 10 to 25 Lorentz-cone steps.
+    at iterates where a reduced-coordinate bound shows its gap would exceed
+    tol (module docstring, step 4). An OPTIMAL run on the paper's traces
+    takes 8 to 20 Lorentz-cone steps, mostly 8 to 11, and a constant map
+    none.
     Raises NotPsd for a target block that is not Hermitian (relative
     tolerance 1e-10) or has an eigenvalue < -1e-8.
     """
@@ -242,7 +255,6 @@ class _Reduced:
 
     def __init__(self, problem: SdpProblem, red):
         d_mat, targets = problem.d_matrix, problem.targets
-        m_cons, n_lam = d_mat.shape
         self.problem = problem
         # R^{-1/2}, R^{1/2} as in step 1 (s > 0); adj R, not (tr R + s) I - R, does not cancel
         s = math.sqrt(det2(red))
@@ -253,39 +265,51 @@ class _Reduced:
         self.tr_b = tr_b = _trace(b)
         self.zero = zero = tr_b <= _RANK_EPS * problem.n_meas
         self.rank1 = rank1 = ~zero & (det2(b) <= _RANK_EPS * tr_b ** 2)
-        self.dense = ~(zero | rank1)
+        self.dense = dense = ~(zero | rank1)
         proj = b / np.where(zero, 1.0, tr_b)[:, None, None]
 
-        keep, home = [], []
-        for lam in range(n_lam):
-            touched = np.flatnonzero(d_mat[:, lam])
-            low = touched[rank1[touched]]
-            if zero[touched].any() or any(
-                    det2(proj[low[0]] + proj[m]) > 4.0 * _RANK_EPS for m in low[1:]):
-                continue
-            keep.append(lam)
-            home.append(low[0] if low.size else -1)
+        # a strategy is dropped if it touches a zero member, or a rank-one
+        # member whose range differs from that of the first one it touches,
+        # its home; touches[m, j] says whether block j enters constraint m
+        touch = d_mat > 0
+        low = touch & rank1[:, None]
+        first = low.argmax(axis=0)
+        dropped = (touch & zero[:, None]).any(axis=0)
+        if np.count_nonzero(rank1) > 1:
+            clash = det2(proj[:, None] + proj) > 4.0 * _RANK_EPS
+            np.fill_diagonal(clash, False)
+            dropped |= (low & clash[first].T).any(axis=0)
+        keep = np.flatnonzero(~dropped)
         live = np.flatnonzero(~zero)
-        self.keep = np.array(keep, dtype=int)
-        self.home = np.array(home + [m if rank1[m] else -1 for m in live], dtype=int)
-        touches = [np.flatnonzero(d_mat[:, lam]) for lam in keep] + [[m] for m in live]
+        home = np.concatenate((np.where(low[:, keep].any(axis=0), first[keep], -1),
+                               np.where(rank1[live], live, -1)))
+        touches = np.concatenate((touch[:, keep], np.eye(len(d_mat), dtype=bool)[:, live]), axis=1)
+        n_keep, n_blocks = keep.size, home.size
 
-        width = np.where(rank1, 1, 4) * ~zero
-        start = np.concatenate([[0], np.cumsum(width)])
-        owner = np.repeat(np.arange(m_cons), width)
-        self.dense_rows = np.flatnonzero(self.dense[owner])
-        self.rank1_rows = np.flatnonzero(rank1[owner])
-        self.amat = np.zeros((start[-1], len(touches), 4))
-        for j, members in enumerate(touches):
-            h = self.home[j]
-            col = np.eye(4) if h < 0 else np.outer(_svec(proj[h]), _HALF_TRACE)
-            for m in members:
-                self.amat[start[m]:start[m + 1], j] = _HALF_TRACE if rank1[m] else col
-        self.b_vec = np.concatenate([[tr_b[m]] if rank1[m] else _svec(b[m]) for m in live])
-        r_vec = _svec(red)
-        self.c_vec = np.zeros((len(touches), 4))
-        for j, h in enumerate(home):
-            self.c_vec[j] = -r_vec if h < 0 else -(r_vec @ _svec(proj[h])) * _HALF_TRACE
+        width = np.where(rank1, 1, 4) * ~zero  # constraint rows of each member
+        n_rows = int(width.sum())
+        self.dense_rows = np.flatnonzero(np.repeat(dense, width))
+        self.rank1_rows = np.flatnonzero(np.repeat(rank1, width))
+        face = home >= 0
+        ranges = _svec(proj[home[face]])  # svec P_h of every face block
+        col = np.empty((n_blocks, 4, 4))
+        col[...] = np.eye(4)
+        col[face] = ranges[:, :, None] * _HALF_TRACE
+        member, block = np.nonzero(touches[dense])
+        rows = np.zeros((np.count_nonzero(dense), 4, n_blocks, 4))
+        rows[member, :, block] = col[block]
+        self.amat = np.zeros((n_rows, n_blocks, 4))
+        self.amat[self.dense_rows] = rows.reshape(-1, n_blocks, 4)
+        self.amat[self.rank1_rows] = touches[rank1][:, :, None] * _HALF_TRACE
+        self.b_dense = _svec(b[dense])
+        self.b_vec = np.empty(n_rows)
+        self.b_vec[self.dense_rows] = self.b_dense.reshape(-1)
+        self.b_vec[self.rank1_rows] = tr_b[rank1]
+        self.r_vec = r_vec = _svec(red)
+        self.c_vec = np.zeros((n_blocks, 4))
+        plain, on_face = np.flatnonzero(~face[:n_keep]), np.flatnonzero(face[:n_keep])
+        self.c_vec[plain] = -r_vec
+        self.c_vec[on_face] = -(r_vec @ ranges[:on_face.size, :, None]) * _HALF_TRACE
         # lift directions adj(sigma_m) / tr sigma_m = I - P_m, from sigma_m
         # itself: <sigma_m, I - P_m> = 2 det sigma_m / tr sigma_m is exactly 0
         # when sigma_m is; I for a zero member
@@ -293,14 +317,22 @@ class _Reduced:
         self.lift = np.zeros_like(targets)
         self.lift[rank1] = (tr_t * IDENTITY - targets[rank1]) / tr_t
         self.lift[zero] = IDENTITY
-        # per-problem constants of the map back
-        self.d_dense, self.t_dense = d_mat[self.dense], targets[self.dense]
+        # per-problem constants of the map back (its index arrays) and of
+        # the shrink bound (the strategy columns of amat, det R and cond R)
+        self.n_keep, self.plain, self.on_face = n_keep, plain, on_face
+        self.plain_lam, self.face_lam = keep[plain], keep[on_face]
+        self.tr_b_home, self.t_home = tr_b[home[on_face]], targets[home[on_face]]
+        self.d_dense, self.t_dense = d_mat[dense], targets[dense]
         self.t_rank1, self.tr_b_rank1 = targets[rank1], tr_b[rank1]
         self.tr_t_sq = tr_t[:, 0, 0] ** 2
-        self.lift_cover = np.tensordot(d_mat.T, self.lift, axes=(1, 0))
+        self.lift_cover, self.t_conj = _cover(d_mat.T, self.lift), targets.conj()
+        self.strat_amat = self.amat[:, :n_keep].reshape(n_rows, 4 * n_keep)
+        self.det_r = det2(red)
+        self.cond_r = _trace(red) ** 2 / self.det_r  # cond(R) + 2 + 1 / cond(R)
 
     def primal(self, x):
-        """Exactly feasible sigma_tilde in original coordinates, and its value.
+        """Exactly feasible sigma_tilde in original coordinates, and its value,
+        from the blocks x in Lorentz coordinates.
 
         A face block maps to xi sigma_h / tr b_h, exactly proportional to
         its member, and sigma_tilde shrinks by the largest theta that keeps
@@ -308,19 +340,61 @@ class _Reduced:
         tr b_m, a dense one, E + (1 - theta) U, once 1 - theta lifts E along U.
         """
         p = self.problem
-        keep, home = self.keep, self.home[:self.keep.size]
-        face = home >= 0
+        h = _unsvec(x[:self.n_keep])
         sig = np.zeros((p.n_lambda, 2, 2), dtype=complex)
-        sig[keep[~face]] = psd_project(herm(self.sinv @ x[:keep.size][~face] @ self.sinv))
+        sig[self.plain_lam] = psd_project(herm(self.sinv @ h[self.plain] @ self.sinv))
         xi = np.zeros(p.n_lambda)
-        xi[keep[face]] = np.maximum(0.5 * _trace(x[:keep.size][face]), 0.0)
-        sig[keep[face]] = (xi[keep[face]] / self.tr_b[home[face]])[:, None, None] * p.targets[home[face]]
+        xi[self.face_lam] = share = np.maximum(0.5 * _trace(h[self.on_face]), 0.0)
+        sig[self.face_lam] = (share / self.tr_b_home)[:, None, None] * self.t_home
         load = p.d_matrix @ xi
         theta = np.where(self.rank1 & (load > self.tr_b), self.tr_b / np.maximum(load, 1e-300), 1.0)
-        used = np.tensordot(self.d_dense, sig, axes=(1, 0))
+        used = _cover(self.d_dense, sig)
         theta[self.dense] = 1.0 - _lift_size(self.t_dense - used, used)
         sig = min(max(float(theta.min()), 0.0), 1.0) * sig
         return sig, float(np.einsum("nii->", sig).real)
+
+    def shrink_bound(self, x):
+        """A lower bound on the shrink 1 - theta that `primal` applies to x.
+
+        Read in reduced coordinates: the strategy load of constraint m is U_m
+        = A_m x, and the slack primal maps back is E_m = b_m - U_m, up to the
+        congruence by R^{1/2}. A rank-one row needs exactly 1 - tr b_m / U_m.
+        A dense slack needs E_m + k U_m >= 0, so k >= -lambda_min(E_m) /
+        <v, U_m v> for the eigenvector v of lambda_min(E_m); this is taken only
+        where U_m is well conditioned (lambda_min >= lambda_max / 10) and
+        passes the full-rank test of `_lift_size` with a factor 100 to spare,
+        so that the root `_lift_size` finds is well conditioned and not below it.
+        """
+        load = self.strat_amat @ x[:self.n_keep].reshape(-1)
+        u = load[self.dense_rows].reshape(-1, 4)
+        e = self.b_dense - u
+        u_sp, e_sp = (np.sqrt(np.einsum("ij,ij->i", w[:, 1:], w[:, 1:])) for w in (u, e))
+        lo, hi = u[:, 0] - u_sp, u[:, 0] + u_sp  # sqrt 2 times the eigenvalues of U
+        # in svec coordinates lambda_min(E) = (e0 - |e[1:]|) / sqrt 2 and
+        # <v, U v> = (u0 - e[1:].u[1:] / |e[1:]|) / sqrt 2
+        need = (e_sp - e[:, 0]) * e_sp
+        along = u[:, 0] * e_sp - np.einsum("ij,ij->i", e[:, 1:], u[:, 1:])
+        # det q = det R lo hi / 2 and tr q = <R, U> for q = R^{1/2} U R^{1/2}
+        ok = ((need > 0.0) & (lo >= 0.1 * hi)
+              & (self.det_r * lo * hi > 200.0 * _RANK_EPS * (u @ self.r_vec) ** 2))
+        k_dense = np.divide(need, along, out=np.zeros_like(need), where=ok)
+        share, tr_b = load[self.rank1_rows], self.tr_b_rank1
+        fit = np.divide(tr_b, share, out=np.ones_like(share), where=share > tr_b)
+        return min(float(max(k_dense.max(initial=0.0), 1.0 - fit.min(initial=1.0))), 1.0)
+
+    def cannot_certify(self, x, y, tol):
+        """Whether the map back of the iterate (x, y) is sure to leave a gap
+        above tol. It only lowers the primal value below -c.x and only raises
+        the dual one above -b.y, so it is when c.x - b.y > tol, or when the
+        shrink bound leaves -b.y - primal above tol by a margin for the
+        roundoff of the map back: tol / 16 plus 2^-48 cond(R) |c.x|, since
+        whitening loses a factor cond(R) of relative precision."""
+        cx, by = float(np.vdot(self.c_vec, x)), float(self.b_vec @ y)
+        if cx - by > tol:
+            return True
+        # with cx <= 0 no shrink takes -b.y - primal above -b.y
+        bar = tol + tol / 16.0 + 2.0 ** -48 * self.cond_r * abs(cx)
+        return -by > bar and -by + (1.0 - self.shrink_bound(x)) * cx > bar
 
     def dual(self, y):
         """Exactly feasible multipliers F in original coordinates, and their value.
@@ -332,19 +406,23 @@ class _Reduced:
         F >= 0 first, then, since every strategy activates exactly n_meas
         constraints, coverage sum_m D F_m >= I.
         """
-        p = self.problem
-        d_mat, targets = p.d_matrix, p.targets
-        f = np.zeros_like(targets)
+        d_mat = self.problem.d_matrix
+        f = np.zeros_like(self.lift)
         f[self.dense] = -(self.smat @ _unsvec(y[self.dense_rows].reshape(-1, 4)) @ self.smat)
         f[self.rank1] = ((-y[self.rank1_rows] * self.tr_b_rank1 / self.tr_t_sq)[:, None, None]
                          * self.t_rank1)
-        cover = np.tensordot(d_mat.T, f, axes=(1, 0)) - IDENTITY
-        k_lam = 2.0 * _lift_size(cover, self.lift_cover)
+        k_lam = 2.0 * _lift_size(_cover(d_mat.T, f) - IDENTITY, self.lift_cover)
         f = f + (d_mat * k_lam).max(axis=1)[:, None, None] * self.lift
         f = f + max(0.0, -float(min_eig(f).min())) * IDENTITY
-        zeta = float(min_eig(np.tensordot(d_mat.T, f, axes=(1, 0)) - IDENTITY).min())
-        f = f + max(0.0, -zeta / p.n_meas) * IDENTITY
-        return f, float(np.einsum("mij,mij->", targets.conj(), f).real)
+        zeta = float(min_eig(_cover(d_mat.T, f) - IDENTITY).min())
+        f = f + max(0.0, -zeta / self.problem.n_meas) * IDENTITY
+        return f, float(np.einsum("mij,mij->", self.t_conj, f).real)
+
+
+def _cover(d, blocks):
+    """sum_k d[:, k] blocks[k] for a stack of 2x2 blocks: `np.tensordot(d, blocks,
+    axes=(1, 0))` as the one dot it makes."""
+    return np.dot(d, blocks.reshape(len(blocks), 4)).reshape(len(d), 2, 2)
 
 
 def _lift_size(g, q):
@@ -354,12 +432,13 @@ def _lift_size(g, q):
     """
     a, b, c = det2(q), _cross(g, q), det2(g)
     sq = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
-    full = a > _RANK_EPS * _trace(q) ** 2
+    tr_q = _trace(q)
+    full = a > _RANK_EPS * tr_q ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         # the larger root, each branch in its cancellation-free form
         root = np.where(b < 0.0, np.where(full, (-b + sq) / (2.0 * a), 0.0),
                         -2.0 * c / (b + sq))
-        by_trace = np.where(_trace(q) > 0.0, -_trace(g) / _trace(q), 0.0)
+        by_trace = np.where(tr_q > 0.0, -_trace(g) / tr_q, 0.0)
     return np.maximum(np.maximum(np.where(np.isfinite(root), root, 0.0), by_trace), 0.0)
 
 
@@ -369,33 +448,49 @@ def _interior_point(reduced: _Reduced, tol, max_iter):
     From a cold start; 2x2 blocks exist only in the map back. That only
     lowers the primal value below -c.x (theta <= 1, face blocks keep their
     trace) and only raises the dual one above -b.y (lifts and shifts add
-    non-negative multiples of <sigma_m, PSD>), so while c.x - b.y, or -b.y -
-    primal once known, exceeds tol the rest of the map back is skipped; every
-    exit maps back the iterate it stops at."""
+    non-negative multiples of <sigma_m, PSD>), so while
+    `_Reduced.cannot_certify`, or -b.y - primal once known, shows a gap above
+    tol the rest of the map back is skipped; every exit maps back the iterate
+    it stops at. x and z are held as one pair xz, so the scaling and the step
+    lengths run once over both cones."""
     amat, b_vec, c_vec = reduced.amat, reduced.b_vec, reduced.c_vec
     n_rows, n_blocks = amat.shape[:2]
     n_x = 4 * n_blocks
     flat = amat.reshape(n_rows, n_x)
     kkt = np.diag(np.concatenate((-np.ones(n_x), np.zeros(n_rows))))
+    rhs = np.empty(n_x + n_rows)
+    # the rows of A, then the dual residual rd: W scales both in one call
+    a_rd = np.concatenate((amat, np.empty((1, n_blocks, 4))))
+    rd = a_rd[n_rows]
 
     def map_back(bound=math.inf):
-        sig, primal = reduced.primal(_unsvec(x))
+        sig, primal = reduced.primal(xz[0])
         if -float(b_vec @ y) - primal > bound:
             return None
         return (sig, primal, *reduced.dual(y))
 
-    x, z = (np.tile(_svec(c * IDENTITY), (n_blocks, 1)) for c in (0.5, 1.0))
+    def direction():
+        # A W dxs = rp, A^T dy + dz = rd, dxs + W dz = rc, with dxs = W^-1 dx;
+        # the pair (dxs, dz) and dy
+        sol = np.linalg.solve(kkt, rhs)
+        d = np.empty((2, n_blocks, 4))
+        d[0] = sol[:n_x].reshape(n_blocks, 4)
+        np.subtract(rd, (sol[n_x:] @ flat).reshape(n_blocks, 4), out=d[1])
+        return d, sol[n_x:]
+
+    xz = np.tile(_COLD_START, (1, n_blocks, 1))
     y = np.zeros(n_rows)
     b_norm = 1.0 + float(np.abs(b_vec).max())
     status = SolveStatus.MAX_ITER
     for it in range(max_iter + 1):
+        x, z = xz
         rp = b_vec - flat @ x.reshape(-1)
-        rd = c_vec - (y @ flat).reshape(n_blocks, 4) - z
+        np.subtract(c_vec - (y @ flat).reshape(n_blocks, 4), z, out=rd)
         pinf = float(np.abs(rp).max()) / b_norm
         # degenerate constraints drive an unbounded dual ray, so judge the
         # dual residual relative to the multiplier size
         dinf = float(np.abs(rd).max()) / (1.0 + float(np.abs(y).max()))
-        mapped = map_back(tol) if float(np.vdot(c_vec, x) - b_vec @ y) <= tol else None
+        mapped = None if reduced.cannot_certify(x, y, tol) else map_back(tol)
         if mapped is not None and _certifies(mapped[1], mapped[3], tol):
             status = SolveStatus.OPTIMAL
             break
@@ -403,54 +498,64 @@ def _interior_point(reduced: _Reduced, tol, max_iter):
         if it == max_iter or not math.isfinite(mu) or mu <= 0:
             break
         try:
-            beta, v, lam, lam_det = _nt_scaling(x, z)
+            beta, v, lam, lam_det = _nt_scaling(xz)
 
-            def scale(u):  # W u = beta (2 v (v.u) - J u) per block, W symmetric
-                return beta * (2.0 * np.sum(v * u, axis=-1, keepdims=True) * v - _J * u)
+            two_v = 2.0 * v  # (2 (v.u)) v = (v.u) (2 v) exactly
 
-            aw = scale(amat).reshape(n_rows, n_x)
+            def scale(u, out=None):  # W u = beta (2 v (v.u) - J u) per block, W symmetric
+                return np.multiply(beta, np.add.reduce(v * u, axis=-1, keepdims=True) * two_v
+                                   - _J * u, out=out)
+
+            w_a_rd = scale(a_rd)
+            aw, w_rd = w_a_rd[:n_rows].reshape(n_rows, n_x), w_a_rd[n_rows].reshape(-1)
             kkt[:n_x, n_x:], kkt[n_x:, :n_x] = aw.T, aw
-            w_rd = scale(rd).reshape(-1)
-
-            def direction(rc):
-                # A W dxs = rp, A^T dy + dz = rd, dxs + W dz = rc, with dxs = W^-1 dx
-                sol = np.linalg.solve(kkt, np.concatenate((w_rd - rc.reshape(-1), rp)))
-                dxs, dy = sol[:n_x].reshape(n_blocks, 4), sol[n_x:]
-                return dxs, scale(dxs), dy, rd - (dy @ flat).reshape(n_blocks, 4)
-
-            dxs, dx, dy, dz = direction(-lam)
-            a_p, a_d = _max_steps(x, dx, z, dz)
-            mu_aff = float(np.vdot(x + a_p * dx, z + a_d * dz)) / (2.0 * n_blocks)
+            rhs[n_x:] = rp
+            np.add(w_rd, lam.reshape(-1), out=rhs[:n_x])  # affine: rc = -lam
+            d, _ = direction()
+            d_aff = scale(d)  # (dx, W dz)
+            jordan = _jordan(d[0], d_aff[1])
+            d_aff[1] = d[1]  # (dx, dz)
+            c = _jdot(xz, xz)
+            aff = xz + _max_steps(xz, d_aff, c)[:, None, None] * d_aff
+            mu_aff = float(np.vdot(aff[0], aff[1])) / (2.0 * n_blocks)
             sigma = min(0.8, max((max(mu_aff, 0.0) / mu) ** 3, 1e-10))
             if max(pinf, dinf) > 10.0 * mu:
                 # infeasibility dominates; keep enough centering to absorb it
                 sigma = max(sigma, 0.2)
             # Mehrotra: lam o (dxs + dzs) = 2 sigma mu e - lam o lam - dxs_aff o dzs_aff
-            rhs = 2.0 * sigma * mu * _E - _jordan(dxs, scale(dz))
-            dx, dy, dz = direction(_arw_solve(lam, lam_det, rhs) - lam)[1:]
+            rc = _arw_solve(lam, lam_det, 2.0 * sigma * mu * _E - jordan) - lam
+            np.subtract(w_rd, rc.reshape(-1), out=rhs[:n_x])
+            d, dy = direction()
+            scale(d[0], out=d[0])
         except np.linalg.LinAlgError:
             break
-        a_p, a_d = (min(1.0, _STEP * a) for a in _max_steps(x, dx, z, dz))
-        x, y, z = x + a_p * dx, y + a_d * dy, z + a_d * dz
+        step = np.fmin(1.0, _STEP * _max_steps(xz, d, c))
+        xz, y = xz + step[:, None, None] * d, y + step[1] * dy
     sig, primal, f, dual = mapped or map_back()
     return SdpSolution(primal, sig, f, dual, it, status, pinf, dinf)
 
 
-def _max_steps(x, dx, z, dz):
-    """Largest alphas in [0, 1] keeping x + alpha_p dx, z + alpha_d dz in the cone: u0 and
-    u.J u stay >= 0, one linear and one quadratic condition per block, with no inverse."""
-    v, dv = np.stack((x, z)), np.stack((dx, dz))
-    a, b, c = _jdot(dv, dv), 2.0 * _jdot(v, dv), _jdot(v, v)
+def _max_steps(v, dv, c):
+    """Largest alphas in [0, 1] keeping the pair v = (x, z) plus (alpha_p, alpha_d) dv in
+    the cone, given c = v.J v: u0 and u.J u stay >= 0, one linear and one quadratic
+    condition per block, with no inverse. Each candidate is computed only where its
+    formula applies, into a table whose other entries read 1."""
+    a, b = _jdot(dv, dv), 2.0 * _jdot(v, dv)
     disc = b * b - 4.0 * a * c
-    quad = (np.abs(a) > 1e-300) & (disc >= 0)
-    sq = np.sqrt(np.where(quad, disc, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        roots = np.where(quad, np.stack([(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]), np.inf)
-        lin_det = np.where((np.abs(a) <= 1e-300) & (b < 0), c / np.maximum(-b, 1e-300), np.inf)
-        lin_u0 = np.where(dv[..., 0] < 0, v[..., 0] / np.maximum(-dv[..., 0], 1e-300), np.inf)
-    alpha = np.minimum(np.minimum(np.where(roots > 1e-14, roots, np.inf).min(axis=0), lin_det),
-                       lin_u0).min(axis=1)
-    return tuple(float(a) for a in np.clip(alpha, 0.0, 1.0))
+    abs_a = np.abs(a)
+    quad = (abs_a > 1e-300) & (disc >= 0)
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    nb, den = -b, 2.0 * a
+    cand = np.ones((4,) + c.shape)
+    np.divide(nb - sq, den, out=cand[0], where=quad)
+    np.divide(nb + sq, den, out=cand[1], where=quad)
+    roots = cand[:2]
+    roots[~(roots > 1e-14)] = 1.0
+    linear = (abs_a <= 1e-300) & (b < 0)
+    if linear.any():
+        np.divide(c, np.maximum(nb, 1e-300), out=cand[2], where=linear)
+    np.divide(v[..., 0], np.maximum(-dv[..., 0], 1e-300), out=cand[3], where=dv[..., 0] < 0)
+    return np.maximum(0.0, cand.min(axis=(0, 2)))
 
 
 def _jdot(u, v):
@@ -465,31 +570,31 @@ def _jordan(u, v):
 
 def _arw_solve(lam, det, r):
     """d with lam o d = r per block, for lam inside the cone with lam.J lam = det."""
-    d0 = (lam[:, :1] * r[:, :1] - np.sum(lam[:, 1:] * r[:, 1:], axis=1, keepdims=True)) / det
+    d0 = (lam[:, :1] * r[:, :1] - np.add.reduce(lam[:, 1:] * r[:, 1:], axis=1, keepdims=True)) / det
     return np.concatenate((d0, (r[:, 1:] - d0 * lam[:, 1:]) / lam[:, :1]), axis=1)
 
 
-def _nt_scaling(x, z):
+def _nt_scaling(xz):
     """Nesterov-Todd scaling (Alizadeh & Goldfarb 2003; Vandenberghe 2010,
-    sec. 4.2): W = beta (2 v v^T - J) with W z = W^-1 x = lam, so W^2 z = x.
-    Returns beta, v, lam and lam.J lam = sqrt(x.J x z.J z) free of cancellation;
-    guards: u0 - |u[1:]| >= 1e-16 (u0 + |u[1:]|), gamma^2 = (1 + xn.zn)/2 >= 1."""
-    unit, det = [], []
-    for u in (x, z):
-        r = np.linalg.norm(u[:, 1:], axis=1, keepdims=True)
-        hi, lo = u[:, :1] + r, u[:, :1] - r
-        lift = np.maximum(1e-16 * hi - lo, 0.0)
-        det.append(hi * (lo + lift))
-        shrink = 1.0 - 0.5 * lift / np.where(r > 0.0, r, 1.0)
-        unit.append(np.concatenate((u[:, :1] + 0.5 * lift, shrink * u[:, 1:]), axis=1)
-                    / np.sqrt(det[-1]))
-    (xn, zn), (det_x, det_z) = unit, det
-    gamma = np.sqrt(np.maximum(0.5 * (1.0 + np.sum(xn * zn, axis=1, keepdims=True)), 1.0))
-    v = (xn + _J * zn) / (2.0 * gamma) + _E
+    sec. 4.2) of the pair xz = (x, z): W = beta (2 v v^T - J) with W z = W^-1 x =
+    lam, so W^2 z = x. Returns beta, v, lam and lam.J lam = sqrt(x.J x z.J z) free
+    of cancellation; guards: u0 - |u[1:]| >= 1e-16 (u0 + |u[1:]|), gamma^2 =
+    (1 + xn.zn)/2 >= 1."""
+    u0, sp = xz[..., :1], xz[..., 1:]
+    r = np.sqrt(np.add.reduce(sp * sp, axis=-1, keepdims=True))
+    hi, lo = u0 + r, u0 - r
+    lift = np.maximum(1e-16 * hi - lo, 0.0)
+    det_x, det_z = det = hi * (lo + lift)
+    half = 0.5 * lift
+    shrink = 1.0 - half / np.where(r > 0.0, r, 1.0)
+    xn, zn = np.concatenate((u0 + half, shrink * sp), axis=-1) / np.sqrt(det)
+    gamma = np.sqrt(np.maximum(0.5 * (1.0 + np.add.reduce(xn * zn, axis=1, keepdims=True)), 1.0))
+    two_gamma = 2.0 * gamma
+    v = (xn + _J * zn) / two_gamma + _E
     v /= np.sqrt(2.0 * v[:, :1])
     lam_det = np.sqrt(det_x * det_z)
     lam = np.sqrt(lam_det) * np.concatenate((gamma, ((gamma + zn[:, :1]) * xn[:, 1:] + (
-        gamma + xn[:, :1]) * zn[:, 1:]) / (xn[:, :1] + zn[:, :1] + 2.0 * gamma)), axis=1)
+        gamma + xn[:, :1]) * zn[:, 1:]) / (xn[:, :1] + zn[:, :1] + two_gamma)), axis=1)
     return (det_x / det_z) ** 0.25, v, lam, lam_det
 
 

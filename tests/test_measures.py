@@ -136,25 +136,30 @@ def test_tsw_at_the_exact_swap_point_vanishes():
     assert abs(r.value) < 1e-4
 
 
-@pytest.mark.parametrize("ch, t_max", [
-    (Exchange(1.0, 0.0), 2 * np.pi),
-    (LorentzianAD(2.0, 1.0), 10.0),
+@pytest.mark.parametrize("ch, t_max, newton_steps", [
+    (Exchange(1.0, 0.0), 2 * np.pi, 756),
+    (LorentzianAD(2.0, 1.0), 10.0, 782),
 ], ids=["exchange", "lorentz"])
-def test_paper_traces_one_certified_solve_per_point(ch, t_max, monkeypatch):
+def test_paper_traces_one_certified_solve_per_point(ch, t_max, newton_steps, monkeypatch):
     real_solve = measures.solve
-    real_dual = sdp._Reduced.dual
+    real_primal, real_dual = sdp._Reduced.primal, sdp._Reduced.dual
     calls = []
-    map_backs = []
+    primal_map_backs, map_backs = [], []
 
     def counting_solve(problem, **kwargs):
         calls.append(problem.time_tag)
         return real_solve(problem, **kwargs)
+
+    def counting_primal(reduced, x):
+        primal_map_backs.append(1)
+        return real_primal(reduced, x)
 
     def counting_dual(reduced, y):
         map_backs.append(1)
         return real_dual(reduced, y)
 
     monkeypatch.setattr(measures, "solve", counting_solve)
+    monkeypatch.setattr(sdp._Reduced, "primal", counting_primal)
     monkeypatch.setattr(sdp._Reduced, "dual", counting_dual)
     ts = tsw_trace(ch, XYZ, MIXED, t_max, 81, tol=1e-8)
     assert calls == list(ts.times)
@@ -162,6 +167,10 @@ def test_paper_traces_one_certified_solve_per_point(ch, t_max, monkeypatch):
     # per iterate (Newton steps + one final iterate per solve)
     iterates = sum(sol.iterations for sol in ts.solutions) + len(ts.solutions)
     assert len(map_backs) <= iterates / 2
+    # the work is machine independent: the Newton steps, and primal map backs
+    # close to the floor of one at each cold start and one that certifies
+    assert abs(iterates - len(ts.solutions) - newton_steps) <= 0.02 * newton_steps
+    assert len(primal_map_backs) <= 200
     assert ts.metadata["non_optimal"] == []
     for sol in ts.solutions:
         assert sol.status is SolveStatus.OPTIMAL

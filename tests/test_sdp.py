@@ -426,7 +426,7 @@ def test_nt_scaling_maps_z_to_x_in_closed_form(rng):
     z, det_z = cone_points(rng, 20)
     perm = rng.permutation(len(z))
     z, det_z = z[perm], det_z[perm]
-    beta, v, lam, lam_det = sdp._nt_scaling(x, z)
+    beta, v, lam, lam_det = sdp._nt_scaling(np.stack((x, z)))
     outer = 2.0 * v[:, :, None] * v[:, None, :]
     w = beta[:, :, None] * (outer - LORENTZ)
     w_inv = (LORENTZ @ outer @ LORENTZ - LORENTZ) / beta[:, :, None]
@@ -450,11 +450,11 @@ def test_nt_scaling_floors_the_small_spectral_value(rng):
     # spectral value of 1e-16 times the large one, and the scaling stays finite
     u, _ = cone_points(rng, 10, (-1e-10, 0.0))
     hi = u[:, :1] + np.linalg.norm(u[:, 1:], axis=1, keepdims=True)
-    det = sdp._nt_scaling(u, u)[3]  # sqrt(x.J x z.J z) with x = z
+    det = sdp._nt_scaling(np.stack((u, u)))[3]  # sqrt(x.J x z.J z) with x = z
     assert np.allclose(det[:10], 1e-16 * hi[:10] ** 2, rtol=1e-6, atol=0)
     assert np.all(det >= 0.99e-16 * hi ** 2)
     for z in (u[::-1], cone_points(rng, 20, (0.5,))[0]):
-        beta, v, lam, lam_det = sdp._nt_scaling(u, z)
+        beta, v, lam, lam_det = sdp._nt_scaling(np.stack((u, z)))
         assert all(np.all(np.isfinite(a)) for a in (beta, v, lam, lam_det))
         assert np.all(lam[:, 0] > 0.0) and np.all(lam_det > 0.0)
 
@@ -476,7 +476,9 @@ def test_max_steps_stop_where_the_block_leaves_the_cone(rng):
     for _ in range(40):
         dx = rng.normal(size=x.shape) * x[:, :1] * rng.uniform(0.1, 3.0)
         dz = rng.normal(size=z.shape) * z[:, :1] * rng.uniform(0.1, 3.0)
-        for alpha, u, du in zip(sdp._max_steps(x, dx, z, dz), (x, z), (dx, dz)):
+        pair, step = np.stack((x, z)), np.stack((dx, dz))
+        alphas = sdp._max_steps(pair, step, sdp._jdot(pair, pair))
+        for alpha, u, du in zip(alphas, (x, z), (dx, dz)):
             size = u[:, 0] + np.abs(du[:, 0])
 
             def low(t):
@@ -530,7 +532,7 @@ def test_map_back_gap_is_at_least_the_reduced_gap(rng):
             x = herm(g @ g.conj().swapaxes(-1, -2))
             y = rng.normal(size=n_rows)
             cx, by = float(r.c_vec.ravel() @ sdp._svec(x).ravel()), float(r.b_vec @ y)
-            dual, primal = r.dual(y)[1], r.primal(x)[1]
+            dual, primal = r.dual(y)[1], r.primal(sdp._svec(x))[1]
             assert dual >= -by - 1e-9 * (1.0 + abs(by))
             assert dual - primal >= cx - by - 1e-9 * (1.0 + abs(cx) + abs(by))
 
@@ -556,12 +558,13 @@ def test_early_exits_return_the_certified_bounds_of_their_iterate(monkeypatch):
     assert len({sol.mu_star for sol in early}) == len({sol.dual_value for sol in early}) == 3
 
     # a breakdown at step 3 stops at the iterate max_iter=3 stops at; each
-    # Newton step makes two Schur solves, so the 7th is step 3's first
-    real_solve, schur_solves = np.linalg.solve, []
+    # Newton step makes two LU solves of the augmented system, so the 7th is
+    # step 3's first
+    real_solve, lu_solves = np.linalg.solve, []
 
     def failing_solve(a, b):
-        schur_solves.append(1)
-        if len(schur_solves) == 7:
+        lu_solves.append(1)
+        if len(lu_solves) == 7:
             raise np.linalg.LinAlgError("injected")
         return real_solve(a, b)
 
@@ -624,6 +627,37 @@ def test_non_optimal_exits_certify_their_primal_side():
             assert primal_certificate(sol, p) == sol.mu_star
             if sol.status is SolveStatus.OPTIMAL:
                 assert dual_certificate(sol, p).gap == sol.gap
+
+
+def test_skipped_map_backs_would_not_certify(monkeypatch):
+    # wherever the solver skips the map back, by the reduced gap c.x - b.y or
+    # by the shrink bound, the full map back of that iterate does not certify;
+    # where the shrink bound skips it, -b.y - primal > tol, so the primal-side
+    # test would have skipped the dual side anyway
+    real = sdp._Reduced.cannot_certify
+    certified, by_bound = [], []
+
+    def checked(reduced, x, y, tol):
+        skip = real(reduced, x, y, tol)
+        if skip:
+            primal, dual = reduced.primal(x)[1], reduced.dual(y)[1]
+            certified.append(sdp._certifies(primal, dual, tol))
+            by = float(reduced.b_vec @ y)
+            if float(np.vdot(reduced.c_vec, x)) - by <= tol:
+                by_bound.append(-by - primal > tol)
+        return skip
+
+    monkeypatch.setattr(sdp._Reduced, "cannot_certify", checked)
+    base = premeasure(IDENTITY / 2, XYZ).stacked()
+    for ch, t_max in ((Exchange(1.0, 0.0), 2 * np.pi), (LorentzianAD(2.0, 1.0), 10.0)):
+        for stack in evolve_grid(ch, base, np.linspace(0.0, t_max, 81)):
+            solve(SdpProblem(stack))
+    for p in rotated_problems():
+        solve(p)
+    assert not any(certified)
+    assert all(by_bound)
+    # the shrink bound saves about 265 map backs on the two paper traces
+    assert len(by_bound) >= 200
 
 
 # --- oracle bracketing ------------------------------------------------------------
