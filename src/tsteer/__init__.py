@@ -16,7 +16,6 @@ from .measures import (
     TraceSeries,
     TswResult,
     concurrence,
-    n_abs,
     n_tsw,
     nc_trace,
     tsw,

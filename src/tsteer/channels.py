@@ -45,14 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermat
-from .errors import (
-    BadParameter,
-    InvalidState,
-    NegativeTime,
-    NumericalBreakdown,
-    SingularAtZeroOfG,
-    ValidationError,
-)
+from .errors import InvalidInput, NumericalBreakdown, ValidationError
 from .steering import Assemblage, _from_stack, validate
 
 # Base RK4 step in units of 1/(model rate); halving it moves outputs by
@@ -66,8 +59,7 @@ class RabiDecay:
     gamma1: float = 0.0
 
     def __post_init__(self):
-        if not all(0 <= r < math.inf for r in (self.g1, self.gamma1)):
-            raise BadParameter("rates must be finite and non-negative")
+        _check_rates(g1=self.g1, gamma1=self.gamma1)
 
 
 @dataclass(frozen=True)
@@ -76,8 +68,7 @@ class Exchange:
     gamma2: float = 0.0
 
     def __post_init__(self):
-        if not all(0 <= r < math.inf for r in (self.j, self.gamma2)):
-            raise BadParameter("rates must be finite and non-negative")
+        _check_rates(j=self.j, gamma2=self.gamma2)
 
 
 @dataclass(frozen=True)
@@ -86,10 +77,7 @@ class LorentzianAD:
     omega_w: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.omega_w < math.inf:
-            raise BadParameter(f"spectral width must be finite and positive, got {self.omega_w}")
-        if not 0 <= self.g < math.inf:
-            raise BadParameter(f"coupling must be finite and non-negative, got {self.g}")
+        _lorentzian_b(self.g, self.omega_w)  # the parameter check
 
 
 class KrausChannel:
@@ -98,12 +86,12 @@ class KrausChannel:
     def __init__(self, operators):
         ops = tuple(np.asarray(k, dtype=complex) for k in operators)
         if not ops:
-            raise BadParameter("need at least one Kraus operator")
+            raise InvalidInput("need at least one Kraus operator")
         if any(k.shape != (2, 2) or not np.isfinite(k).all() for k in ops):
-            raise BadParameter("Kraus operators must be finite 2x2 matrices")
+            raise InvalidInput("Kraus operators must be finite 2x2 matrices")
         total = sum(k.conj().T @ k for k in ops)
         if np.abs(total - hermat.IDENTITY).max() > 1e-10:
-            raise BadParameter("Kraus operators do not satisfy sum K^dag K = I")
+            raise InvalidInput("Kraus operators do not satisfy sum K^dag K = I")
         self.operators = ops
 
     def __repr__(self):
@@ -144,7 +132,7 @@ def _generator(ch):
             + hermat.kron(hermat.SIGMA_MINUS, hermat.SIGMA_PLUS)
         )
         return h, [(hermat.kron(hermat.SIGMA_MINUS, hermat.IDENTITY), ch.gamma2)]
-    raise BadParameter(f"no master-equation generator for {type(ch).__name__}")
+    raise InvalidInput(f"no master-equation generator for {type(ch).__name__}")
 
 
 def _rate_scale(ch):
@@ -171,12 +159,20 @@ def rk4_evolve(lmat, vecs, t, h_target):
     return np.linalg.matrix_power(step, n) @ vecs
 
 
+def _check_rates(**rates):
+    """Raise InvalidInput, naming each offender, unless every rate is finite and non-negative."""
+    bad = [f"{name}={r}" for name, r in rates.items() if not 0 <= r < math.inf]
+    if bad:
+        raise InvalidInput(f"rates must be finite and non-negative, got {', '.join(bad)}")
+
+
 def _check_time(t):
+    """t as a float array; raises InvalidInput, with the first offender, unless every time is
+    finite and non-negative."""
     t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise BadParameter(f"evolution time must be finite, got {t}")
-    if np.any(t < 0):
-        raise NegativeTime(f"evolution time must be non-negative, got {t}")
+    bad = ~(np.isfinite(t) & (t >= 0))
+    if bad.any():
+        raise InvalidInput(f"evolution time must be finite and non-negative, got {t[bad][0]}")
     return t
 
 
@@ -193,12 +189,11 @@ def _sinhc(z):
 
 
 def _lorentzian_b(g, omega_w):
-    if not (math.isfinite(g) and math.isfinite(omega_w)):
-        raise BadParameter(f"parameters must be finite, got g={g}, omega_w={omega_w}")
-    if omega_w <= 0:
-        raise BadParameter(f"spectral width must be positive, got {omega_w}")
-    if g < 0:
-        raise BadParameter(f"coupling must be non-negative, got {g}")
+    """b = sqrt(w^2 - 2 g w) of a coupling g and a spectral width omega_w; raises
+    InvalidInput unless both are finite and non-negative and omega_w is positive."""
+    _check_rates(g=g, omega_w=omega_w)
+    if omega_w == 0:
+        raise InvalidInput("spectral width omega_w must be positive, got 0")
     return complex(np.sqrt(complex(omega_w * omega_w - 2.0 * g * omega_w)))
 
 
@@ -216,7 +211,11 @@ def lorentzian_G(g, omega_w, t):
     throughout, so the underdamped regime (2 g > omega_w, b imaginary)
     needs no case split; the result is real either way.
     """
-    half = 0.5 * _check_time(t)
+    return _g_at(g, omega_w, 0.5 * _check_time(t))
+
+
+def _g_at(g, omega_w, half):
+    """G at the times 2 half, which the caller has checked."""
     b = _lorentzian_b(g, omega_w)
     val = np.exp(-omega_w * half) * (np.cosh(b * half) + omega_w * half * _sinhc(b * half))
     return _as_real(val, "G(t)")
@@ -237,11 +236,12 @@ def lorentzian_gamma(g, omega_w, t):
     d rho_ee/dt = -gamma(t) rho_ee at all times; it turns negative exactly
     while |G| grows (information backflow), e.g. just past a zero of G.
     Undefined at zeros of G. t is a time (a float is returned) or an array
-    of times; SingularAtZeroOfG is raised if any |G(t)| < 1e-12.
+    of times; InvalidInput is raised if any |G(t)| < 1e-12.
     """
     gval = lorentzian_G(g, omega_w, t)
     if np.any(np.abs(gval) < 1e-12):
-        raise SingularAtZeroOfG(f"min |G(t)| = {np.min(np.abs(gval)):.3e} < 1e-12")
+        raise InvalidInput(f"gamma(t) is singular at a zero of G: min |G(t)| = "
+                           f"{np.min(np.abs(gval)):.3e} < 1e-12")
     dg = lorentzian_G_derivative(g, omega_w, t)
     return -2.0 * dg / gval
 
@@ -249,7 +249,7 @@ def lorentzian_gamma(g, omega_w, t):
 def random_kraus_channel(seed, n_kraus):
     """Seeded random CPT channel built from a Haar-like isometry."""
     if not (isinstance(n_kraus, numbers.Integral) and n_kraus >= 1):
-        raise BadParameter(f"need an integer n_kraus >= 1, got {n_kraus!r}")
+        raise InvalidInput(f"need an integer n_kraus >= 1, got {n_kraus!r}")
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(2 * n_kraus, 2)) + 1j * rng.normal(size=(2 * n_kraus, 2))
     q, r = np.linalg.qr(raw)
@@ -274,15 +274,11 @@ def transfer_grid(ch, times):
     vec(rho(t)) = T(t) vec(rho) with row-major vec. Master-equation models
     step the propagator incrementally between grid points.
     """
-    times = np.asarray(times, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(times)):
-        raise BadParameter("evolution times must be finite")
-    if times.size and times[0] < 0:
-        raise NegativeTime(f"evolution time must be non-negative, got {times[0]}")
+    times = _check_time(times).reshape(-1)
     if np.any(np.diff(times) < 0):
-        raise BadParameter("time grid must be non-decreasing")
+        raise InvalidInput("time grid must be non-decreasing")
     if isinstance(ch, LorentzianAD):
-        gval = lorentzian_G(ch.g, ch.omega_w, times)
+        gval = _g_at(ch.g, ch.omega_w, 0.5 * times)
         out = np.zeros((times.size, 4, 4), dtype=complex)
         out[:, 0, 0] = gval * gval
         out[:, 1, 1] = out[:, 2, 2] = gval
@@ -297,7 +293,7 @@ def transfer_grid(ch, times):
     elif isinstance(ch, Exchange):
         carrier, read = _EMBED, _TRACE_PARTNER
     else:
-        raise BadParameter(f"unknown channel {ch!r}")
+        raise InvalidInput(f"unknown channel {ch!r}")
     lmat = liouvillian(*_generator(ch))
     h_target = RK4_BASE_STEP / max(1.0, _rate_scale(ch))
     out = np.empty((times.size, 4, 4), dtype=complex)
@@ -324,7 +320,7 @@ def apply_channel(ch, t, rho):
     """rho(0) -> rho(t) for any channel variant."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
-        raise InvalidState(f"expected a 2x2 state, got shape {rho.shape}")
+        raise InvalidInput(f"expected a 2x2 state, got shape {rho.shape}")
     return (transfer_grid(ch, [t])[0] @ rho.reshape(4)).reshape(2, 2)
 
 
@@ -352,7 +348,7 @@ def evolve_grid(ch, mats, times):
     """
     mats = np.asarray(mats, dtype=complex)
     if mats.ndim != 3 or mats.shape[1:] != (2, 2):
-        raise InvalidState(f"expected a (k, 2, 2) stack, got shape {mats.shape}")
+        raise InvalidInput(f"expected a (k, 2, 2) stack, got shape {mats.shape}")
     tmat = transfer_grid(ch, times)
     vecs = mats.reshape(mats.shape[0], 4)
     out = np.einsum("tij,kj->tki", tmat, vecs)

@@ -9,9 +9,7 @@ exactly that positive slope over a sampled trace:
 
     N = sum_i max(TSW(t_{i+1}) - TSW(t_i), 0),
 
-counting only increments above a noise threshold. The companion convention
-adds |dTSW/dt| and the boundary term instead, which is exactly twice the
-positive-slope value on the same filtered increments.
+counting only increments above a noise threshold.
 
 For comparison, the concurrence between the evolving qubit and an isolated
 ancilla (prepared maximally entangled) provides the entanglement-based
@@ -27,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channels, hermat
-from .errors import InvalidState, ValidationError
+from .errors import InvalidInput, ValidationError
 from .steering import (
     Assemblage,
     MeasurementSet,
@@ -61,7 +59,6 @@ class TraceSeries:
 @dataclass
 class NmResult:
     value: float
-    convention: str
     slope_threshold: float
     series: TraceSeries = field(repr=False)
 
@@ -76,9 +73,9 @@ def _uniform_grid(t_max: float, n_steps: float) -> np.ndarray:
     rather than one per trace.
     """
     if not (math.isfinite(t_max) and t_max > 0):
-        raise InvalidState(f"t_max must be finite and positive, got {t_max}")
+        raise InvalidInput(f"t_max must be finite and positive, got {t_max}")
     if not (n_steps.is_integer() and n_steps >= 2):
-        raise InvalidState(f"need an integral number of at least 2 grid points, got {n_steps}")
+        raise InvalidInput(f"need an integral number of at least 2 grid points, got {n_steps}")
     times = np.linspace(0.0, t_max, int(n_steps))
     times.flags.writeable = False
     return times
@@ -87,7 +84,9 @@ def _uniform_grid(t_max: float, n_steps: float) -> np.ndarray:
 def tsw(asm: Assemblage, tol: float = 1e-8) -> TswResult:
     """Temporal steerable weight 1 - mu* of an assemblage.
 
-    Members must be PSD and Hermitian with unit total trace. A
+    Raises ValidationError, listing the violations, unless `validate` at
+    1e-8 finds every member finite, Hermitian and PSD and every setting of
+    unit total trace; that check flags every block `solve` rejects. A
     setting-dependent reduced state (the signature of premeasuring anything
     but I/2) is tolerated; the weight stays well defined because the
     hidden-state side of the decomposition is non-signaling by construction.
@@ -141,11 +140,11 @@ def _filtered_increments(values, slope_threshold):
     does a threshold that is NaN (it would switch the filter off) or negative.
     """
     if not (math.isfinite(slope_threshold) and slope_threshold >= 0):
-        raise InvalidState(f"slope_threshold must be finite and >= 0, got {slope_threshold}")
+        raise InvalidInput(f"slope_threshold must be finite and >= 0, got {slope_threshold}")
     values = np.asarray(values, dtype=float)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise InvalidState(f"trace has non-finite values at grid indices {bad.tolist()}")
+        raise InvalidInput(f"trace has non-finite values at grid indices {bad.tolist()}")
     d = np.diff(values)
     d = np.where((d > 0.0) & (d <= slope_threshold), 0.0, d)
     return d
@@ -153,22 +152,14 @@ def _filtered_increments(values, slope_threshold):
 
 def n_tsw(series: TraceSeries,
           slope_threshold: float = DEFAULT_SLOPE_THRESHOLD) -> NmResult:
-    """Integral of the positive slope of the trace (first-order increments)."""
-    d = _filtered_increments(series.values, slope_threshold)
-    value = float(d[d > 0.0].sum())
-    return NmResult(value, "positive-slope", slope_threshold, series)
+    """Integral of the positive slope of the trace (first-order increments).
 
-
-def n_abs(series: TraceSeries,
-          slope_threshold: float = DEFAULT_SLOPE_THRESHOLD) -> NmResult:
-    """|slope| integral plus boundary term; exactly twice the positive-slope value.
-
-    Both terms are evaluated on the same noise-filtered increments, which is
-    what makes the factor-of-two identity hold to rounding.
+    The |slope| integral plus the boundary term, sum |d| + sum d over the
+    same filtered increments d, is exactly twice this value.
     """
     d = _filtered_increments(series.values, slope_threshold)
-    value = float(np.abs(d).sum() + d.sum())
-    return NmResult(value, "abs-plus-boundary", slope_threshold, series)
+    value = float(d[d > 0.0].sum())
+    return NmResult(value, slope_threshold, series)
 
 
 _SY_SY = hermat.kron(hermat.SIGMA_Y, hermat.SIGMA_Y)
@@ -178,16 +169,16 @@ def concurrence(rho) -> float:
     """Wootters concurrence of a two-qubit density matrix."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
-        raise InvalidState(f"expected a 4x4 density matrix, got {rho.shape}")
+        raise InvalidInput(f"expected a 4x4 density matrix, got {rho.shape}")
     if not np.isfinite(rho).all():
-        raise InvalidState("density matrix has non-finite entries")
+        raise InvalidInput("density matrix has non-finite entries")
     rho_conj = rho.conj()
     if float(np.abs(rho - rho_conj.T).max()) > 1e-8:
-        raise InvalidState("density matrix is not Hermitian")
+        raise InvalidInput("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-8:
-        raise InvalidState(f"trace {np.trace(rho).real} != 1")
+        raise InvalidInput(f"trace {np.trace(rho).real} != 1")
     if float(np.linalg.eigvalsh(rho)[0]) < -1e-8:
-        raise InvalidState("state is not positive semidefinite")
+        raise InvalidInput("state is not positive semidefinite")
     rho_tilde = _SY_SY @ rho_conj @ _SY_SY
     evals = np.linalg.eigvals(rho @ rho_tilde)
     lams = np.sqrt(np.clip(np.sort(evals.real)[::-1], 0.0, None))

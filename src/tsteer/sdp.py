@@ -61,14 +61,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CertificateInvalid,
-    DimensionMismatch,
-    NotPsd,
-    NumericalBreakdown,
-)
+from .errors import CertificateInvalid, InvalidInput
 from .hermat import IDENTITY, anti_herm_norm, det2, herm, min_eig, psd_project
-from .steering import Assemblage, _first_defect, strategy_table
+from .steering import Assemblage, check_blocks, strategy_table
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 300
@@ -124,7 +119,7 @@ class SdpProblem:
 
     The rest is derived from the target count 2 n_meas, d_matrix too: it is
     `strategy_table(n_meas)` itself, the shared, read-only (2 n, 2^n) 0/1
-    matrix D[(x,a), lam]. Raises DimensionMismatch unless targets has shape
+    matrix D[(x,a), lam]. Raises InvalidInput unless targets has shape
     (2 n, 2, 2) with 1 <= n <= 6.
     """
 
@@ -133,7 +128,7 @@ class SdpProblem:
 
     def __post_init__(self):
         if (shape := np.shape(self.targets)) not in [(2 * n, 2, 2) for n in range(1, 7)]:
-            raise DimensionMismatch(f"need 2 n 2x2 targets, 1 <= n <= 6, got shape {shape}")
+            raise InvalidInput(f"need 2 n 2x2 targets, 1 <= n <= 6, got shape {shape}")
 
     @property
     def n_meas(self) -> int:
@@ -178,7 +173,7 @@ def _certifies(primal, dual, tol):
 def build_sw_sdp(asm: Assemblage, table: np.ndarray) -> SdpProblem:
     """Assemble the SDP for a validated assemblage and its strategy_table(n_meas)."""
     if np.shape(table) != (2 * asm.n_meas, 2 ** asm.n_meas):
-        raise DimensionMismatch(f"table shape {np.shape(table)} does not fit {asm.n_meas} settings")
+        raise InvalidInput(f"table shape {np.shape(table)} does not fit {asm.n_meas} settings")
     return SdpProblem(asm.stacked(), asm.time_tag)
 
 
@@ -197,19 +192,17 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     tol (module docstring, step 4). An OPTIMAL run on the paper's traces
     takes 8 to 20 Lorentz-cone steps, mostly 8 to 11, and a constant map
     none.
-    Raises NotPsd for a target block that is not Hermitian (relative
-    tolerance 1e-10) or has an eigenvalue < -1e-8.
+    Raises InvalidInput unless tol is finite and positive and max_iter a
+    non-negative integer, and its subclass ValidationError for a target
+    block that fails `check_blocks` at tolerance 1e-8: non-finite, not
+    Hermitian, or with an eigenvalue < -1e-8.
     """
     if not (math.isfinite(tol) and tol > 0):
-        raise NumericalBreakdown(f"tolerance must be finite and positive, got {tol}")
+        raise InvalidInput(f"tolerance must be finite and positive, got {tol}")
     if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
-        raise NumericalBreakdown(f"max_iter must be a non-negative integer, got {max_iter!r}")
+        raise InvalidInput(f"max_iter must be a non-negative integer, got {max_iter!r}")
     targets = problem.targets
-    if not np.all(np.isfinite(targets)):
-        raise NumericalBreakdown("assemblage targets contain non-finite entries")
-    defect = _first_defect(targets, 1e-8)
-    if defect:
-        raise NotPsd(f"target block {defect[0]} has {defect[1]}")
+    check_blocks(targets, 1e-8, [f"target block {i}" for i in range(len(targets))])
     red = herm(targets.sum(axis=0) / problem.n_meas)
     if det2(red) <= _RANK_EPS * _trace(red) ** 2:
         return _constant_map(problem, red, tol)
@@ -263,7 +256,7 @@ class _Reduced:
         self.smat, self.sinv = (adj + s * IDENTITY) / (s * t), (red + s * IDENTITY) / t
         b = herm(self.smat @ targets @ self.smat)
         self.tr_b = tr_b = _trace(b)
-        self.zero = zero = tr_b <= _RANK_EPS * problem.n_meas
+        zero = tr_b <= _RANK_EPS * problem.n_meas
         self.rank1 = rank1 = ~zero & (det2(b) <= _RANK_EPS * tr_b ** 2)
         self.dense = dense = ~(zero | rank1)
         proj = b / np.where(zero, 1.0, tr_b)[:, None, None]

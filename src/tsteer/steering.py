@@ -26,15 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hermat
-from .errors import (
-    CountMismatch,
-    DuplicateLabel,
-    EmptySet,
-    InvalidState,
-    NotPsd,
-    OutOfRange,
-    UnknownLabel,
-)
+from .errors import InvalidInput, ValidationError
 
 PAULI = {"X": hermat.SIGMA_X, "Y": hermat.SIGMA_Y, "Z": hermat.SIGMA_Z}
 OUTCOMES = (1, -1)
@@ -47,9 +39,10 @@ OUTCOMES = (1, -1)
 class MeasurementSet:
     """Ordered binary projective measurements, one projector pair per setting.
 
-    Raises InvalidState, naming the setting, unless both members of each
-    pair are finite, Hermitian and PSD (the `_first_defect` check), P_plus^2 =
-    P_plus and P_plus + P_minus = I, each within 1e-10.
+    Raises InvalidInput, naming the setting, unless the labels are distinct,
+    there is one pair of 2x2 projectors per label, and P_plus^2 = P_plus and
+    P_plus + P_minus = I within 1e-10; its subclass ValidationError when a
+    projector fails `check_blocks` at tolerance 1e-10.
     """
 
     labels: tuple
@@ -57,18 +50,22 @@ class MeasurementSet:
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
-            raise DuplicateLabel(f"repeated label in {tuple(self.labels)}")
+            raise InvalidInput(f"repeated label in {tuple(self.labels)}")
         if len(self.projectors) != len(self.labels):
-            raise CountMismatch(f"{len(self.projectors)} projector pairs for "
-                                f"{len(self.labels)} labels")
-        if any(np.shape(p) != (2, 2) for pair in self.projectors for p in pair):
-            raise InvalidState("every projector must be 2x2")
-        for x, pair in zip(self.labels, self.projectors):
-            pair = np.asarray(pair, dtype=complex)
-            pp, pm = pair
-            if _first_defect(pair, 1e-10) or max(np.linalg.norm(pp @ pp - pp),
-                                                 np.linalg.norm(pp + pm - hermat.IDENTITY)) > 1e-10:
-                raise InvalidState(f"setting {x!r} is not a binary projective measurement")
+            raise InvalidInput(f"{len(self.projectors)} projector pairs for "
+                               f"{len(self.labels)} labels")
+        if any(len(pair) != 2 or any(np.shape(p) != (2, 2) for p in pair)
+               for pair in self.projectors):
+            raise InvalidInput("every setting needs one pair of 2x2 projectors")
+        pairs = np.asarray(self.projectors, dtype=complex)
+        check_blocks(pairs.reshape(-1, 2, 2), 1e-10,
+                     [f"setting {x!r} P{a:+d}" for x in self.labels for a in OUTCOMES])
+        pp, pm = pairs[:, 0], pairs[:, 1]
+        off = np.maximum(np.linalg.norm(pp @ pp - pp, axis=(-2, -1)),
+                         np.linalg.norm(pp + pm - hermat.IDENTITY, axis=(-2, -1))) > 1e-10
+        if off.any():
+            raise InvalidInput(f"setting {self.labels[int(np.argmax(off))]!r} is not a binary "
+                               "projective measurement")
 
     @property
     def n_meas(self) -> int:
@@ -83,11 +80,11 @@ def pauli_measurement_set(labels) -> MeasurementSet:
     """
     labels = tuple(str(l).upper() for l in labels)
     if not labels:
-        raise EmptySet("need at least one measurement label")
+        raise InvalidInput("need at least one measurement label")
     pairs = []
     for lab in labels:
         if lab not in PAULI:
-            raise UnknownLabel(f"unsupported label {lab!r}, expected one of X, Y, Z")
+            raise InvalidInput(f"unsupported label {lab!r}, expected one of X, Y, Z")
         s = PAULI[lab]
         pairs.append(((hermat.IDENTITY + s) / 2, (hermat.IDENTITY - s) / 2))
     return MeasurementSet(labels, tuple(pairs))
@@ -104,10 +101,10 @@ class Assemblage:
     def __post_init__(self):
         keys = {(x, a) for x in self.labels for a in OUTCOMES}
         if len(self.members) != 2 * len(self.labels) or set(self.members) != keys:
-            raise CountMismatch(f"members must be keyed by exactly {tuple(self.labels)} x "
+            raise InvalidInput(f"members must be keyed by exactly {tuple(self.labels)} x "
                                 f"{OUTCOMES}, got {sorted(self.members, key=str)}")
         if any(np.shape(m) != (2, 2) for m in self.members.values()):
-            raise InvalidState("every member must be 2x2")
+            raise InvalidInput("every member must be 2x2")
 
     @property
     def n_meas(self) -> int:
@@ -129,33 +126,14 @@ def _from_stack(labels, stack, time_tag=0.0) -> Assemblage:
     return Assemblage(tuple(labels), members, time_tag)
 
 
-def _first_defect(stack, psd_tol):
-    """(index, reason) for the first block of a stack that is not a finite,
-    Hermitian (relative tolerance 1e-10) and PSD (tolerance psd_tol) matrix;
-    None when every block is."""
-    finite = np.isfinite(stack).all(axis=(-2, -1))
-    if not finite.all():
-        return int(np.argmin(finite)), "non-finite entries"
-    asym = hermat.anti_herm_norm(stack) / np.maximum(np.linalg.norm(stack, axis=(-2, -1)), 1.0)
-    lo = hermat.min_eig(hermat.herm(stack))
-    for i, (dev, low) in enumerate(zip(asym, lo)):
-        if dev > 1e-10:
-            return i, f"relative anti-Hermitian part {dev:.3e}"
-        if low < -psd_tol:
-            return i, f"negative eigenvalue {low:.3e}"
-    return None
-
-
 def premeasure(rho0, ms: MeasurementSet) -> Assemblage:
     """Assemblage produced by measuring rho0 projectively, before any evolution."""
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (2, 2):
-        raise InvalidState(f"expected a 2x2 density matrix, got shape {rho0.shape}")
-    defect = _first_defect(rho0[None], 1e-9)
-    if defect:
-        raise InvalidState(f"initial state has {defect[1]}")
+        raise InvalidInput(f"expected a 2x2 density matrix, got shape {rho0.shape}")
+    check_blocks(rho0[None], 1e-9, ["initial state"])
     if abs(np.trace(rho0).real - 1.0) > 1e-9:
-        raise InvalidState(f"initial state trace {np.trace(rho0).real} != 1")
+        raise InvalidInput(f"initial state trace {np.trace(rho0).real} != 1")
     members = {}
     for x, (pp, pm) in zip(ms.labels, ms.projectors):
         members[(x, 1)] = pp @ rho0 @ pp
@@ -171,7 +149,7 @@ def strategy_table(n_meas: int) -> np.ndarray:
     is all -1, the last column all +1, and the last setting varies fastest.
     """
     if not (float(n_meas).is_integer() and 1 <= n_meas <= 6):
-        raise OutOfRange(f"n_meas must be an integer in 1..6, got {n_meas}")
+        raise InvalidInput(f"n_meas must be an integer in 1..6, got {n_meas}")
     return _strategy_table(int(n_meas))
 
 
@@ -187,29 +165,29 @@ def lhs_assemblage(table: np.ndarray, sigmas, labels=None) -> Assemblage:
     """Unsteerable assemblage sum_lam D_lam(a|x) sigma_lam from fixed states sigma_lam.
 
     table is the D of `strategy_table(n_meas)`. labels, when given, must be
-    n_meas distinct names (DuplicateLabel otherwise), since members are keyed
-    by (label, outcome).
+    n_meas distinct names, since members are keyed by (label, outcome).
+    Raises InvalidInput for a wrong count of states or labels, a repeated
+    label or a state that is not 2x2, and its subclass ValidationError when a
+    hidden state fails `check_blocks` at tolerance 1e-10.
     """
     n_meas, n_lambda = table.shape[0] // 2, table.shape[1]
     sigmas = [np.asarray(s, dtype=complex) for s in sigmas]
     if len(sigmas) != n_lambda:
-        raise CountMismatch(f"expected {n_lambda} hidden states, got {len(sigmas)}")
+        raise InvalidInput(f"expected {n_lambda} hidden states, got {len(sigmas)}")
     for i, s in enumerate(sigmas):
         if s.shape != (2, 2):
-            raise InvalidState(f"hidden state {i} must be 2x2, got shape {s.shape}")
+            raise InvalidInput(f"hidden state {i} must be 2x2, got shape {s.shape}")
     sigmas = np.array(sigmas)
-    defect = _first_defect(sigmas, 1e-10)
-    if defect:
-        raise NotPsd(f"hidden state {defect[0]} has {defect[1]}")
+    check_blocks(sigmas, 1e-10, [f"hidden state {i}" for i in range(n_lambda)])
     if labels is None:
         if n_meas <= 3:
             labels = ("X", "Y", "Z")[:n_meas]
         else:
             labels = tuple(f"M{i + 1}" for i in range(n_meas))
     elif len(labels) != n_meas:
-        raise CountMismatch(f"expected {n_meas} labels, got {len(labels)}")
+        raise InvalidInput(f"expected {n_meas} labels, got {len(labels)}")
     elif len(set(labels)) != len(labels):
-        raise DuplicateLabel(f"repeated label in {tuple(labels)}")
+        raise InvalidInput(f"repeated label in {tuple(labels)}")
     stack = np.tensordot(table, sigmas, axes=(1, 0))
     return _from_stack(labels, stack)
 
@@ -223,32 +201,53 @@ class Violation(NamedTuple):
         return f"{self.kind} at {self.where}: {self.magnitude:.3e}"
 
 
+def block_violations(stack, tol, where) -> list:
+    """Violations of the blocks of a (k, 2, 2) stack, in block order, block i named where[i].
+
+    The one block check of the package. A block must be, in this order,
+    finite ("non-finite", magnitude inf), Hermitian ("not-hermitian" when
+    ||h - h^dag||_F > min(tol, 1e-10 max(1, ||h||_F)), magnitude ||h -
+    h^dag||_F) and PSD ("not-psd" when the least eigenvalue of its Hermitian
+    part is below -tol, magnitude minus that eigenvalue); each block reports
+    its first failure. If any block is non-finite, only the non-finite
+    blocks are reported, since every other quantity would be computed from
+    them.
+    """
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if not finite.all():
+        return [Violation("non-finite", where[i], math.inf) for i in np.flatnonzero(~finite)]
+    asym = hermat.anti_herm_norm(stack)
+    asym_tol = np.minimum(tol, 1e-10 * np.maximum(np.linalg.norm(stack, axis=(-2, -1)), 1.0))
+    low = hermat.min_eig(hermat.herm(stack))
+    return [Violation("not-hermitian", where[i], float(asym[i])) if asym[i] > asym_tol[i]
+            else Violation("not-psd", where[i], float(-low[i]))
+            for i in np.flatnonzero((asym > asym_tol) | (low < -tol))]
+
+
+def check_blocks(stack, tol, where):
+    """Raise ValidationError listing the `block_violations` of the stack, if any."""
+    bad = block_violations(stack, tol, where)
+    if bad:
+        raise ValidationError(bad)
+
+
 def validate(asm: Assemblage, tol: float = 1e-9) -> list:
     """Check the assemblage invariants; empty list means all hold within tol.
 
-    Checks each member for Hermiticity and positivity, the non-signaling
-    condition (sum over outcomes independent of the setting), and unit
-    trace of each setting's outcome sum. A member with a NaN or infinite
-    entry is reported as "non-finite" (magnitude inf) and nothing else is
-    checked, since every other invariant would be computed from it. Raises
-    InvalidState unless tol is finite and >= 0, since a NaN tol passes
+    Checks each member with `block_violations` (non-finite, not-hermitian,
+    not-psd), then the non-signaling condition (sum over outcomes
+    independent of the setting) and unit trace of each setting's outcome
+    sum. If a member is non-finite, only the non-finite members are
+    reported, since every other invariant would be computed from them.
+    Raises InvalidInput unless tol is finite and >= 0, since a NaN tol passes
     every check and a negative one fails them all.
     """
     if not (math.isfinite(tol) and tol >= 0):
-        raise InvalidState(f"tol must be finite and >= 0, got {tol}")
+        raise InvalidInput(f"tol must be finite and >= 0, got {tol}")
     stack = asm.stacked()
-    where = [f"({x},{a:+d})" for x in asm.labels for a in OUTCOMES]
-    finite = np.isfinite(stack).all(axis=(-2, -1))
-    if not finite.all():
-        return [Violation("non-finite", w, np.inf) for w, ok in zip(where, finite) if not ok]
-    out = []
-    asym = hermat.anti_herm_norm(stack)
-    lo = hermat.min_eig(hermat.herm(stack))
-    for w, dev, low in zip(where, asym, lo):
-        if dev > tol:
-            out.append(Violation("not-hermitian", w, float(dev)))
-        elif low < -tol:
-            out.append(Violation("not-psd", w, float(-low)))
+    out = block_violations(stack, tol, [f"({x},{a:+d})" for x in asm.labels for a in OUTCOMES])
+    if out and out[0].kind == "non-finite":
+        return out
     sums = stack[0::2] + stack[1::2]
     for x, total in zip(asm.labels[1:], sums[1:]):
         dev = float(np.linalg.norm(total - sums[0]))

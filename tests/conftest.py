@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tsteer.channels import propagate_assemblage, random_kraus_channel
-from tsteer.errors import OutOfRange
+from tsteer.errors import InvalidInput
 from tsteer.hermat import IDENTITY, herm, min_eig, psd_project
 from tsteer.sdp import SdpProblem
 from tsteer.steering import Assemblage, MeasurementSet, pauli_measurement_set, premeasure
@@ -36,7 +36,7 @@ def depolarized_assemblage(v: float, ms: MeasurementSet) -> Assemblage:
     premeasure(I/2, ms); at v=0 every member is I/4.
     """
     if not 0.0 <= v <= 1.0:
-        raise OutOfRange(f"visibility must lie in [0, 1], got {v}")
+        raise InvalidInput(f"visibility must lie in [0, 1], got {v}")
     members = {}
     for x, (pp, pm) in zip(ms.labels, ms.projectors):
         members[(x, 1)] = 0.5 * (v * pp + (1 - v) * IDENTITY / 2)

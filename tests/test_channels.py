@@ -17,7 +17,7 @@ from tsteer.channels import (
     random_kraus_channel,
     rk4_evolve,
 )
-from tsteer.errors import BadParameter, InvalidState, NegativeTime, SingularAtZeroOfG
+from tsteer.errors import InvalidInput
 from tsteer.hermat import IDENTITY, KET_E, KET_G, SIGMA_X, kron
 from tsteer.steering import pauli_measurement_set, premeasure, validate
 
@@ -63,16 +63,17 @@ def test_rabi_fixed_point():
 
 
 def test_rabi_negative_time():
-    with pytest.raises(NegativeTime):
+    with pytest.raises(InvalidInput, match="non-negative, got -0.1"):
         apply_channel(RabiDecay(1.0, 0.0), -0.1, IDENTITY / 2)
-    with pytest.raises(BadParameter):
+    with pytest.raises(InvalidInput, match="got gamma1=-0.5"):
         RabiDecay(1.0, -0.5)
 
 
 @pytest.mark.parametrize("cls", [RabiDecay, Exchange])
 def test_master_equation_models_reject_non_finite_rates(cls):
     for rates in ((np.nan, 0.0), (1.0, np.nan), (np.inf, 0.0), (1.0, np.inf)):
-        with pytest.raises(BadParameter):
+        bad = next(r for r in rates if not np.isfinite(r))
+        with pytest.raises(InvalidInput, match=rf"rates must be finite and non-negative, got \w+={bad}$"):
             cls(*rates)
 
 
@@ -144,9 +145,9 @@ def test_G_of_an_array_is_the_pointwise_G():
         pointwise = [lorentzian_G_derivative(g, w, t) for t in times]
         assert all(type(v) is float for v in pointwise)
         assert np.array_equal(lorentzian_G_derivative(g, w, times), pointwise)
-    with pytest.raises(NegativeTime):
+    with pytest.raises(InvalidInput, match="non-negative, got -1.0"):
         lorentzian_G(2.0, 1.0, [1.0, -1.0])
-    with pytest.raises(BadParameter):
+    with pytest.raises(InvalidInput, match="got nan"):
         lorentzian_G_derivative(2.0, 1.0, [1.0, np.nan])
 
 
@@ -184,7 +185,7 @@ def test_gamma_negative_after_zero():
 
 def test_gamma_singular_at_zero_of_G():
     t0 = 4 * np.pi / (3 * np.sqrt(3))
-    with pytest.raises(SingularAtZeroOfG):
+    with pytest.raises(InvalidInput, match="singular at a zero of G"):
         lorentzian_gamma(2.0, 1.0, t0)
 
 
@@ -195,7 +196,7 @@ def test_gamma_of_an_array_is_the_pointwise_gamma():
     assert all(type(v) is float for v in pointwise)
     assert np.allclose(lorentzian_gamma(2.0, 1.0, times), pointwise, rtol=1e-12, atol=1e-15)
     t0 = 4 * np.pi / (3 * np.sqrt(3))
-    with pytest.raises(SingularAtZeroOfG):
+    with pytest.raises(InvalidInput, match="singular at a zero of G"):
         lorentzian_gamma(2.0, 1.0, np.array([1.0, t0, 5.0]))
 
 
@@ -242,14 +243,17 @@ def test_master_equation_reproduces_G_squared():
 
 
 def test_lorentzian_bad_parameters():
-    with pytest.raises(BadParameter):
+    with pytest.raises(InvalidInput, match="omega_w must be positive"):
         lorentzian_G(0.5, 0.0, 1.0)
-    with pytest.raises(BadParameter):
+    with pytest.raises(InvalidInput, match="got g=-0.1"):
         lorentzian_G(-0.1, 1.0, 1.0)
-    with pytest.raises(BadParameter):
+    with pytest.raises(InvalidInput, match="got omega_w=-1.0"):
         LorentzianAD(0.5, -1.0)
+    with pytest.raises(InvalidInput, match="omega_w must be positive"):
+        LorentzianAD(0.5, 0.0)
     for g, omega_w in ((np.nan, 1.0), (np.inf, 1.0), (0.5, np.nan), (0.5, np.inf)):
-        with pytest.raises(BadParameter):
+        name, bad = ("g", g) if g != 0.5 else ("omega_w", omega_w)
+        with pytest.raises(InvalidInput, match=f"got {name}={bad}"):
             LorentzianAD(g, omega_w)
 
 
@@ -259,7 +263,7 @@ def test_lorentzian_bad_parameters():
     (np.inf, 1.0, 1.0), (2.0, 1.0, np.inf),
 ])
 def test_lorentzian_functions_reject_non_finite_input(fn, args):
-    with pytest.raises(BadParameter):
+    with pytest.raises(InvalidInput, match="must be finite"):
         fn(*args)
 
 
@@ -284,7 +288,7 @@ def test_random_kraus_single_is_unitary():
 
 @pytest.mark.parametrize("n_kraus", [0, 2.5, 2.0, float("nan"), None])
 def test_random_kraus_rejects_a_count_that_is_not_a_positive_integer(n_kraus):
-    with pytest.raises(BadParameter):
+    with pytest.raises(InvalidInput, match="integer n_kraus"):
         random_kraus_channel(0, n_kraus)
 
 
@@ -293,7 +297,7 @@ def test_random_kraus_accepts_numpy_integer_counts():
 
 
 def test_kraus_rejects_incomplete():
-    with pytest.raises(BadParameter):
+    with pytest.raises(InvalidInput, match="sum K\\^dag K = I"):
         KrausChannel([np.diag([0.5, 0.5])])
 
 
@@ -305,13 +309,13 @@ def test_kraus_rejects_incomplete():
     [np.eye(2), np.zeros((3, 3))],
 ])
 def test_kraus_rejects_non_finite_and_non_qubit_operators(operators):
-    with pytest.raises(BadParameter):
+    with pytest.raises(InvalidInput, match="finite 2x2 matrices"):
         KrausChannel(operators)
 
 
 @pytest.mark.parametrize("rho", [np.eye(3) / 3, np.full(4, 0.25), np.array(1.0)])
 def test_apply_channel_rejects_states_that_are_not_2x2(rho):
-    with pytest.raises(InvalidState):
+    with pytest.raises(InvalidInput, match="2x2 state"):
         apply_channel(RabiDecay(1.0, 0.5), 1.0, rho)
 
 
@@ -433,7 +437,7 @@ def test_evolve_grid_matches_pointwise_apply():
 def test_evolve_grid_rejects_stacks_that_are_not_2x2_blocks():
     # a (k, 3, 3) stack died in a raw numpy reshape
     for mats in (np.zeros((2, 3, 3)), np.eye(2), np.zeros((2, 4))):
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidInput, match="\\(k, 2, 2\\) stack"):
             channels.evolve_grid(LorentzianAD(2.0, 1.0), mats, [0.0, 1.0])
 
 
@@ -475,13 +479,13 @@ def test_transfer_matrices_trace_preserving_and_cp():
 
 
 def test_transfer_grid_rejects_bad_grids():
-    with pytest.raises(NegativeTime):
+    with pytest.raises(InvalidInput, match="non-negative, got -0.1"):
         channels.transfer_grid(RabiDecay(1.0), [-0.1, 1.0])
-    with pytest.raises(BadParameter):
+    with pytest.raises(InvalidInput, match="non-decreasing"):
         channels.transfer_grid(RabiDecay(1.0), [1.0, 0.5])
-    with pytest.raises(BadParameter):
+    with pytest.raises(InvalidInput, match="unknown channel"):
         channels.transfer_grid(object(), [1.0])
     for ch in (RabiDecay(1.0, 0.5), LorentzianAD(2.0), Exchange(1.0)):
         for times in ([0.0, np.nan], [np.nan], [0.0, np.inf]):
-            with pytest.raises(BadParameter):
+            with pytest.raises(InvalidInput, match=f"must be finite and non-negative, got {times[-1]}"):
                 channels.transfer_grid(ch, times)

@@ -11,11 +11,10 @@ from tsteer.channels import (
     random_kraus_channel,
 )
 from tsteer import channels, hermat, measures, sdp
-from tsteer.errors import InvalidState, ValidationError
+from tsteer.errors import InvalidInput, ValidationError
 from tsteer.hermat import IDENTITY
 from tsteer.measures import (
     concurrence,
-    n_abs,
     n_tsw,
     nc_trace,
     tsw,
@@ -27,6 +26,7 @@ from tsteer.steering import (
     Assemblage,
     pauli_measurement_set,
     premeasure,
+    validate,
 )
 
 XYZ = pauli_measurement_set("XYZ")
@@ -211,31 +211,32 @@ def test_n_tsw_threshold_filters_noise():
     assert n_tsw(ts, slope_threshold=1e-8).value == pytest.approx(1e-6, rel=1e-6)
     # a NaN threshold would switch the filter off, a negative one is meaningless
     for bad in (np.nan, np.inf, -1e-6):
-        for measure in (n_tsw, n_abs):
-            with pytest.raises(InvalidState):
-                measure(series([0.0, 0.5, 1.0]), slope_threshold=bad)
+        with pytest.raises(InvalidInput, match=f"slope_threshold must be finite and >= 0, got {bad}"):
+            n_tsw(series([0.0, 0.5, 1.0]), slope_threshold=bad)
 
 
 def test_n_abs_telescoping_and_factor_two(rng):
-    assert n_abs(series([1.0, 0.7, 0.3, 0.0])).value == pytest.approx(0.0, abs=1e-12)
+    # twice n_tsw is the |slope| integral plus the boundary term, sum |d| + sum d
+    # over the filtered increments d, and sum d telescopes to the end-to-end change
+    assert n_tsw(series([1.0, 0.7, 0.3, 0.0])).value == pytest.approx(0.0, abs=1e-12)
     for _ in range(25):
         vals = rng.uniform(0, 1, size=30)
         s = series(vals)
-        assert n_abs(s).value == pytest.approx(2 * n_tsw(s).value, abs=1e-9)
+        abs_plus_boundary = np.abs(np.diff(vals)).sum() + (vals[-1] - vals[0])
+        assert 2 * n_tsw(s).value == pytest.approx(abs_plus_boundary, abs=1e-9)
         assert n_tsw(s).value >= 0.0
-    # noisy series keep the identity exactly because both use filtered steps
+    # every rise of this noisy series is below the threshold, so all are
+    # filtered, and the abs-plus-boundary sum of the filtered steps is 0 too
     vals = 0.5 + rng.uniform(-1, 1, size=50) * 4e-7
-    s = series(vals)
-    assert n_abs(s).value == pytest.approx(2 * n_tsw(s).value, abs=1e-12)
+    assert n_tsw(series(vals)).value == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_n_tsw_and_n_abs_reject_non_finite_values(bad):
     # a broken point must not read as a flat (Markovian) stretch
     s = series([0.0, bad, 1.0])
-    for measure in (n_tsw, n_abs):
-        with pytest.raises(InvalidState):
-            measure(s)
+    with pytest.raises(InvalidInput, match=r"non-finite values at grid indices \[1\]"):
+        n_tsw(s)
 
 
 def test_n_tsw_exchange_revival_large():
@@ -275,16 +276,14 @@ def test_concurrence_werner_threshold():
 
 
 def test_concurrence_rejects_bad_input():
-    from tsteer.errors import InvalidState
-
-    with pytest.raises(InvalidState):
+    with pytest.raises(InvalidInput, match="expected a 4x4 density matrix"):
         concurrence(np.eye(2) / 2)
-    with pytest.raises(InvalidState):
+    with pytest.raises(InvalidInput, match="trace 4.0 != 1"):
         concurrence(np.eye(4))
     # not Hermitian, though its Hermitian part is a valid state
     rho = np.eye(4, dtype=complex) / 4
     rho[0, 1] = 0.2
-    with pytest.raises(InvalidState):
+    with pytest.raises(InvalidInput, match="not Hermitian"):
         concurrence(rho)
     rho[0, 1] = 1e-10  # roundoff-sized asymmetry is still accepted
     assert concurrence(rho) == pytest.approx(0.0, abs=1e-12)
@@ -292,7 +291,7 @@ def test_concurrence_rejects_bad_input():
 
 def test_concurrence_rejects_non_finite_input():
     for bad in (np.full((4, 4), np.nan), np.diag([np.inf, 0.0, 0.0, 0.0])):
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidInput, match="non-finite entries"):
             concurrence(bad)
 
 
@@ -307,7 +306,7 @@ def test_nc_identity_channel_constant_one():
 def test_nc_rabi_decay_monotone_and_markovian():
     ts = nc_trace(RabiDecay(1.0, 0.5), 8.0, 33)
     assert np.all(np.diff(ts.values) <= 1e-9)
-    assert n_abs(ts, 1e-4).value == pytest.approx(0.0, abs=1e-4)
+    assert n_tsw(ts, 1e-4).value == pytest.approx(0.0, abs=5e-5)
 
 
 def test_nc_exchange_collapse_and_revival():
@@ -315,7 +314,7 @@ def test_nc_exchange_collapse_and_revival():
     mid = 20
     assert ts.values[mid] < 1e-3
     assert ts.values[-1] > 1 - 1e-6
-    assert n_abs(ts).value > 0
+    assert n_tsw(ts).value > 0
 
 
 def test_nc_and_tsw_concord_for_exchange():
@@ -397,9 +396,10 @@ def test_traces_on_equal_grids_share_one_read_only_times_array():
     (2.0, 1), (2.0, 2.5), (2.0, np.nan), (2.0, np.inf),
 ])
 def test_traces_reject_bad_grid_arguments(t_max, n_steps):
-    with pytest.raises(InvalidState):
+    match = "t_max must be finite and positive" if n_steps == 5 else "at least 2 grid points"
+    with pytest.raises(InvalidInput, match=match):
         nc_trace(RabiDecay(1.0), t_max, n_steps)
-    with pytest.raises(InvalidState):
+    with pytest.raises(InvalidInput, match=match):
         tsw_trace(RabiDecay(1.0), XYZ, MIXED, t_max, n_steps)
 
 
@@ -413,5 +413,23 @@ def test_tsw_rejects_non_finite_members():
     with pytest.raises(ValidationError) as err:
         tsw(asm)
     assert [v.kind for v in err.value.violations] == ["non-finite"]
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"non-finite at \(X,\+1\)"):
         propagate_assemblage(RabiDecay(1.0, 0.5), 0.5, asm)
+
+
+def test_tsw_rejects_every_assemblage_solve_rejects():
+    # validate at 1e-8 let this member's 7.1e-9 anti-Hermitian part through,
+    # while solve's relative 1e-10 rule rejected it, so tsw raised the
+    # solver's error instead of a ValidationError
+    asm = premeasure(MIXED, XYZ)
+    asm.members[("X", 1)] = asm.members[("X", 1)].copy()
+    asm.members[("X", 1)][0, 1] += 5e-9
+    found = validate(asm, 1e-8)
+    assert [(v.kind, v.where) for v in found] == [("not-hermitian", "(X,+1)")]
+    assert found[0].magnitude == pytest.approx(5e-9 * np.sqrt(2))
+    with pytest.raises(ValidationError, match=r"not-hermitian at \(X,\+1\)"):
+        tsw(asm)
+    with pytest.raises(ValidationError, match=r"not-hermitian at \(X,\+1\)"):
+        propagate_assemblage(KrausChannel([IDENTITY]), 0.5, asm)
+    with pytest.raises(ValidationError, match="not-hermitian at target block 0"):
+        sdp.solve(sdp.SdpProblem(asm.stacked()))

@@ -3,16 +3,7 @@ import pytest
 
 from conftest import depolarized_assemblage
 from tsteer.channels import KrausChannel, propagate_assemblage
-from tsteer.errors import (
-    CountMismatch,
-    DuplicateLabel,
-    EmptySet,
-    InvalidState,
-    NotPsd,
-    OutOfRange,
-    UnknownLabel,
-    ValidationError,
-)
+from tsteer.errors import InvalidInput, ValidationError
 from tsteer.hermat import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
 from tsteer.measures import tsw
 from tsteer.steering import (
@@ -71,11 +62,11 @@ def test_pauli_set_two_settings():
 
 
 def test_pauli_set_errors():
-    with pytest.raises(EmptySet):
+    with pytest.raises(InvalidInput, match="at least one measurement label"):
         pauli_measurement_set([])
-    with pytest.raises(DuplicateLabel):
+    with pytest.raises(InvalidInput, match="repeated label"):
         pauli_measurement_set("XX")
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(InvalidInput, match="unsupported label 'Q'"):
         pauli_measurement_set("XQ")
 
 
@@ -83,10 +74,10 @@ def test_measurement_set_needs_distinct_labels_one_pair_each():
     # ("X", "X") with the X and Z pairs used to keep 2 of 4 members and read
     # TSW ~ 0; ("X", "Z") with one pair died with a raw KeyError in tsw
     x_pair, z_pair = pauli_measurement_set("XZ").projectors
-    with pytest.raises(DuplicateLabel):
+    with pytest.raises(InvalidInput, match="repeated label"):
         MeasurementSet(("X", "X"), (x_pair, z_pair))
     for labels, pairs in ((("X", "Z"), (x_pair,)), (("X",), (x_pair, z_pair))):
-        with pytest.raises(CountMismatch):
+        with pytest.raises(InvalidInput, match="projector pairs for"):
             MeasurementSet(labels, pairs)
     ms = MeasurementSet(("X", "Z"), (x_pair, z_pair))
     assert tsw(premeasure(IDENTITY / 2, ms)).value == pytest.approx(1.0, abs=1e-7)
@@ -99,7 +90,7 @@ def test_measurement_set_rejects_pairs_that_are_not_projective():
                  (IDENTITY / 2, IDENTITY / 2),  # sums to I, P+ not idempotent
                  (np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[0.0, -1.0], [0.0, 1.0]])),
                  (np.full((2, 2), np.nan), IDENTITY)):
-        with pytest.raises(InvalidState, match="setting 'A'"):
+        with pytest.raises(InvalidInput, match="setting 'A'"):
             MeasurementSet(("B", "A"), (z_pair, pair))
     # a rotated pair, exact up to roundoff, is projective
     n = np.array([np.sin(0.7) * np.cos(1.9), np.sin(0.7) * np.sin(1.9), np.cos(0.7)])
@@ -136,14 +127,14 @@ def test_premeasure_pure_z_in_x_basis():
 
 
 def test_premeasure_rejects_bad_states():
-    with pytest.raises(InvalidState):
+    with pytest.raises(ValidationError, match="not-psd at initial state"):
         premeasure(np.diag([2.0, -1.0]), XYZ)
-    with pytest.raises(InvalidState):
+    with pytest.raises(InvalidInput, match="initial state trace"):
         premeasure(np.diag([0.7, 0.7]), XYZ)
 
 
 def test_premeasure_rejects_non_hermitian_state():
-    with pytest.raises(InvalidState, match="anti-Hermitian"):
+    with pytest.raises(ValidationError, match="not-hermitian at initial state"):
         premeasure(np.array([[0.5, 0.1], [0.0, 0.5]]), XYZ)
     # a relative deviation below 1e-10 is roundoff and passes
     premeasure(np.array([[0.5, 1e-12], [0.0, 0.5]]), XYZ)
@@ -152,7 +143,7 @@ def test_premeasure_rejects_non_hermitian_state():
 def test_premeasure_rejects_non_finite_state():
     for rho in (np.full((2, 2), np.nan), [[0.5, np.inf], [np.inf, 0.5]],
                 [[np.inf, 0.0], [0.0, -np.inf]]):
-        with pytest.raises(InvalidState, match="non-finite"):
+        with pytest.raises(ValidationError, match="non-finite at initial state"):
             premeasure(rho, XYZ)
 
 
@@ -184,7 +175,7 @@ def test_assemblage_members_are_keyed_by_labels_and_outcomes():
     for labels, members in ((XYZ.labels, missing), (XYZ.labels, extra),
                             (XYZ.labels, renamed), (("X", "Y"), full),
                             (("X", "X", "Y", "Z"), full)):
-        with pytest.raises(CountMismatch):
+        with pytest.raises(InvalidInput, match="members must be keyed by exactly"):
             Assemblage(labels, members)
     assert validate(Assemblage(XYZ.labels, dict(full)), 1e-12) == []
 
@@ -195,11 +186,11 @@ def test_assemblage_and_measurement_set_reject_blocks_that_are_not_2x2():
     bad = np.diag([0.5, 0.5, -5.0])
     for member in (bad, np.zeros((3, 3)), np.ones(4) / 4, 0.5):
         members = {("X", 1): member, ("X", -1): np.zeros((2, 2))}
-        with pytest.raises(InvalidState, match="2x2"):
+        with pytest.raises(InvalidInput, match="2x2"):
             Assemblage(("X",), members)
     for pair in ((np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])),
                  (XYZ.projectors[0][0], np.eye(3))):
-        with pytest.raises(InvalidState, match="2x2"):
+        with pytest.raises(InvalidInput, match="2x2"):
             MeasurementSet(("X",), (pair,))
 
 
@@ -248,7 +239,7 @@ def test_strategy_table_is_built_once_and_read_only():
 
 def test_strategy_out_of_range():
     for bad in (0, 7, -1, 2.5, np.nan):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidInput, match="n_meas must be an integer in 1..6"):
             strategy_table(bad)
 
 
@@ -318,17 +309,17 @@ def test_lhs_validates_random():
 
 def test_lhs_errors():
     table = strategy_table(2)
-    with pytest.raises(CountMismatch):
+    with pytest.raises(InvalidInput, match="expected 4 hidden states"):
         lhs_assemblage(table, [IDENTITY / 8] * 3)
     for labels in (("X",), ("X", "Y", "Z")):
-        with pytest.raises(CountMismatch):
+        with pytest.raises(InvalidInput, match="expected 2 labels"):
             lhs_assemblage(table, [IDENTITY / 8] * 4, labels=labels)
     for last in (np.diag([1.0, -0.5]), np.array([[0.25, 0.1], [0.0, 0.25]]),
                  np.full((2, 2), np.nan)):
-        with pytest.raises(NotPsd):
+        with pytest.raises(ValidationError, match="at hidden state 3"):
             lhs_assemblage(table, [IDENTITY / 8] * 3 + [last])
     for sigmas in ([np.eye(3) / 6] * 2, [IDENTITY / 4, np.eye(3) / 6], [IDENTITY / 4, np.ones(4) / 8]):
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidInput, match="2x2"):
             lhs_assemblage(strategy_table(1), sigmas)
 
 
@@ -337,7 +328,7 @@ def test_lhs_rejects_repeated_labels():
     # only the last setting's members and stack the wrong assemblage
     table = strategy_table(2)
     for labels in (("X", "X"), ["Z", "Z"]):
-        with pytest.raises(DuplicateLabel):
+        with pytest.raises(InvalidInput, match="repeated label"):
             lhs_assemblage(table, [IDENTITY / 8] * 4, labels=labels)
     asm = lhs_assemblage(table, [IDENTITY / 8] * 4, labels=("X", "Z"))
     assert len(asm.members) == 4
@@ -366,7 +357,7 @@ def test_depolarized_threshold_equals_bloch_corner_lhs():
 
 def test_depolarized_out_of_range():
     for bad in (-0.1, 1.1):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidInput, match="visibility"):
             depolarized_assemblage(bad, XYZ)
 
 
@@ -386,7 +377,7 @@ def test_validate_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
     assert {v.kind for v in validate(broken, 1e-9)} == {"not-psd", "non-signaling",
                                                          "total-trace"}
     for asm in (broken, premeasure(IDENTITY / 2, XYZ)):
-        with pytest.raises(InvalidState, match="tol"):
+        with pytest.raises(InvalidInput, match="tol"):
             validate(asm, tol)
 
 
