@@ -32,6 +32,9 @@ Applying a channel, evolving a grid, the Choi matrix and the ancilla states
 of the concurrence trace are all products with T or reshuffles of it.
 Master-equation propagators are the classical RK4 solution with a fixed
 step: one step matrix sum_{k<=4} (hL)^k / k! raised to the number of steps.
+`transfer_grid` builds one propagator per distinct grid spacing and advances
+the carrier by one product per grid point, which gives bit for bit the
+matrices of stepping every interval on its own.
 The G(t) map is applied exactly, never by integrating gamma(t), which is
 singular at zeros of G.
 """
@@ -176,6 +179,12 @@ def _check_time(t):
     return t
 
 
+def _check_scalar_time(t):
+    """Raise InvalidInput unless t is a single time; its value is checked by `_check_time`."""
+    if np.ndim(t) != 0:
+        raise InvalidInput(f"evolution time must be a scalar, got {t!r}")
+
+
 # --- Lorentzian memory amplitude and random Kraus maps -----------------------
 
 
@@ -272,7 +281,11 @@ def transfer_grid(ch, times):
     """Transfer matrices T(t), shape (len(times), 4, 4), on a non-decreasing grid.
 
     vec(rho(t)) = T(t) vec(rho) with row-major vec. Master-equation models
-    step the propagator incrementally between grid points.
+    step the propagator incrementally between grid points: one `rk4_evolve`
+    of the identity per distinct spacing t_i - t_{i-1} (t_{-1} = 0), kept for
+    this call only, then one product per grid point. A product with the
+    identity is exact, so every T(t) is bit-identical to calling `rk4_evolve`
+    on the carrier interval by interval.
     """
     times = _check_time(times).reshape(-1)
     if np.any(np.diff(times) < 0):
@@ -296,10 +309,15 @@ def transfer_grid(ch, times):
         raise InvalidInput(f"unknown channel {ch!r}")
     lmat = liouvillian(*_generator(ch))
     h_target = RK4_BASE_STEP / max(1.0, _rate_scale(ch))
+    identity = np.eye(lmat.shape[0], dtype=complex)
+    propagators = {}
     out = np.empty((times.size, 4, 4), dtype=complex)
     t_prev = 0.0
     for i, t in enumerate(times):
-        carrier = rk4_evolve(lmat, carrier, t - t_prev, h_target)
+        dt = t - t_prev
+        if dt not in propagators:
+            propagators[dt] = rk4_evolve(lmat, identity, dt, h_target)
+        carrier = propagators[dt] @ carrier
         t_prev = t
         out[i] = read @ carrier
     return out
@@ -317,7 +335,8 @@ def choi_from_transfer(tmat):
 
 
 def apply_channel(ch, t, rho):
-    """rho(0) -> rho(t) for any channel variant."""
+    """rho(0) -> rho(t) for any channel variant and a single time t."""
+    _check_scalar_time(t)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise InvalidInput(f"expected a 2x2 state, got shape {rho.shape}")
@@ -325,13 +344,14 @@ def apply_channel(ch, t, rho):
 
 
 def propagate_assemblage(ch, t, asm: Assemblage) -> Assemblage:
-    """Evolve every member of an assemblage independently to time t.
+    """Evolve every member of an assemblage independently to a single time t.
 
     Positivity, Hermiticity, and total trace of the output are enforced at
     1e-8. Setting-dependent reduced states are tolerated: premeasuring any
     state other than I/2 dephases differently in different bases, so only
     maximally-mixed inputs produce non-signaling families in the first place.
     """
+    _check_scalar_time(t)
     out = evolve_grid(ch, asm.stacked(), [t])[0]
     new = _from_stack(asm.labels, out, time_tag=t)
     hard = [v for v in validate(new, 1e-8) if v.kind != "non-signaling"]

@@ -166,22 +166,29 @@ _SY_SY = hermat.kron(hermat.SIGMA_Y, hermat.SIGMA_Y)
 
 
 def concurrence(rho) -> float:
-    """Wootters concurrence of a two-qubit density matrix."""
+    """Wootters concurrence of a two-qubit density matrix.
+
+    With rho = M M^dag from one eigendecomposition, the Wootters lambdas
+    (square roots of the eigenvalues of rho (sy x sy) conj(rho) (sy x sy))
+    are the singular values of the symmetric tau = M^T (sy x sy) M, and
+    C = max(0, l1 - l2 - l3 - l4) in decreasing order (W. K. Wootters,
+    Phys. Rev. Lett. 80, 2245 (1998)). The least eigenvalue of that same
+    decomposition is the positivity check.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidInput(f"expected a 4x4 density matrix, got {rho.shape}")
     if not np.isfinite(rho).all():
         raise InvalidInput("density matrix has non-finite entries")
-    rho_conj = rho.conj()
-    if float(np.abs(rho - rho_conj.T).max()) > 1e-8:
+    if float(np.abs(rho - rho.conj().T).max()) > 1e-8:
         raise InvalidInput("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-8:
         raise InvalidInput(f"trace {np.trace(rho).real} != 1")
-    if float(np.linalg.eigvalsh(rho)[0]) < -1e-8:
+    evals, vecs = np.linalg.eigh(rho)
+    if float(evals[0]) < -1e-8:
         raise InvalidInput("state is not positive semidefinite")
-    rho_tilde = _SY_SY @ rho_conj @ _SY_SY
-    evals = np.linalg.eigvals(rho @ rho_tilde)
-    lams = np.sqrt(np.clip(np.sort(evals.real)[::-1], 0.0, None))
+    m = vecs * np.sqrt(np.maximum(evals, 0.0))
+    lams = np.linalg.svd(m.T @ _SY_SY @ m, compute_uv=False)
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 

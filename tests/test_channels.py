@@ -319,6 +319,14 @@ def test_apply_channel_rejects_states_that_are_not_2x2(rho):
         apply_channel(RabiDecay(1.0, 0.5), 1.0, rho)
 
 
+@pytest.mark.parametrize("times", [[1.0, 2.0], np.array([1.0]), [[0.5]]])
+def test_single_time_applications_reject_a_time_that_is_not_a_scalar(times):
+    with pytest.raises(InvalidInput, match="evolution time must be a scalar, got "):
+        apply_channel(RabiDecay(1.0, 0.5), times, IDENTITY / 2)
+    with pytest.raises(InvalidInput, match="evolution time must be a scalar, got "):
+        propagate_assemblage(RabiDecay(1.0, 0.5), times, premeasure(IDENTITY / 2, XYZ))
+
+
 # --- propagation over assemblages -------------------------------------------------
 
 
@@ -489,3 +497,55 @@ def test_transfer_grid_rejects_bad_grids():
         for times in ([0.0, np.nan], [np.nan], [0.0, np.inf]):
             with pytest.raises(InvalidInput, match=f"must be finite and non-negative, got {times[-1]}"):
                 channels.transfer_grid(ch, times)
+
+
+def _interval_transfer_grid(ch, times):
+    """Reference for transfer_grid: one rk4_evolve of the carrier per grid interval."""
+    if isinstance(ch, RabiDecay):
+        carrier = read = np.eye(4, dtype=complex)
+    else:
+        carrier, read = channels._EMBED, channels._TRACE_PARTNER
+    lmat = liouvillian(*channels._generator(ch))
+    h_target = channels.RK4_BASE_STEP / max(1.0, channels._rate_scale(ch))
+    out = []
+    t_prev = 0.0
+    for t in times:
+        carrier = rk4_evolve(lmat, carrier, t - t_prev, h_target)
+        t_prev = t
+        out.append(read @ carrier)
+    return np.array(out)
+
+
+PROPAGATOR_GRIDS = [
+    np.linspace(0.0, 8.0, 33),
+    np.linspace(0.0, 2 * np.pi, 81),
+    np.sort(np.random.default_rng(12).uniform(0.0, 5.0, 25)),
+    np.array([0.4, 0.4, 1.0, 1.6, 1.6, 3.0]),
+]
+
+
+@pytest.mark.parametrize("ch", [RabiDecay(1.0, 1.0 / 6.0), Exchange(1.0, 0.0), Exchange(1.0, 0.3)])
+@pytest.mark.parametrize("times", PROPAGATOR_GRIDS)
+def test_transfer_grid_is_bit_identical_to_stepping_each_interval(ch, times):
+    assert np.array_equal(channels.transfer_grid(ch, times), _interval_transfer_grid(ch, times))
+
+
+@pytest.mark.parametrize("ch", [RabiDecay(1.0, 1.0 / 6.0), Exchange(1.0, 0.3)])
+@pytest.mark.parametrize("times, n_spacings", [
+    (np.linspace(0.0, 8.0, 33), 2),
+    (np.linspace(0.0, 2 * np.pi, 81), 4),
+    (PROPAGATOR_GRIDS[3], 5),
+])
+def test_transfer_grid_runs_one_propagator_per_distinct_spacing(ch, times, n_spacings, monkeypatch):
+    calls = []
+    real = channels.rk4_evolve
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(channels, "rk4_evolve", counting)
+    channels.transfer_grid(ch, times)
+    spacings = set(np.diff(np.concatenate(([0.0], times))))
+    assert len(calls) == len(spacings) == n_spacings
+    assert set(calls) == spacings

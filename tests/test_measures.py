@@ -7,6 +7,7 @@ from tsteer.channels import (
     KrausChannel,
     LorentzianAD,
     RabiDecay,
+    lorentzian_G,
     propagate_assemblage,
     random_kraus_channel,
 )
@@ -275,6 +276,15 @@ def test_concurrence_werner_threshold():
     assert concurrence(rho2) == pytest.approx((3 * 0.8 - 1) / 2, abs=1e-12)
 
 
+def test_concurrence_of_pure_states_is_the_wootters_overlap(rng):
+    # C(psi) = |psi^T (sy x sy) psi| (Wootters 1998)
+    for _ in range(100):
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        exact = abs(psi @ hermat.kron(hermat.SIGMA_Y, hermat.SIGMA_Y) @ psi)
+        assert abs(concurrence(np.outer(psi, psi.conj())) - exact) < 1e-13
+
+
 def test_concurrence_rejects_bad_input():
     with pytest.raises(InvalidInput, match="expected a 4x4 density matrix"):
         concurrence(np.eye(2) / 2)
@@ -331,6 +341,19 @@ def test_nc_lorentzian_collapses_at_zero_of_G():
     ts = nc_trace(LorentzianAD(2.0, 1.0), 2 * t0, 9)
     assert ts.values[0] == pytest.approx(1.0, abs=1e-12)
     assert min(ts.values) < 0.05
+
+
+@pytest.mark.parametrize("g, omega_w", [(2.0, 1.0), (0.3, 1.0), (5.0, 0.5)])
+def test_nc_lorentzian_is_abs_G(g, omega_w):
+    # the Choi state of the G(t) map has concurrence |G(t)|
+    ts = nc_trace(LorentzianAD(g, omega_w), 10.0, 81)
+    assert np.abs(ts.values - np.abs(lorentzian_G(g, omega_w, ts.times))).max() < 1e-13
+
+
+def test_nc_exchange_is_abs_cos():
+    # what is left beyond roundoff is the RK4 error of the Exchange propagator
+    ts = nc_trace(Exchange(1.0, 0.0), 2 * np.pi, 81)
+    assert np.abs(ts.values - np.abs(np.cos(ts.times))).max() < 5e-9
 
 
 def _ancilla_concurrence(ch, times):
