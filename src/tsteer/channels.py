@@ -15,9 +15,12 @@ Three physical models plus random Kraus channels for property tests:
       rho_gg -> rho_gg + (1 - |G|^2) rho_ee,
 
   with G(t) = exp(-w t/2) [cosh(bt/2) + (w/b) sinh(bt/2)],
-  b = sqrt(w^2 - 2 g w), w the spectral width and g the coupling. The
-  time-local rate gamma(t) = -(2/G) d|G|/dt goes negative past the zeros of
-  G, which is the memory effect the steering measures pick up.
+  b = sqrt(w^2 - 2 g w), w the spectral width and g the coupling. It is
+  evaluated as (e+ + e-)/2 (1 + q), with e+- = exp((+-b - w) t/2) and
+  q = (w t/2) tanh(bt/2)/(bt/2), so no exponential exceeds 1. The
+  time-local rate gamma(t) = -(2/G) d|G|/dt = 2 g q / (1 + q) goes negative
+  past the zeros of G, which is the memory effect the steering measures
+  pick up.
 
 Every channel is represented by one object, its 4x4 transfer matrix T(t)
 acting on row-major vectorized states, vec(rho(t)) = T(t) vec(rho):
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hermat
-from .errors import InvalidInput, NumericalBreakdown, ValidationError
+from .errors import InvalidInput, ValidationError
 from .steering import Assemblage, _from_stack, validate
 
 # Base RK4 step in units of 1/(model rate); halving it moves outputs by
@@ -188,13 +191,12 @@ def _check_scalar_time(t):
 # --- Lorentzian memory amplitude and random Kraus maps -----------------------
 
 
-def _sinhc(z):
-    """sinh(z)/z per element, series near the origin so the b -> 0 limit is smooth."""
-    z = np.asarray(z, dtype=complex)
+def _tanhc(z):
+    """tanh(z)/z per element, by its series near the origin so the b -> 0 limit is smooth."""
     small = np.abs(z) < 1e-4
     z2 = z * z
     safe = np.where(small, 1.0, z)
-    return np.where(small, 1.0 + z2 / 6.0 + z2 * z2 / 120.0, np.sinh(safe) / safe)
+    return np.where(small, 1.0 - z2 / 3.0 + 2.0 * z2 * z2 / 15.0, np.tanh(safe) / safe)
 
 
 def _lorentzian_b(g, omega_w):
@@ -206,11 +208,14 @@ def _lorentzian_b(g, omega_w):
     return complex(np.sqrt(complex(omega_w * omega_w - 2.0 * g * omega_w)))
 
 
-def _as_real(value, what):
-    imag = float(np.abs(value.imag).max(initial=0.0))
-    if imag > 1e-12:
-        raise NumericalBreakdown(f"{what} acquired imaginary part {imag:.3e}")
-    return float(value.real) if value.ndim == 0 else value.real
+def _q_at(b, omega_w, half):
+    """q = (w t/2) tanh(bt/2)/(bt/2) at the times t = 2 half; real whether b is
+    real or imaginary, so the imaginary part dropped here is 0."""
+    return (omega_w * half * _tanhc(b * half)).real
+
+
+def _float_if_0d(val):
+    return float(val) if val.ndim == 0 else val
 
 
 def lorentzian_G(g, omega_w, t):
@@ -220,22 +225,15 @@ def lorentzian_G(g, omega_w, t):
     throughout, so the underdamped regime (2 g > omega_w, b imaginary)
     needs no case split; the result is real either way.
     """
-    return _g_at(g, omega_w, 0.5 * _check_time(t))
+    return _float_if_0d(_g_at(g, omega_w, 0.5 * _check_time(t)))
 
 
 def _g_at(g, omega_w, half):
-    """G at the times 2 half, which the caller has checked."""
+    """G = (e+ + e-)/2 + (w t/2)(e+ - e-)/(bt) = (e+ + e-)/2 (1 + q) at the checked times
+    t = 2 half, e+- = exp((+-b - w) t/2); neither exceeds 1, since Re b <= w."""
     b = _lorentzian_b(g, omega_w)
-    val = np.exp(-omega_w * half) * (np.cosh(b * half) + omega_w * half * _sinhc(b * half))
-    return _as_real(val, "G(t)")
-
-
-def lorentzian_G_derivative(g, omega_w, t):
-    """dG/dt in closed form: -(g w t / 2) sinhc(b t / 2) exp(-w t / 2), per time in t."""
-    half = 0.5 * _check_time(t)
-    b = _lorentzian_b(g, omega_w)
-    val = -g * omega_w * half * _sinhc(b * half) * np.exp(-omega_w * half)
-    return _as_real(val, "dG/dt")
+    e_mean = 0.5 * (np.exp((b - omega_w) * half) + np.exp((-b - omega_w) * half)).real
+    return e_mean * (1.0 + _q_at(b, omega_w, half))
 
 
 def lorentzian_gamma(g, omega_w, t):
@@ -244,15 +242,18 @@ def lorentzian_gamma(g, omega_w, t):
     This is the rate for which rho_ee(t) = |G|^2 rho_ee(0) solves
     d rho_ee/dt = -gamma(t) rho_ee at all times; it turns negative exactly
     while |G| grows (information backflow), e.g. just past a zero of G.
-    Undefined at zeros of G. t is a time (a float is returned) or an array
-    of times; InvalidInput is raised if any |G(t)| < 1e-12.
+    gamma = 2 g q / (1 + q), q = (w t/2) tanh(bt/2)/(bt/2): the factor
+    exp(-w t/2) cosh(bt/2) of G = exp(-w t/2) cosh(bt/2) (1 + q) cancels, so
+    gamma stays finite where G underflows. It is undefined at the zeros of G,
+    those of 1 + q. t is a time (a float is returned) or an array of times;
+    InvalidInput is raised if any |1 + q| < 1e-12.
     """
-    gval = lorentzian_G(g, omega_w, t)
-    if np.any(np.abs(gval) < 1e-12):
-        raise InvalidInput(f"gamma(t) is singular at a zero of G: min |G(t)| = "
-                           f"{np.min(np.abs(gval)):.3e} < 1e-12")
-    dg = lorentzian_G_derivative(g, omega_w, t)
-    return -2.0 * dg / gval
+    half = 0.5 * _check_time(t)
+    q = _q_at(_lorentzian_b(g, omega_w), omega_w, half)
+    singular = np.abs(1.0 + q) < 1e-12
+    if singular.any():
+        raise InvalidInput(f"gamma(t) is singular at a zero of G, at t = {2.0 * half[singular][0]}")
+    return _float_if_0d(2.0 * g * q / (1.0 + q))
 
 
 def random_kraus_channel(seed, n_kraus):

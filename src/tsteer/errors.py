@@ -17,9 +17,5 @@ class ValidationError(InvalidInput):
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
-class NumericalBreakdown(TswError):
-    """A computation on valid input produced non-finite or inconsistent values."""
-
-
 class CertificateInvalid(TswError):
     """Optimality certificate failed verification."""

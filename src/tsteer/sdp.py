@@ -42,14 +42,13 @@ sum <sigma_{a|x}, F_{a|x}>; any dual-feasible point upper-bounds mu*.
    raises the dual one above -b.y. So its gap is at least the reduced gap
    c.x - b.y, and at least -b.y + (1 - k) c.x for any lower bound k on
    1 - theta. It runs at the iterate the run stops at, and elsewhere only
-   where neither bound exceeds tol. k is read in reduced coordinates: a
-   rank-one slack needs exactly 1 - tr b_m / load_m, and a dense one, E_m
-   + k U_m >= 0, needs k >= -lambda_min(E_m) / <v, U_m v>, taken where U_m
-   is well conditioned; the second bound must clear tol by tol / 16 plus
-   2^-48 cond(R) |c.x|, the roundoff of the whitened map back. The run
-   stops once the signed gap dual - primal is in [-1e-12 max(1, |dual|),
-   tol]: weak duality forbids dual < primal, and 1e-12 is the primal
-   certificate's own roundoff.
+   where neither bound exceeds tol. k is read in reduced coordinates from
+   the dense slacks: E_m + k U_m >= 0 needs k >= -lambda_min(E_m) /
+   <v, U_m v>, taken where U_m is well conditioned; the second bound must
+   clear tol by tol / 16 plus 2^-48 cond(R) |c.x|, the roundoff of the
+   whitened map back. The run stops once the signed gap dual - primal is
+   in [-1e-12 max(1, |dual|), tol]: weak duality forbids dual < primal,
+   and 1e-12 is the primal certificate's own roundoff.
 """
 
 from __future__ import annotations
@@ -311,7 +310,8 @@ class _Reduced:
         self.lift[rank1] = (tr_t * IDENTITY - targets[rank1]) / tr_t
         self.lift[zero] = IDENTITY
         # per-problem constants of the map back (its index arrays) and of
-        # the shrink bound (the strategy columns of amat, det R and cond R)
+        # the shrink bound (the strategy columns of the dense rows of amat,
+        # det R and cond R)
         self.n_keep, self.plain, self.on_face = n_keep, plain, on_face
         self.plain_lam, self.face_lam = keep[plain], keep[on_face]
         self.tr_b_home, self.t_home = tr_b[home[on_face]], targets[home[on_face]]
@@ -319,7 +319,8 @@ class _Reduced:
         self.t_rank1, self.tr_b_rank1 = targets[rank1], tr_b[rank1]
         self.tr_t_sq = tr_t[:, 0, 0] ** 2
         self.lift_cover, self.t_conj = _cover(d_mat.T, self.lift), targets.conj()
-        self.strat_amat = self.amat[:, :n_keep].reshape(n_rows, 4 * n_keep)
+        dense_amat = self.amat[self.dense_rows, :n_keep]
+        self.dense_amat = dense_amat.reshape(len(dense_amat), 4 * n_keep)
         self.det_r = det2(red)
         self.cond_r = _trace(red) ** 2 / self.det_r  # cond(R) + 2 + 1 / cond(R)
 
@@ -347,19 +348,19 @@ class _Reduced:
         return sig, float(np.einsum("nii->", sig).real)
 
     def shrink_bound(self, x):
-        """A lower bound on the shrink 1 - theta that `primal` applies to x.
+        """A lower bound on the shrink 1 - theta that `primal` applies to x,
+        from the dense slacks alone.
 
-        Read in reduced coordinates: the strategy load of constraint m is U_m
-        = A_m x, and the slack primal maps back is E_m = b_m - U_m, up to the
-        congruence by R^{1/2}. A rank-one row needs exactly 1 - tr b_m / U_m.
-        A dense slack needs E_m + k U_m >= 0, so k >= -lambda_min(E_m) /
-        <v, U_m v> for the eigenvector v of lambda_min(E_m); this is taken only
-        where U_m is well conditioned (lambda_min >= lambda_max / 10) and
-        passes the full-rank test of `_lift_size` with a factor 100 to spare,
-        so that the root `_lift_size` finds is well conditioned and not below it.
+        Read in reduced coordinates: the strategy load of dense constraint m
+        is U_m = A_m x, and the slack primal maps back is E_m = b_m - U_m, up
+        to the congruence by R^{1/2}. E_m + k U_m >= 0 needs k >=
+        -lambda_min(E_m) / <v, U_m v> for the eigenvector v of lambda_min(E_m);
+        this is taken only where U_m is well conditioned (lambda_min >=
+        lambda_max / 10) and passes the full-rank test of `_lift_size` with a
+        factor 100 to spare, so that the root `_lift_size` finds is well
+        conditioned and not below it.
         """
-        load = self.strat_amat @ x[:self.n_keep].reshape(-1)
-        u = load[self.dense_rows].reshape(-1, 4)
+        u = (self.dense_amat @ x[:self.n_keep].reshape(-1)).reshape(-1, 4)
         e = self.b_dense - u
         u_sp, e_sp = (np.sqrt(np.einsum("ij,ij->i", w[:, 1:], w[:, 1:])) for w in (u, e))
         lo, hi = u[:, 0] - u_sp, u[:, 0] + u_sp  # sqrt 2 times the eigenvalues of U
@@ -371,9 +372,7 @@ class _Reduced:
         ok = ((need > 0.0) & (lo >= 0.1 * hi)
               & (self.det_r * lo * hi > 200.0 * _RANK_EPS * (u @ self.r_vec) ** 2))
         k_dense = np.divide(need, along, out=np.zeros_like(need), where=ok)
-        share, tr_b = load[self.rank1_rows], self.tr_b_rank1
-        fit = np.divide(tr_b, share, out=np.ones_like(share), where=share > tr_b)
-        return min(float(max(k_dense.max(initial=0.0), 1.0 - fit.min(initial=1.0))), 1.0)
+        return min(float(k_dense.max(initial=0.0)), 1.0)
 
     def cannot_certify(self, x, y, tol):
         """Whether the map back of the iterate (x, y) is sure to leave a gap
@@ -442,10 +441,9 @@ def _interior_point(reduced: _Reduced, tol, max_iter):
     lowers the primal value below -c.x (theta <= 1, face blocks keep their
     trace) and only raises the dual one above -b.y (lifts and shifts add
     non-negative multiples of <sigma_m, PSD>), so while
-    `_Reduced.cannot_certify`, or -b.y - primal once known, shows a gap above
-    tol the rest of the map back is skipped; every exit maps back the iterate
-    it stops at. x and z are held as one pair xz, so the scaling and the step
-    lengths run once over both cones."""
+    `_Reduced.cannot_certify` shows a gap above tol the map back is skipped;
+    every exit maps back the iterate it stops at. x and z are held as one
+    pair xz, so the scaling and the step lengths run once over both cones."""
     amat, b_vec, c_vec = reduced.amat, reduced.b_vec, reduced.c_vec
     n_rows, n_blocks = amat.shape[:2]
     n_x = 4 * n_blocks
@@ -456,11 +454,8 @@ def _interior_point(reduced: _Reduced, tol, max_iter):
     a_rd = np.concatenate((amat, np.empty((1, n_blocks, 4))))
     rd = a_rd[n_rows]
 
-    def map_back(bound=math.inf):
-        sig, primal = reduced.primal(xz[0])
-        if -float(b_vec @ y) - primal > bound:
-            return None
-        return (sig, primal, *reduced.dual(y))
+    def map_back():
+        return (*reduced.primal(xz[0]), *reduced.dual(y))
 
     def direction():
         # A W dxs = rp, A^T dy + dz = rd, dxs + W dz = rc, with dxs = W^-1 dx;
@@ -483,7 +478,7 @@ def _interior_point(reduced: _Reduced, tol, max_iter):
         # degenerate constraints drive an unbounded dual ray, so judge the
         # dual residual relative to the multiplier size
         dinf = float(np.abs(rd).max()) / (1.0 + float(np.abs(y).max()))
-        mapped = None if reduced.cannot_certify(x, y, tol) else map_back(tol)
+        mapped = None if reduced.cannot_certify(x, y, tol) else map_back()
         if mapped is not None and _certifies(mapped[1], mapped[3], tol):
             status = SolveStatus.OPTIMAL
             break

@@ -161,19 +161,21 @@ def _strategy_table(n):
     return d
 
 
-def lhs_assemblage(table: np.ndarray, sigmas, labels=None) -> Assemblage:
+def lhs_assemblage(sigmas, labels=None) -> Assemblage:
     """Unsteerable assemblage sum_lam D_lam(a|x) sigma_lam from fixed states sigma_lam.
 
-    table is the D of `strategy_table(n_meas)`. labels, when given, must be
-    n_meas distinct names, since members are keyed by (label, outcome).
-    Raises InvalidInput for a wrong count of states or labels, a repeated
-    label or a state that is not 2x2, and its subclass ValidationError when a
-    hidden state fails `check_blocks` at tolerance 1e-10.
+    2^n_meas states give n_meas settings, and D is `strategy_table(n_meas)`.
+    labels, when given, must be n_meas distinct names, since members are
+    keyed by (label, outcome). Raises InvalidInput for a count of states that
+    is not 2^n with 1 <= n <= 6, a wrong count of labels, a repeated label or
+    a state that is not 2x2, and its subclass ValidationError when a hidden
+    state fails `check_blocks` at tolerance 1e-10.
     """
-    n_meas, n_lambda = table.shape[0] // 2, table.shape[1]
     sigmas = [np.asarray(s, dtype=complex) for s in sigmas]
-    if len(sigmas) != n_lambda:
-        raise InvalidInput(f"expected {n_lambda} hidden states, got {len(sigmas)}")
+    n_lambda = len(sigmas)
+    n_meas = n_lambda.bit_length() - 1
+    if not (1 <= n_meas <= 6 and n_lambda == 1 << n_meas):
+        raise InvalidInput(f"need 2^n hidden states with 1 <= n <= 6, got {n_lambda}")
     for i, s in enumerate(sigmas):
         if s.shape != (2, 2):
             raise InvalidInput(f"hidden state {i} must be 2x2, got shape {s.shape}")
@@ -188,7 +190,7 @@ def lhs_assemblage(table: np.ndarray, sigmas, labels=None) -> Assemblage:
         raise InvalidInput(f"expected {n_meas} labels, got {len(labels)}")
     elif len(set(labels)) != len(labels):
         raise InvalidInput(f"repeated label in {tuple(labels)}")
-    stack = np.tensordot(table, sigmas, axes=(1, 0))
+    stack = np.tensordot(strategy_table(n_meas), sigmas, axes=(1, 0))
     return _from_stack(labels, stack)
 
 

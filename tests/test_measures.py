@@ -350,6 +350,15 @@ def test_nc_lorentzian_is_abs_G(g, omega_w):
     assert np.abs(ts.values - np.abs(lorentzian_G(g, omega_w, ts.times))).max() < 1e-13
 
 
+def test_long_horizon_lorentzian_traces():
+    # past t ~ 2250 G once overflowed to NaN, so nc_trace raised "non-finite
+    # entries" and tsw_trace a "non-finite" ValidationError
+    ch = LorentzianAD(0.3, 1.0)
+    ts = nc_trace(ch, 3000.0, 61)
+    assert np.abs(ts.values - np.abs(lorentzian_G(0.3, 1.0, ts.times))).max() < 1e-13
+    assert tsw_trace(ch, XYZ, MIXED, 3000.0, 31).metadata["non_optimal"] == []
+
+
 def test_nc_exchange_is_abs_cos():
     # what is left beyond roundoff is the RK4 error of the Exchange propagator
     ts = nc_trace(Exchange(1.0, 0.0), 2 * np.pi, 81)

@@ -530,9 +530,9 @@ def reduced_problems(rng):
 
 
 def test_map_back_gap_is_at_least_the_reduced_gap(rng):
-    # the solver skips the map back while c.x - b.y > tol, and its dual side
-    # while -b.y - primal(x) > tol; that is sound only if dual(y) never falls
-    # below -b.y and the certified gap never below c.x - b.y
+    # the solver skips the map back while c.x - b.y > tol, or while the shrink
+    # bound leaves -b.y - primal(x) above tol; that is sound only if dual(y)
+    # never falls below -b.y and the certified gap never below c.x - b.y
     reduced = reduced_problems(rng)
     for kind in ("dense", "rank1"):
         assert any(getattr(r, kind).any() for r in reduced)
@@ -644,8 +644,8 @@ def test_non_optimal_exits_certify_their_primal_side():
 def test_skipped_map_backs_would_not_certify(monkeypatch):
     # wherever the solver skips the map back, by the reduced gap c.x - b.y or
     # by the shrink bound, the full map back of that iterate does not certify;
-    # where the shrink bound skips it, -b.y - primal > tol, so the primal-side
-    # test would have skipped the dual side anyway
+    # where the shrink bound skips it, -b.y - primal > tol, so the certified
+    # gap, at least -b.y - primal since dual(y) >= -b.y, is above tol too
     real = sdp._Reduced.cannot_certify
     certified, by_bound = [], []
 

@@ -247,9 +247,8 @@ def test_strategy_out_of_range():
 
 
 def test_lhs_uniform_model():
-    table = strategy_table(3)
     sigmas = [IDENTITY / 16] * 8
-    asm = lhs_assemblage(table, sigmas)
+    asm = lhs_assemblage(sigmas)
     for x in asm.labels:
         for a in (1, -1):
             assert np.allclose(asm.member(x, a), IDENTITY / 4, atol=1e-12)
@@ -258,16 +257,15 @@ def test_lhs_uniform_model():
 
 def test_lhs_bloch_corner_member():
     # summing the four strategies with i=+1 cancels the y and z components
-    asm = lhs_assemblage(strategy_table(3), bloch_corner_sigmas())
+    asm = lhs_assemblage(bloch_corner_sigmas())
     expect = IDENTITY / 4 + SIGMA_X / (4 * np.sqrt(3))
     assert np.allclose(asm.member("X", 1), expect, atol=1e-12)
     assert validate(asm, 1e-12) == []
 
 
 def test_lhs_deterministic_concentration():
-    table = strategy_table(3)
     sigmas = [np.zeros((2, 2), dtype=complex)] * 7 + [IDENTITY / 2]
-    asm = lhs_assemblage(table, sigmas)
+    asm = lhs_assemblage(sigmas)
     for x in asm.labels:
         assert np.allclose(asm.member(x, 1), IDENTITY / 2)
         assert np.allclose(asm.member(x, -1), np.zeros((2, 2)))
@@ -276,12 +274,11 @@ def test_lhs_deterministic_concentration():
 def test_lhs_matches_explicit_index_sets():
     """The six members are the strategy sums with the documented index sets."""
     rng = np.random.default_rng(4)
-    table = strategy_table(3)
     sigmas = []
     for _ in range(8):
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         sigmas.append(g @ g.conj().T / 40)
-    asm = lhs_assemblage(table, sigmas)
+    asm = lhs_assemblage(sigmas)
     index_sets = {
         ("X", 1): [4, 5, 6, 7],
         ("X", -1): [0, 1, 2, 3],
@@ -297,40 +294,39 @@ def test_lhs_matches_explicit_index_sets():
 
 def test_lhs_validates_random():
     rng = np.random.default_rng(8)
-    table = strategy_table(3)
     for _ in range(25):
         raw = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(8)]
         sigmas = [g @ g.conj().T for g in raw]
         total = sum(np.trace(s).real for s in sigmas)
         sigmas = [s / total for s in sigmas]
-        asm = lhs_assemblage(table, sigmas)
+        asm = lhs_assemblage(sigmas)
         assert validate(asm, 1e-12) == []
 
 
 def test_lhs_errors():
-    table = strategy_table(2)
-    with pytest.raises(InvalidInput, match="expected 4 hidden states"):
-        lhs_assemblage(table, [IDENTITY / 8] * 3)
+    # the settings follow from the count of states, which must be 2^n, 1 <= n <= 6
+    for count in (0, 1, 3, 6, 128):
+        with pytest.raises(InvalidInput, match=f"2\\^n hidden states with 1 <= n <= 6, got {count}$"):
+            lhs_assemblage([IDENTITY / 8] * count)
     for labels in (("X",), ("X", "Y", "Z")):
         with pytest.raises(InvalidInput, match="expected 2 labels"):
-            lhs_assemblage(table, [IDENTITY / 8] * 4, labels=labels)
+            lhs_assemblage([IDENTITY / 8] * 4, labels=labels)
     for last in (np.diag([1.0, -0.5]), np.array([[0.25, 0.1], [0.0, 0.25]]),
                  np.full((2, 2), np.nan)):
         with pytest.raises(ValidationError, match="at hidden state 3"):
-            lhs_assemblage(table, [IDENTITY / 8] * 3 + [last])
+            lhs_assemblage([IDENTITY / 8] * 3 + [last])
     for sigmas in ([np.eye(3) / 6] * 2, [IDENTITY / 4, np.eye(3) / 6], [IDENTITY / 4, np.ones(4) / 8]):
         with pytest.raises(InvalidInput, match="2x2"):
-            lhs_assemblage(strategy_table(1), sigmas)
+            lhs_assemblage(sigmas)
 
 
 def test_lhs_rejects_repeated_labels():
     # members are keyed by (label, outcome), so a repeated label would keep
     # only the last setting's members and stack the wrong assemblage
-    table = strategy_table(2)
     for labels in (("X", "X"), ["Z", "Z"]):
         with pytest.raises(InvalidInput, match="repeated label"):
-            lhs_assemblage(table, [IDENTITY / 8] * 4, labels=labels)
-    asm = lhs_assemblage(table, [IDENTITY / 8] * 4, labels=("X", "Z"))
+            lhs_assemblage([IDENTITY / 8] * 4, labels=labels)
+    asm = lhs_assemblage([IDENTITY / 8] * 4, labels=("X", "Z"))
     assert len(asm.members) == 4
 
 
@@ -350,7 +346,7 @@ def test_depolarized_limits():
 def test_depolarized_threshold_equals_bloch_corner_lhs():
     v = 1 / np.sqrt(3)
     depol = depolarized_assemblage(v, XYZ)
-    lhs = lhs_assemblage(strategy_table(3), bloch_corner_sigmas())
+    lhs = lhs_assemblage(bloch_corner_sigmas())
     for key, m in depol.members.items():
         assert np.linalg.norm(m - lhs.members[key]) <= 1e-12
 
