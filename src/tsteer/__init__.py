@@ -22,7 +22,6 @@ from .measures import (
     tsw_trace,
 )
 from .sdp import (
-    SdpProblem,
     SdpSolution,
     SolveStatus,
     build_sw_sdp,

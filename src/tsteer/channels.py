@@ -166,8 +166,9 @@ def rk4_evolve(lmat, vecs, t, h_target):
 
 
 def _check_rates(**rates):
-    """Raise InvalidInput, naming each offender, unless every rate is finite and non-negative."""
-    bad = [f"{name}={r}" for name, r in rates.items() if not 0 <= r < math.inf]
+    """Raise InvalidInput, naming each offender, unless every rate is a finite non-negative real."""
+    bad = [f"{name}={r}" for name, r in rates.items()
+           if not (isinstance(r, numbers.Real) and 0 <= r < math.inf)]
     if bad:
         raise InvalidInput(f"rates must be finite and non-negative, got {', '.join(bad)}")
 

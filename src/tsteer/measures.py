@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,18 +65,18 @@ class NmResult:
 
 
 @functools.lru_cache(maxsize=32)
-def _uniform_grid(t_max: float, n_steps: float) -> np.ndarray:
+def _uniform_grid(t_max: float, n_steps: int) -> np.ndarray:
     """Read-only uniform grid of n_steps points on [0, t_max].
 
-    Callers pass both arguments as floats; t_max must be finite and positive
-    and n_steps integral and at least 2. Traces on equal grids share the
-    grid, so a caller that keeps many traces holds one copy of each grid
-    rather than one per trace.
+    Raises InvalidInput unless t_max is a finite positive real and n_steps
+    an integral real of at least 2. Traces on equal grids share the grid, so
+    a caller that keeps many traces holds one copy of each grid rather than
+    one per trace.
     """
-    if not (math.isfinite(t_max) and t_max > 0):
-        raise InvalidInput(f"t_max must be finite and positive, got {t_max}")
-    if not (n_steps.is_integer() and n_steps >= 2):
-        raise InvalidInput(f"need an integral number of at least 2 grid points, got {n_steps}")
+    if not (isinstance(t_max, numbers.Real) and math.isfinite(t_max) and t_max > 0):
+        raise InvalidInput(f"t_max must be finite and positive, got {t_max!r}")
+    if not (isinstance(n_steps, numbers.Real) and float(n_steps).is_integer() and n_steps >= 2):
+        raise InvalidInput(f"need an integral number of at least 2 grid points, got {n_steps!r}")
     times = np.linspace(0.0, t_max, int(n_steps))
     times.flags.writeable = False
     return times
@@ -111,7 +112,7 @@ def tsw_trace(ch, ms: MeasurementSet, rho0, t_max: float, n_steps: int,
     certified upper bound on the TSW, and its grid index is listed in
     metadata["non_optimal"].
     """
-    times = _uniform_grid(float(t_max), float(n_steps))
+    times = _uniform_grid(t_max, n_steps)
     stacks = channels.evolve_grid(ch, premeasure(rho0, ms).stacked(), times)
     values = np.empty(times.size)
     solutions = []
@@ -133,31 +134,26 @@ def tsw_trace(ch, ms: MeasurementSet, rho0, t_max: float, n_steps: int,
     return TraceSeries(times, values, meta, solutions)
 
 
-def _filtered_increments(values, slope_threshold):
-    """Grid increments with sub-threshold positive steps zeroed as solver noise.
+def n_tsw(series: TraceSeries,
+          slope_threshold: float = DEFAULT_SLOPE_THRESHOLD) -> NmResult:
+    """Integral of the positive slope of the trace (first-order increments).
 
-    A non-finite value is a broken point, not a flat one, so it raises; so
-    does a threshold that is NaN (it would switch the filter off) or negative.
+    Positive increments at or below slope_threshold are zeroed as solver
+    noise. The |slope| integral plus the boundary term, sum |d| + sum d over
+    the same filtered increments d, is exactly twice this value. A
+    non-finite value is a broken point, not a flat one, so it raises
+    InvalidInput; so does a threshold that is not a real, is NaN (it would
+    switch the filter off) or is negative.
     """
-    if not (math.isfinite(slope_threshold) and slope_threshold >= 0):
-        raise InvalidInput(f"slope_threshold must be finite and >= 0, got {slope_threshold}")
-    values = np.asarray(values, dtype=float)
+    if not (isinstance(slope_threshold, numbers.Real) and math.isfinite(slope_threshold)
+            and slope_threshold >= 0):
+        raise InvalidInput(f"slope_threshold must be finite and >= 0, got {slope_threshold!r}")
+    values = np.asarray(series.values, dtype=float)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise InvalidInput(f"trace has non-finite values at grid indices {bad.tolist()}")
     d = np.diff(values)
     d = np.where((d > 0.0) & (d <= slope_threshold), 0.0, d)
-    return d
-
-
-def n_tsw(series: TraceSeries,
-          slope_threshold: float = DEFAULT_SLOPE_THRESHOLD) -> NmResult:
-    """Integral of the positive slope of the trace (first-order increments).
-
-    The |slope| integral plus the boundary term, sum |d| + sum d over the
-    same filtered increments d, is exactly twice this value.
-    """
-    d = _filtered_increments(series.values, slope_threshold)
     value = float(d[d > 0.0].sum())
     return NmResult(value, slope_threshold, series)
 
@@ -200,7 +196,7 @@ def nc_trace(ch, t_max: float, n_steps: int) -> TraceSeries:
     at time t is Choi(T(t))/2, so every channel reads its trace off its
     transfer matrices on the grid.
     """
-    times = _uniform_grid(float(t_max), float(n_steps))
+    times = _uniform_grid(t_max, n_steps)
     chois = channels.choi_from_transfer(channels.transfer_grid(ch, times))
     values = np.array([concurrence(0.5 * c) for c in chois])
     meta = {"measure": "concurrence", "channel": ch}

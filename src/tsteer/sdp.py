@@ -12,6 +12,11 @@ The dual asks for one PSD multiplier F_{a|x} per constraint with
 sum_{a,x} D_lam(a|x) F_{a|x} >= I for every lam, minimizing
 sum <sigma_{a|x}, F_{a|x}>; any dual-feasible point upper-bounds mu*.
 
+The program's one input is the (2 n, 2, 2) stack of the targets sigma_{a|x}
+in constraint order, (x0,+1), (x0,-1), (x1,+1), ...: `solve`,
+`primal_certificate` and `dual_certificate` each take that array and read
+D = `strategy_table(n)` from its length.
+
 `solve` is one cold path:
 
 1. Whitening: sigma -> S sigma S with S = R^{-1/2}, R the mean reduced
@@ -112,40 +117,6 @@ class SolveStatus(enum.Enum):
     MAX_ITER = "max_iter"
 
 
-@dataclass(frozen=True)
-class SdpProblem:
-    """Steerable-weight SDP data: the target blocks sigma_{a|x} and a time tag.
-
-    The rest is derived from the target count 2 n_meas, d_matrix too: it is
-    `strategy_table(n_meas)` itself, the shared, read-only (2 n, 2^n) 0/1
-    matrix D[(x,a), lam]. Raises InvalidInput unless targets has shape
-    (2 n, 2, 2) with 1 <= n <= 6.
-    """
-
-    targets: np.ndarray = field(repr=False)  # (2 n_meas, 2, 2) in constraint order
-    time_tag: float = 0.0
-
-    def __post_init__(self):
-        if (shape := np.shape(self.targets)) not in [(2 * n, 2, 2) for n in range(1, 7)]:
-            raise InvalidInput(f"need 2 n 2x2 targets, 1 <= n <= 6, got shape {shape}")
-
-    @property
-    def n_meas(self) -> int:
-        return len(self.targets) // 2
-
-    @property
-    def d_matrix(self) -> np.ndarray:
-        return strategy_table(self.n_meas)
-
-    @property
-    def n_constraints(self) -> int:
-        return 2 * self.n_meas
-
-    @property
-    def n_lambda(self) -> int:
-        return 2 ** self.n_meas
-
-
 @dataclass
 class SdpSolution:
     mu_star: float
@@ -169,20 +140,35 @@ def _certifies(primal, dual, tol):
     return -_ROUNDOFF * max(1.0, abs(dual)) <= dual - primal <= tol
 
 
-def build_sw_sdp(asm: Assemblage, table: np.ndarray) -> SdpProblem:
-    """Assemble the SDP for a validated assemblage and its strategy_table(n_meas)."""
+def _strategies(targets) -> np.ndarray:
+    """strategy_table(n) of a (2 n, 2, 2) stack of targets; InvalidInput for any other shape."""
+    if (shape := np.shape(targets)) not in [(2 * n, 2, 2) for n in range(1, 7)]:
+        raise InvalidInput(f"need 2 n 2x2 targets, 1 <= n <= 6, got shape {shape}")
+    return strategy_table(len(targets) // 2)
+
+
+def build_sw_sdp(asm: Assemblage, table: np.ndarray) -> np.ndarray:
+    """The SDP's targets for a validated assemblage and its strategy_table(n_meas):
+    `asm.stacked()`, the (2 n, 2, 2) stack in constraint order.
+
+    The stack is the whole input of `solve`; this step stays a named function
+    because `perfbench` times it as the SDP build, sdp.build_s. Raises
+    InvalidInput unless table has shape (2 n, 2^n).
+    """
     if np.shape(table) != (2 * asm.n_meas, 2 ** asm.n_meas):
         raise InvalidInput(f"table shape {np.shape(table)} does not fit {asm.n_meas} settings")
-    return SdpProblem(asm.stacked(), asm.time_tag)
+    return asm.stacked()
 
 
-def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
+def solve(targets: np.ndarray, tol: float = DEFAULT_TOL,
           max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
-    """Solve the steerable-weight SDP to a certified duality gap.
+    """Solve the steerable-weight SDP of a (2 n, 2, 2) stack of targets
+    sigma_{a|x}, in constraint order, to a certified duality gap.
 
-    Whitens, face-reduces and runs the interior-point method once, cold
-    (see the module docstring). OPTIMAL means the signed gap dual_value -
-    mu_star of the exactly feasible primal and dual points is at most tol,
+    The strategy table is `strategy_table(n)`, and the targets are read as
+    complex. Whitens, face-reduces and runs the interior-point method once,
+    cold (see the module docstring). OPTIMAL means the signed gap dual_value
+    - mu_star of the exactly feasible primal and dual points is at most tol,
     and below 0 by at most roundoff, 1e-12 max(1, |dual_value|). MAX_ITER
     means max_iter Newton steps, or a numerical breakdown, came first; such
     an exit certifies only its primal side, mu_star <= mu*, and its
@@ -191,24 +177,26 @@ def solve(problem: SdpProblem, tol: float = DEFAULT_TOL,
     tol (module docstring, step 4). An OPTIMAL run on the paper's traces
     takes 8 to 20 Lorentz-cone steps, mostly 8 to 11, and a constant map
     none.
-    Raises InvalidInput unless tol is finite and positive and max_iter a
-    non-negative integer, and its subclass ValidationError for a target
-    block that fails `check_blocks` at tolerance 1e-8: non-finite, not
-    Hermitian, or with an eigenvalue < -1e-8.
+    Raises InvalidInput unless targets has shape (2 n, 2, 2) with 1 <= n <=
+    6, tol is a finite positive real and max_iter a non-negative integer,
+    and its subclass ValidationError for a target block that fails
+    `check_blocks` at tolerance 1e-8: non-finite, not Hermitian, or with an
+    eigenvalue < -1e-8.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidInput(f"tolerance must be finite and positive, got {tol}")
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+        raise InvalidInput(f"tolerance must be finite and positive, got {tol!r}")
     if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
         raise InvalidInput(f"max_iter must be a non-negative integer, got {max_iter!r}")
-    targets = problem.targets
+    d_mat = _strategies(targets)
+    targets = np.asarray(targets, dtype=complex)
     check_blocks(targets, 1e-8, [f"target block {i}" for i in range(len(targets))])
-    red = herm(targets.sum(axis=0) / problem.n_meas)
+    red = herm(targets.sum(axis=0) / (len(targets) // 2))
     if det2(red) <= _RANK_EPS * _trace(red) ** 2:
-        return _constant_map(problem, red, tol)
-    return _interior_point(_Reduced(problem, red), tol, max_iter)
+        return _constant_map(targets, d_mat, red, tol)
+    return _interior_point(_Reduced(targets, d_mat, red), tol, max_iter)
 
 
-def _constant_map(problem, red, tol):
+def _constant_map(targets, d_mat, red, tol):
     """Closed-form optimum when every member is a multiple of one pure state.
 
     P = R / tr R is its range, c_m = <sigma_m, P>, r_x = c_{+|x} + c_{-|x},
@@ -218,7 +206,6 @@ def _constant_map(problem, red, tol):
     assemblage, so TSW = 0): each strategy takes one outcome of that
     setting, so its coverage is exactly P + (I - P) = I.
     """
-    d_mat, targets = problem.d_matrix, problem.targets
     proj = red / _trace(red)
     c = np.maximum(np.einsum("mij,ij->m", targets.conj(), proj).real, 0.0)
     r = c[0::2] + c[1::2]
@@ -226,8 +213,8 @@ def _constant_map(problem, red, tol):
     share = c / np.maximum(np.repeat(r, 2), 1e-300)
     weight = r[best] * np.prod(np.where(d_mat > 0, share[:, None], 1.0), axis=0)
     sig = weight[:, None, None] * proj
-    alpha = (np.arange(problem.n_constraints) // 2 == best).astype(float)
-    f = alpha[:, None, None] * proj + (IDENTITY - proj) / problem.n_meas
+    alpha = (np.arange(len(targets)) // 2 == best).astype(float)
+    f = alpha[:, None, None] * proj + (IDENTITY - proj) / (len(targets) // 2)
     primal = float(np.einsum("nii->", sig).real)
     dual = float(np.einsum("mij,mij->", targets.conj(), f).real)
     return SdpSolution(primal, sig, f, dual, status=SolveStatus.OPTIMAL
@@ -245,9 +232,8 @@ class _Reduced:
     operator on svec coordinates, shape (rows, blocks, 4).
     """
 
-    def __init__(self, problem: SdpProblem, red):
-        d_mat, targets = problem.d_matrix, problem.targets
-        self.problem = problem
+    def __init__(self, targets, d_mat, red):
+        self.d_mat, self.n_meas = d_mat, len(targets) // 2
         # R^{-1/2}, R^{1/2} as in step 1 (s > 0); adj R, not (tr R + s) I - R, does not cancel
         s = math.sqrt(det2(red))
         t = math.sqrt(_trace(red) + 2.0 * s)
@@ -255,7 +241,7 @@ class _Reduced:
         self.smat, self.sinv = (adj + s * IDENTITY) / (s * t), (red + s * IDENTITY) / t
         b = herm(self.smat @ targets @ self.smat)
         self.tr_b = tr_b = _trace(b)
-        zero = tr_b <= _RANK_EPS * problem.n_meas
+        zero = tr_b <= _RANK_EPS * self.n_meas
         self.rank1 = rank1 = ~zero & (det2(b) <= _RANK_EPS * tr_b ** 2)
         self.dense = dense = ~(zero | rank1)
         proj = b / np.where(zero, 1.0, tr_b)[:, None, None]
@@ -333,14 +319,13 @@ class _Reduced:
         every slack PSD: a rank-one slack iff its face coefficients fit in
         tr b_m, a dense one, E + (1 - theta) U, once 1 - theta lifts E along U.
         """
-        p = self.problem
         h = _unsvec(x[:self.n_keep])
-        sig = np.zeros((p.n_lambda, 2, 2), dtype=complex)
+        xi = np.zeros(self.d_mat.shape[1])
+        sig = np.zeros(xi.shape + (2, 2), dtype=complex)
         sig[self.plain_lam] = psd_project(herm(self.sinv @ h[self.plain] @ self.sinv))
-        xi = np.zeros(p.n_lambda)
         xi[self.face_lam] = share = np.maximum(0.5 * _trace(h[self.on_face]), 0.0)
         sig[self.face_lam] = (share / self.tr_b_home)[:, None, None] * self.t_home
-        load = p.d_matrix @ xi
+        load = self.d_mat @ xi
         theta = np.where(self.rank1 & (load > self.tr_b), self.tr_b / np.maximum(load, 1e-300), 1.0)
         used = _cover(self.d_dense, sig)
         theta[self.dense] = 1.0 - _lift_size(self.t_dense - used, used)
@@ -398,7 +383,7 @@ class _Reduced:
         F >= 0 first, then, since every strategy activates exactly n_meas
         constraints, coverage sum_m D F_m >= I.
         """
-        d_mat = self.problem.d_matrix
+        d_mat = self.d_mat
         f = np.zeros_like(self.lift)
         f[self.dense] = -(self.smat @ _unsvec(y[self.dense_rows].reshape(-1, 4)) @ self.smat)
         f[self.rank1] = ((-y[self.rank1_rows] * self.tr_b_rank1 / self.tr_t_sq)[:, None, None]
@@ -407,7 +392,7 @@ class _Reduced:
         f = f + (d_mat * k_lam).max(axis=1)[:, None, None] * self.lift
         f = f + max(0.0, -float(min_eig(f).min())) * IDENTITY
         zeta = float(min_eig(_cover(d_mat.T, f) - IDENTITY).min())
-        f = f + max(0.0, -zeta / self.problem.n_meas) * IDENTITY
+        f = f + max(0.0, -zeta / self.n_meas) * IDENTITY
         return f, float(np.einsum("mij,mij->", self.t_conj, f).real)
 
 
@@ -594,29 +579,33 @@ class CertificateReport:
     coverage_min_eig: float  # min eig of sum_m D F - I over strategies
 
 
-def dual_certificate(sol: SdpSolution, problem: SdpProblem,
+def dual_certificate(sol: SdpSolution, targets: np.ndarray,
                      tol: float = 1e-7) -> CertificateReport:
-    """Verify the dual multipliers independently of the solve path.
+    """Verify the dual multipliers of a solve of the (2 n, 2, 2) targets
+    independently of the solve path.
 
     Checks that every multiplier block is PSD, that the strategy coverage
     sum_{a,x} D_lam(a|x) F_{a|x} dominates the identity for every lam, and
     that the dual value is recorded right, not below mu_star beyond roundoff.
     Raises CertificateInvalid when any check fails beyond tol, when a value
-    it reads is not finite, or when tol is not finite and positive.
+    it reads is not finite, when the multipliers do not match the targets'
+    2 n constraints, or when tol is not a finite positive real; InvalidInput
+    for targets that `solve` would reject by shape.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise CertificateInvalid(f"tolerance must be finite and positive, got {tol}")
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+        raise CertificateInvalid(f"tolerance must be finite and positive, got {tol!r}")
+    d_mat = _strategies(targets)
     if sol.status is not SolveStatus.OPTIMAL:
         raise CertificateInvalid(f"solution status is {sol.status.value}, not optimal")
     f = sol.dual_vars
-    if f.shape != (problem.n_constraints, 2, 2):
+    if f.shape != (len(targets), 2, 2):
         raise CertificateInvalid("multiplier count does not match constraints")
     _require_finite(dual_vars=f, dual_value=sol.dual_value, mu_star=sol.mu_star,
-                    targets=problem.targets)
+                    targets=targets)
     m_eig = float(min_eig(f).min())
-    cover = np.tensordot(problem.d_matrix.T, f, axes=(1, 0)) - IDENTITY
+    cover = np.tensordot(d_mat.T, f, axes=(1, 0)) - IDENTITY
     c_eig = float(min_eig(cover).min())
-    dual = float(np.einsum("mij,mij->", problem.targets.conj(), f).real)
+    dual = float(np.einsum("mij,mij->", np.conj(targets), f).real)
     if m_eig < -tol:
         raise CertificateInvalid(f"multiplier min eigenvalue {m_eig:.3e} < -{tol:.1e}")
     if c_eig < -tol:
@@ -628,24 +617,27 @@ def dual_certificate(sol: SdpSolution, problem: SdpProblem,
     return CertificateReport(dual, sol.gap, m_eig, c_eig)
 
 
-def primal_certificate(sol: SdpSolution, problem: SdpProblem) -> float:
-    """Verify the primal point independently of the solve path.
+def primal_certificate(sol: SdpSolution, targets: np.ndarray) -> float:
+    """Verify the primal point of a solve of the (2 n, 2, 2) targets
+    independently of the solve path.
 
     Checks in closed form that every sigma_tilde block is Hermitian and PSD,
     that every slack sigma_{a|x} - sum_lam D_lam(a|x) sigma_tilde_lam is PSD
     (up to roundoff, 1e-12), and that mu_star is their total trace. Returns
     mu_star, a lower bound on the optimum: with `dual_certificate`,
     [1 - dual_value, 1 - mu_star] brackets the steerable weight. Raises
-    CertificateInvalid when any check fails or a value it reads is not finite.
+    CertificateInvalid when any check fails, a value it reads is not finite,
+    or sigma_tilde does not match the targets' 2^n strategies; InvalidInput
+    for targets that `solve` would reject by shape.
     """
-    sig, tol = sol.sigma_tilde, _ROUNDOFF
-    if sig.shape != (problem.n_lambda, 2, 2):
+    d_mat, sig, tol = _strategies(targets), sol.sigma_tilde, _ROUNDOFF
+    if sig.shape != (d_mat.shape[1], 2, 2):
         raise CertificateInvalid("sigma_tilde count does not match strategies")
-    _require_finite(sigma_tilde=sig, mu_star=sol.mu_star, targets=problem.targets)
+    _require_finite(sigma_tilde=sig, mu_star=sol.mu_star, targets=targets)
     if float(anti_herm_norm(sig).max()) > tol:
         raise CertificateInvalid("sigma_tilde is not Hermitian")
     b_eig = float(min_eig(sig).min())
-    slack = problem.targets - np.tensordot(problem.d_matrix, sig, axes=(1, 0))
+    slack = targets - np.tensordot(d_mat, sig, axes=(1, 0))
     s_eig = float(min_eig(slack).min())
     value = float(np.einsum("nii->", sig).real)
     if b_eig < -tol:

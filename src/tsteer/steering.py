@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -148,8 +149,8 @@ def strategy_table(n_meas: int) -> np.ndarray:
     lam gives setting x the outcome +1 iff bit n-1-x of lam is set, so lam = 0
     is all -1, the last column all +1, and the last setting varies fastest.
     """
-    if not (float(n_meas).is_integer() and 1 <= n_meas <= 6):
-        raise InvalidInput(f"n_meas must be an integer in 1..6, got {n_meas}")
+    if not (isinstance(n_meas, numbers.Real) and float(n_meas).is_integer() and 1 <= n_meas <= 6):
+        raise InvalidInput(f"n_meas must be an integer in 1..6, got {n_meas!r}")
     return _strategy_table(int(n_meas))
 
 
@@ -241,10 +242,10 @@ def validate(asm: Assemblage, tol: float = 1e-9) -> list:
     independent of the setting) and unit trace of each setting's outcome
     sum. If a member is non-finite, only the non-finite members are
     reported, since every other invariant would be computed from them.
-    Raises InvalidInput unless tol is finite and >= 0, since a NaN tol passes
-    every check and a negative one fails them all.
+    Raises InvalidInput unless tol is a finite real >= 0, since a NaN tol
+    passes every check and a negative one fails them all.
     """
-    if not (math.isfinite(tol) and tol >= 0):
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
         raise InvalidInput(f"tol must be finite and >= 0, got {tol}")
     stack = asm.stacked()
     out = block_violations(stack, tol, [f"({x},{a:+d})" for x in asm.labels for a in OUTCOMES])

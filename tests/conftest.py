@@ -6,8 +6,13 @@ import pytest
 from tsteer.channels import propagate_assemblage, random_kraus_channel
 from tsteer.errors import InvalidInput
 from tsteer.hermat import IDENTITY, herm, min_eig, psd_project
-from tsteer.sdp import SdpProblem
-from tsteer.steering import Assemblage, MeasurementSet, pauli_measurement_set, premeasure
+from tsteer.steering import (
+    Assemblage,
+    MeasurementSet,
+    pauli_measurement_set,
+    premeasure,
+    strategy_table,
+)
 
 
 def random_density(rng, dim=2):
@@ -54,9 +59,10 @@ def eig_propagate(lmat, t, vecs):
     return v @ (np.exp(w * t)[:, None] * coeff)
 
 
-def primal_ascent_bound(problem: SdpProblem, n_restarts: int = 200,
+def primal_ascent_bound(targets: np.ndarray, n_restarts: int = 200,
                         n_steps: int = 30, seed: int = 0) -> float:
-    """Independent lower bound on mu* from random-restart projected ascent.
+    """Independent lower bound on mu* of the (2 n, 2, 2) targets from
+    random-restart projected ascent.
 
     Plain projected-gradient ascent: the objective gradient is the identity
     on every block, and the projection onto the feasible intersection
@@ -68,8 +74,7 @@ def primal_ascent_bound(problem: SdpProblem, n_restarts: int = 200,
     bound on mu* no matter how tight it is. All restarts advance in one
     vectorized batch.
     """
-    d_mat = problem.d_matrix
-    targets = problem.targets
+    d_mat = strategy_table(len(targets) // 2)
     m_cons, n_lam = d_mat.shape
     rng = np.random.default_rng(seed)
     active = [np.flatnonzero(d_mat[m]) for m in range(m_cons)]

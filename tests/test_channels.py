@@ -74,6 +74,13 @@ def test_master_equation_models_reject_non_finite_rates(cls):
         bad = next(r for r in rates if not np.isfinite(r))
         with pytest.raises(InvalidInput, match=rf"rates must be finite and non-negative, got \w+={bad}$"):
             cls(*rates)
+    # a rate that is not a real number is rejected the same way, not by
+    # numpy's or Python's own comparison errors; numpy scalars are reals
+    for rates, bad in (((1j, 0.0), r"1j"), ((1.0, None), "None"),
+                       ((np.array([1.0, 2.0]), 0.0), r"\[1\. 2\.\]")):
+        with pytest.raises(InvalidInput, match=rf"rates must be finite and non-negative, got \w+={bad}$"):
+            cls(*rates)
+    assert cls(np.float64(1.0), np.int64(0)) == cls(1.0, 0.0)
 
 
 # --- Exchange ------------------------------------------------------------------
@@ -274,6 +281,11 @@ def test_lorentzian_bad_parameters():
         name, bad = ("g", g) if g != 0.5 else ("omega_w", omega_w)
         with pytest.raises(InvalidInput, match=f"got {name}={bad}"):
             LorentzianAD(g, omega_w)
+    with pytest.raises(InvalidInput, match=r"got g=2j"):
+        LorentzianAD(2j, 1.0)
+    with pytest.raises(InvalidInput, match="got omega_w=None"):
+        lorentzian_G(0.5, None, 1.0)
+    assert LorentzianAD(np.float64(2.0), np.int64(1)) == LorentzianAD(2.0, 1.0)
 
 
 @pytest.mark.parametrize("fn", [lorentzian_G, lorentzian_gamma])

@@ -147,9 +147,9 @@ def test_paper_traces_one_certified_solve_per_point(ch, t_max, newton_steps, mon
     calls = []
     primal_map_backs, map_backs = [], []
 
-    def counting_solve(problem, **kwargs):
-        calls.append(problem.time_tag)
-        return real_solve(problem, **kwargs)
+    def counting_solve(targets, **kwargs):
+        calls.append(targets)
+        return real_solve(targets, **kwargs)
 
     def counting_primal(reduced, x):
         primal_map_backs.append(1)
@@ -163,7 +163,9 @@ def test_paper_traces_one_certified_solve_per_point(ch, t_max, newton_steps, mon
     monkeypatch.setattr(sdp._Reduced, "primal", counting_primal)
     monkeypatch.setattr(sdp._Reduced, "dual", counting_dual)
     ts = tsw_trace(ch, XYZ, MIXED, t_max, 81, tol=1e-8)
-    assert calls == list(ts.times)
+    # one solve per grid point, in grid order, of exactly the evolved stack
+    assert np.array_equal(calls, channels.evolve_grid(ch, premeasure(MIXED, XYZ).stacked(),
+                                                      ts.times))
     # the certified map back runs only where it can stop the run, not once
     # per iterate (Newton steps + one final iterate per solve)
     iterates = sum(sol.iterations for sol in ts.solutions) + len(ts.solutions)
@@ -214,9 +216,13 @@ def test_n_tsw_threshold_filters_noise():
     for bad in (np.nan, np.inf, -1e-6):
         with pytest.raises(InvalidInput, match=f"slope_threshold must be finite and >= 0, got {bad}"):
             n_tsw(series([0.0, 0.5, 1.0]), slope_threshold=bad)
+    for bad in ("x", None):
+        with pytest.raises(InvalidInput, match="slope_threshold must be finite and >= 0"):
+            n_tsw(series([0.0, 0.5, 1.0]), slope_threshold=bad)
+    assert n_tsw(ts, slope_threshold=np.float64(1e-6)).value == 0.0
 
 
-def test_n_abs_telescoping_and_factor_two(rng):
+def test_n_tsw_is_half_the_abs_slope_plus_boundary(rng):
     # twice n_tsw is the |slope| integral plus the boundary term, sum |d| + sum d
     # over the filtered increments d, and sum d telescopes to the end-to-end change
     assert n_tsw(series([1.0, 0.7, 0.3, 0.0])).value == pytest.approx(0.0, abs=1e-12)
@@ -233,7 +239,7 @@ def test_n_abs_telescoping_and_factor_two(rng):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_n_tsw_and_n_abs_reject_non_finite_values(bad):
+def test_n_tsw_rejects_non_finite_values(bad):
     # a broken point must not read as a flat (Markovian) stretch
     s = series([0.0, bad, 1.0])
     with pytest.raises(InvalidInput, match=r"non-finite values at grid indices \[1\]"):
@@ -395,11 +401,12 @@ def test_nc_trace_matches_ancilla_extended_evolution():
 
 def test_tsw_trace_flags_non_optimal_points(monkeypatch):
     real_solve = measures.solve
-    bad_time = 1.0
+    bad = channels.evolve_grid(RabiDecay(1.0, 0.5), premeasure(MIXED, XYZ).stacked(),
+                               np.linspace(0.0, 2.0, 5))[2]  # the stack at t = 1
 
-    def solve_with_one_failure(problem, **kwargs):
-        sol = real_solve(problem, **kwargs)
-        if problem.time_tag == bad_time:
+    def solve_with_one_failure(targets, **kwargs):
+        sol = real_solve(targets, **kwargs)
+        if np.array_equal(targets, bad):
             sol.status = SolveStatus.MAX_ITER
         return sol
 
@@ -426,6 +433,7 @@ def test_traces_on_equal_grids_share_one_read_only_times_array():
 @pytest.mark.parametrize("t_max, n_steps", [
     (np.nan, 5), (np.inf, 5), (0.0, 5), (-1.0, 5),
     (2.0, 1), (2.0, 2.5), (2.0, np.nan), (2.0, np.inf),
+    (None, 5), (2.0, "5"), (2.0, None),
 ])
 def test_traces_reject_bad_grid_arguments(t_max, n_steps):
     match = "t_max must be finite and positive" if n_steps == 5 else "at least 2 grid points"
@@ -437,6 +445,7 @@ def test_traces_reject_bad_grid_arguments(t_max, n_steps):
 
 def test_traces_accept_integral_float_grid_size():
     assert nc_trace(RabiDecay(1.0), 2.0, 5.0).times.size == 5
+    assert nc_trace(RabiDecay(1.0), np.float64(2.0), np.int64(5)).times.size == 5
 
 
 def test_tsw_rejects_non_finite_members():
@@ -464,4 +473,4 @@ def test_tsw_rejects_every_assemblage_solve_rejects():
     with pytest.raises(ValidationError, match=r"not-hermitian at \(X,\+1\)"):
         propagate_assemblage(KrausChannel([IDENTITY]), 0.5, asm)
     with pytest.raises(ValidationError, match="not-hermitian at target block 0"):
-        sdp.solve(sdp.SdpProblem(asm.stacked()))
+        sdp.solve(asm.stacked())

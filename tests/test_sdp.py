@@ -9,14 +9,15 @@ from tsteer.channels import Exchange, LorentzianAD, evolve_grid, propagate_assem
 from tsteer.errors import CertificateInvalid, InvalidInput, ValidationError
 from tsteer.hermat import IDENTITY, KET_E, SIGMA_X, SIGMA_Y, SIGMA_Z, det2, herm, min_eig
 from tsteer.sdp import (
-    SdpProblem,
     SolveStatus,
     build_sw_sdp,
     dual_certificate,
     primal_certificate,
     solve,
 )
+from tsteer.measures import tsw
 from tsteer.steering import (
+    Assemblage,
     pauli_measurement_set,
     premeasure,
     strategy_table,
@@ -49,24 +50,42 @@ def exact_depol_tsw(v):
 
 
 def test_build_counts_three_settings():
+    # the SDP's input is the assemblage's stack, and its solution has one
+    # block per strategy and one multiplier per constraint
     p = depol_problem(0.5)
-    assert p.n_lambda == 8
-    assert p.n_constraints == 6
-    assert p.d_matrix.shape == (6, 8)
-    assert p.targets.shape == (6, 2, 2)
+    assert np.array_equal(p, depolarized_assemblage(0.5, XYZ).stacked())
+    assert p.shape == (6, 2, 2)
+    sol = solve(p)
+    assert sol.sigma_tilde.shape == (8, 2, 2)
+    assert sol.dual_vars.shape == (6, 2, 2)
 
 
 def test_build_counts_two_settings():
     p = depol_problem(0.5, labels="XZ")
-    assert p.n_lambda == 4
-    assert p.n_constraints == 4
+    assert p.shape == (4, 2, 2)
+    sol = solve(p)
+    assert sol.sigma_tilde.shape == (4, 2, 2)
+    assert sol.dual_vars.shape == (4, 2, 2)
 
 
-def test_build_constraint_pattern_matches_strategy_table():
+def test_build_constraint_pattern_matches_strategy_table(monkeypatch):
+    # solve and both certificates read D as the cached strategy_table(n) of
+    # the stack's length, a read-only 0/1 matrix
     p = depol_problem(0.3)
-    d = strategy_table(3)
-    assert np.array_equal(p.d_matrix, d)
-    assert set(np.unique(p.d_matrix)) == {0.0, 1.0}
+    tables = []
+
+    def spy(n):
+        tables.append((n, strategy_table(n)))
+        return tables[-1][1]
+
+    monkeypatch.setattr(sdp, "strategy_table", spy)
+    sol = solve(p)
+    assert primal_certificate(sol, p) == sol.mu_star
+    dual_certificate(sol, p)
+    assert [n for n, _ in tables] == [3, 3, 3]
+    assert all(d is strategy_table(3) for _, d in tables)
+    assert not strategy_table(3).flags.writeable
+    assert set(np.unique(strategy_table(3))) == {0.0, 1.0}
 
 
 def test_build_dimension_mismatch():
@@ -76,21 +95,19 @@ def test_build_dimension_mismatch():
 
 
 def test_problem_stores_only_its_targets():
-    # n_meas, the counts and d_matrix are derived from the targets; d_matrix
-    # is the one shared, read-only table of its setting count
-    p = depol_problem(0.5)
-    assert [f.name for f in dataclasses.fields(SdpProblem)] == ["targets", "time_tag"]
-    assert p.d_matrix is strategy_table(3) is depol_problem(0.2).d_matrix
-    assert not p.d_matrix.flags.writeable
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        p.targets = p.targets.copy()
+    # the stack of targets is the whole problem: the setting count, the
+    # strategy count and D follow from its length, and D is the one shared,
+    # read-only table of that count
     for labels in ("Z", "XZ", "XYZ"):
         n = len(labels)
         q = depol_problem(0.5, labels)
-        assert (q.n_meas, q.n_constraints, q.n_lambda) == (n, 2 * n, 2 ** n)
-        assert np.array_equal(q.d_matrix, strategy_table(n))
-    six = SdpProblem(np.broadcast_to(IDENTITY / 24, (12, 2, 2)))
-    assert six.d_matrix.shape == (12, 64)
+        assert sdp._strategies(q) is strategy_table(n)
+        sol = solve(q)
+        assert sol.sigma_tilde.shape == (2 ** n, 2, 2)
+        assert sol.dual_vars.shape == (2 * n, 2, 2)
+    six = np.broadcast_to(IDENTITY / 24, (12, 2, 2))
+    assert sdp._strategies(six) is strategy_table(6)
+    assert strategy_table(6).shape == (12, 64)
 
 
 def test_single_setting_never_steerable(rng):
@@ -141,7 +158,8 @@ def assert_solution_clean(sol, problem, tol=1e-8):
     from tsteer.hermat import min_eig as _min_eig
 
     assert float(_min_eig(sol.sigma_tilde).min()) >= -1e-8
-    slack = problem.targets - np.tensordot(problem.d_matrix, sol.sigma_tilde, axes=(1, 0))
+    d_mat = strategy_table(len(problem) // 2)
+    slack = problem - np.tensordot(d_mat, sol.sigma_tilde, axes=(1, 0))
     assert float(_min_eig(slack).min()) >= -1e-8
 
 
@@ -156,6 +174,7 @@ def test_solution_invariants_random(rng):
 @pytest.mark.parametrize("kwargs", [
     {"tol": 0.0}, {"tol": -1e-8}, {"tol": float("nan")}, {"tol": float("inf")},
     {"max_iter": -1}, {"max_iter": 2.5}, {"max_iter": None},
+    {"tol": "1e-8"}, {"tol": None},
 ])
 def test_solve_rejects_bad_arguments(kwargs):
     name = next(iter(kwargs))
@@ -164,50 +183,45 @@ def test_solve_rejects_bad_arguments(kwargs):
 
 
 @pytest.mark.parametrize("d_meas, n_targets, dim", [
-    (2, 6, 2),  # a 2-setting strategy matrix with 3-setting targets
-    (3, 4, 2),  # 4 targets for 3 settings
+    (2, 6, 2),  # 6 targets read with the 3-setting table, not the 2-setting one
+    (3, 4, 2),  # 4 targets read with the 2-setting table, not the 3-setting one
     (3, 6, 3),  # 3x3 targets
 ])
 def test_solve_rejects_shape_inconsistent_problems(d_meas, n_targets, dim):
-    # the strategy matrix and setting count follow from the targets, so no
-    # problem pairs them with another count, and targets that are not 2 n
-    # 2x2 blocks (1 <= n <= 6) are rejected before a solve can see them
-    p = depol_problem(0.5)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        p.d_matrix = strategy_table(d_meas)
-    with pytest.raises(TypeError):
-        dataclasses.replace(p, n_meas=d_meas)
+    # the strategy table and setting count follow from the targets, so no
+    # input pairs them with another count, and targets that are not 2 n
+    # 2x2 blocks (1 <= n <= 6) are rejected by solve and both certificates
+    sol = solve(depol_problem(0.5))
     targets = np.broadcast_to(np.eye(dim) / dim, (n_targets, dim, dim)).astype(complex)
+    bad_shapes = [targets[:, :1], targets[:-1], np.concatenate([targets] * 7)]
     if dim == 2:
-        q = dataclasses.replace(p, targets=targets)
-        assert q.n_meas == n_targets // 2
-        assert solve(q).status is SolveStatus.OPTIMAL
-    for bad in (targets[:, :1], targets[:-1], np.concatenate([targets] * 7)):
+        assert sdp._strategies(targets) is strategy_table(n_targets // 2)
+        assert sdp._strategies(targets) is not strategy_table(d_meas)
+        assert solve(targets).status is SolveStatus.OPTIMAL
+    else:
+        bad_shapes.append(targets)
+    for bad in bad_shapes:
         with pytest.raises(InvalidInput, match="need 2 n 2x2 targets"):
-            SdpProblem(bad)
-    if dim != 2:
-        with pytest.raises(InvalidInput, match="need 2 n 2x2 targets"):
-            dataclasses.replace(p, targets=targets)
+            solve(bad)
+        for certificate in (dual_certificate, primal_certificate):
+            with pytest.raises(InvalidInput, match="need 2 n 2x2 targets"):
+                certificate(sol, bad)
 
 
 def test_certificates_check_the_problem_they_certify():
-    # an optimal solve certified against a problem of another setting count;
-    # a d_matrix or n_meas that does not match the targets cannot be built,
-    # since both are derived from them
+    # an optimal solve certified against the targets of another setting
+    # count; targets that are not 2 n 2x2 blocks are no problem at all
     good = build_sw_sdp(premeasure(IDENTITY / 2, XYZ), strategy_table(3))
     sol = solve(good)
     assert sol.status is SolveStatus.OPTIMAL
-    for name, value in (("d_matrix", np.ones((6, 4))), ("n_meas", 7)):
-        with pytest.raises(TypeError):
-            dataclasses.replace(good, **{name: value})
-    for targets in (good.targets[:4], np.concatenate((good.targets, good.targets[:2]))):
-        bad = dataclasses.replace(good, targets=targets)
+    for targets in (good[:4], np.concatenate((good, good[:2]))):
         for certificate in (dual_certificate, primal_certificate):
             with pytest.raises(CertificateInvalid):
-                certificate(sol, bad)
+                certificate(sol, targets)
     for shape in ((7, 2, 2), (6, 3, 3), (14, 2, 2)):
-        with pytest.raises(InvalidInput, match="need 2 n 2x2 targets"):
-            dataclasses.replace(good, targets=np.zeros(shape, dtype=complex))
+        for certificate in (dual_certificate, primal_certificate):
+            with pytest.raises(InvalidInput, match="need 2 n 2x2 targets"):
+                certificate(sol, np.zeros(shape, dtype=complex))
     assert primal_certificate(sol, good) == sol.mu_star
     assert dual_certificate(sol, good).gap == sol.gap
 
@@ -222,12 +236,11 @@ def test_solve_with_zero_iterations_reports_the_cold_start():
 def test_infeasible_flag_for_malformed_targets():
     # a clearly negative target block is malformed data, not a solvable problem
     p = depol_problem(0.5)
-    p = dataclasses.replace(p, targets=p.targets.copy())
-    p.targets[0] = np.diag([0.5, -0.2]).astype(complex)
+    p[0] = np.diag([0.5, -0.2]).astype(complex)
     with pytest.raises(ValidationError, match="not-psd at target block 0"):
         solve(p)
     assert not hasattr(SolveStatus, "INFEASIBLE")
-    p.targets[0] = np.diag([0.5, -1e-9]).astype(complex)  # roundoff-sized: no raise
+    p[0] = np.diag([0.5, -1e-9]).astype(complex)  # roundoff-sized: no raise
     assert np.isfinite(solve(p).mu_star)
 
 
@@ -237,9 +250,9 @@ def test_solve_rejects_non_hermitian_targets():
     targets = premeasure(IDENTITY / 2, XYZ).stacked()
     targets[0][1, 0] += 0.05
     with pytest.raises(ValidationError, match="not-hermitian at target block 0"):
-        solve(SdpProblem(targets))
+        solve(targets)
     targets[0][1, 0] -= 0.05 - 1e-12  # roundoff-sized: no raise
-    assert solve(SdpProblem(targets)).status is SolveStatus.OPTIMAL
+    assert solve(targets).status is SolveStatus.OPTIMAL
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -248,8 +261,25 @@ def test_solve_rejects_non_finite_targets(bad):
     targets = premeasure(IDENTITY / 2, XYZ).stacked()
     targets[2][0, 1] = bad
     with pytest.raises(InvalidInput, match="non-finite at target block 2") as err:
-        solve(SdpProblem(targets))
+        solve(targets)
     assert [(v.kind, v.where) for v in err.value.violations] == [("non-finite", "target block 2")]
+
+
+def test_solve_reads_real_targets_as_complex():
+    # a float stack made the lift and the multipliers float arrays, and numpy's
+    # ComplexWarning on filling them was the only sign that values were cast
+    xz = pauli_measurement_set("XZ")
+    members = {("X", 1): np.array([[1.0, 1.0], [1.0, 1.0]]) / 4,
+               ("X", -1): np.array([[1.0, -1.0], [-1.0, 1.0]]) / 4,
+               ("Z", 1): np.diag([0.5, 0.0]), ("Z", -1): np.diag([0.0, 0.5])}
+    r = tsw(Assemblage(xz.labels, members))
+    assert r.solution.status is SolveStatus.OPTIMAL
+    assert r.value == 1.0
+    for stack in (premeasure(IDENTITY / 2, xz).stacked(), depol_problem(0.7, "XZ")):
+        assert stack.dtype == complex and not stack.imag.any()
+        real, cplx = solve(stack.real, tol=np.float64(1e-8)), solve(stack)
+        for f in dataclasses.fields(cplx):
+            assert np.array_equal(getattr(real, f.name), getattr(cplx, f.name)), f.name
 
 
 # --- certificates ----------------------------------------------------------------
@@ -300,9 +330,10 @@ def test_certificates_reject_non_finite_values():
             bad = dataclasses.replace(sol, **{name: np.full_like(getattr(sol, name), nan)})
             with pytest.raises(CertificateInvalid):
                 certificate(bad, p)
-    for tol in (nan, float("inf"), 0.0, -1e-7):
-        with pytest.raises(CertificateInvalid):
+    for tol in (nan, float("inf"), 0.0, -1e-7, "1e-7", None):
+        with pytest.raises(CertificateInvalid, match="tolerance"):
             dual_certificate(sol, p, tol=tol)
+    assert dual_certificate(sol, p, tol=np.float64(1e-7)).gap == sol.gap
     # the untouched solution still passes both
     assert primal_certificate(sol, p) == sol.mu_star
     assert dual_certificate(sol, p).gap == sol.gap
@@ -342,7 +373,7 @@ def test_constant_map_is_solved_in_closed_form():
     # 0.5, 0.4 and 0.45 (signaling) and a zero member: mu* is the smallest
     psi = np.array([0.6, 0.8j])
     weights = np.array([0.3, 0.2, 0.1, 0.3, 0.0, 0.45])
-    p = SdpProblem(weights[:, None, None] * np.outer(psi, psi.conj()))
+    p = weights[:, None, None] * np.outer(psi, psi.conj())
     sol = solve(p)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.mu_star == pytest.approx(0.4, abs=1e-12)
@@ -352,7 +383,7 @@ def test_constant_map_is_solved_in_closed_form():
 
 def whitening(r):
     """S = R^{-1/2} and S^-1 = R^{1/2} as the solve computes them for a mean reduced state R."""
-    red = sdp._Reduced(SdpProblem(np.stack([r / 2, r / 2])), r)
+    red = sdp._Reduced(np.stack([r / 2, r / 2]), strategy_table(1), r)
     return red.smat, red.sinv
 
 
@@ -526,7 +557,8 @@ def reduced_problems(rng):
     pure = [KET_E, plus] + [v / np.linalg.norm(v) for v in rng.normal(size=(4, 2, 2)) @ [1, 1j]]
     problems += [build_sw_sdp(premeasure(np.outer(v, v.conj()), XYZ), strategy_table(3))
                  for v in pure]
-    return [sdp._Reduced(p, herm(p.targets.sum(axis=0) / p.n_meas)) for p in problems]
+    return [sdp._Reduced(p, strategy_table(len(p) // 2), herm(p.sum(axis=0) / (len(p) // 2)))
+            for p in problems]
 
 
 def test_map_back_gap_is_at_least_the_reduced_gap(rng):
@@ -554,9 +586,10 @@ def assert_certified_exit(sol, p):
     assert primal_certificate(sol, p) == sol.mu_star
     f = sol.dual_vars
     assert float(min_eig(f).min()) >= -1e-12
-    assert float(min_eig(np.tensordot(p.d_matrix.T, f, axes=(1, 0)) - IDENTITY).min()) >= -1e-9
+    d_mat = strategy_table(len(p) // 2)
+    assert float(min_eig(np.tensordot(d_mat.T, f, axes=(1, 0)) - IDENTITY).min()) >= -1e-9
     assert sol.dual_value == pytest.approx(
-        float(np.einsum("mij,mij->", p.targets.conj(), f).real), abs=1e-12)
+        float(np.einsum("mij,mij->", p.conj(), f).real), abs=1e-12)
     assert sol.gap == sol.dual_value - sol.mu_star > 1e-8
 
 
@@ -601,7 +634,7 @@ def rotated_problems():
     for ch in (LorentzianAD(2.0, 1.0), Exchange(1.0, 0.0)):
         for t in (1.0, 2.0, 3.0, 4.0, 5.0):
             p = paper_point(ch, t)
-            yield dataclasses.replace(p, targets=u @ p.targets @ u.conj().T)
+            yield u @ p @ u.conj().T
 
 
 def test_optimal_solves_never_certify_an_inverted_bracket():
@@ -634,7 +667,7 @@ def test_non_optimal_exits_certify_their_primal_side():
                               (LorentzianAD(2.0, 1.0), 10.0, (13, 30, 31))):
         stacks = evolve_grid(ch, base, np.linspace(0.0, t_max, 41))
         for i in points:
-            p = SdpProblem(u @ stacks[i] @ u.conj().T)
+            p = u @ stacks[i] @ u.conj().T
             sol = solve(p)
             assert primal_certificate(sol, p) == sol.mu_star
             if sol.status is SolveStatus.OPTIMAL:
@@ -663,7 +696,7 @@ def test_skipped_map_backs_would_not_certify(monkeypatch):
     base = premeasure(IDENTITY / 2, XYZ).stacked()
     for ch, t_max in ((Exchange(1.0, 0.0), 2 * np.pi), (LorentzianAD(2.0, 1.0), 10.0)):
         for stack in evolve_grid(ch, base, np.linspace(0.0, t_max, 81)):
-            solve(SdpProblem(stack))
+            solve(stack)
     for p in rotated_problems():
         solve(p)
     assert not any(certified)
@@ -699,7 +732,7 @@ def test_scale_covariance(rng):
     p = build_sw_sdp(asm, strategy_table(3))
     base = solve(p)
     for c in (0.25, 0.5, 0.9):
-        scaled = dataclasses.replace(p, targets=c * p.targets)
+        scaled = c * p
         sol = solve(scaled)
         assert sol.mu_star == pytest.approx(c * base.mu_star, abs=1e-7)
         # normalized weight is scale free
@@ -712,6 +745,6 @@ def test_mixing_concavity(rng):
         asm = random_assemblage(rng)
         base = solve(build_sw_sdp(asm, strategy_table(3))).mu_star
         for s in (0.25, 0.5, 0.75):
-            mixed = SdpProblem((1 - s) * asm.stacked() + s * uns.stacked())
+            mixed = (1 - s) * asm.stacked() + s * uns.stacked()
             mu = solve(mixed).mu_star
             assert mu >= (1 - s) * base + s - 1e-6

@@ -238,9 +238,10 @@ def test_strategy_table_is_built_once_and_read_only():
 
 
 def test_strategy_out_of_range():
-    for bad in (0, 7, -1, 2.5, np.nan):
+    for bad in (0, 7, -1, 2.5, np.nan, "3", None, 3j):
         with pytest.raises(InvalidInput, match="n_meas must be an integer in 1..6"):
             strategy_table(bad)
+    assert strategy_table(np.int64(3)) is strategy_table(3.0) is strategy_table(3)
 
 
 # --- hidden-state assemblages ------------------------------------------------
@@ -362,9 +363,10 @@ def test_depolarized_out_of_range():
 
 def test_validate_clean():
     assert validate(premeasure(IDENTITY / 2, XYZ), 1e-12) == []
+    assert validate(premeasure(IDENTITY / 2, XYZ), np.float64(1e-12)) == []
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, None, "1e-9"])
 def test_validate_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
     # a NaN tol reported a member with eigenvalue -0.3, signalling and off in
     # trace, as clean; tol = -1 flagged a valid assemblage "not-hermitian 0"
