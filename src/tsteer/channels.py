@@ -45,12 +45,11 @@ singular at zeros of G.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import hermat
+from . import errors, hermat
 from .errors import InvalidInput, ValidationError
 from .steering import Assemblage, _from_stack, validate
 
@@ -65,7 +64,8 @@ class RabiDecay:
     gamma1: float = 0.0
 
     def __post_init__(self):
-        _check_rates(g1=self.g1, gamma1=self.gamma1)
+        errors.real("g1", self.g1)
+        errors.real("gamma1", self.gamma1)
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,8 @@ class Exchange:
     gamma2: float = 0.0
 
     def __post_init__(self):
-        _check_rates(j=self.j, gamma2=self.gamma2)
+        errors.real("j", self.j)
+        errors.real("gamma2", self.gamma2)
 
 
 @dataclass(frozen=True)
@@ -165,30 +166,6 @@ def rk4_evolve(lmat, vecs, t, h_target):
     return np.linalg.matrix_power(step, n) @ vecs
 
 
-def _check_rates(**rates):
-    """Raise InvalidInput, naming each offender, unless every rate is a finite non-negative real."""
-    bad = [f"{name}={r}" for name, r in rates.items()
-           if not (isinstance(r, numbers.Real) and 0 <= r < math.inf)]
-    if bad:
-        raise InvalidInput(f"rates must be finite and non-negative, got {', '.join(bad)}")
-
-
-def _check_time(t):
-    """t as a float array; raises InvalidInput, with the first offender, unless every time is
-    finite and non-negative."""
-    t = np.asarray(t, dtype=float)
-    bad = ~(np.isfinite(t) & (t >= 0))
-    if bad.any():
-        raise InvalidInput(f"evolution time must be finite and non-negative, got {t[bad][0]}")
-    return t
-
-
-def _check_scalar_time(t):
-    """Raise InvalidInput unless t is a single time; its value is checked by `_check_time`."""
-    if np.ndim(t) != 0:
-        raise InvalidInput(f"evolution time must be a scalar, got {t!r}")
-
-
 # --- Lorentzian memory amplitude and random Kraus maps -----------------------
 
 
@@ -201,11 +178,9 @@ def _tanhc(z):
 
 
 def _lorentzian_b(g, omega_w):
-    """b = sqrt(w^2 - 2 g w) of a coupling g and a spectral width omega_w; raises
-    InvalidInput unless both are finite and non-negative and omega_w is positive."""
-    _check_rates(g=g, omega_w=omega_w)
-    if omega_w == 0:
-        raise InvalidInput("spectral width omega_w must be positive, got 0")
+    """b = sqrt(w^2 - 2 g w) of a checked coupling g >= 0 and spectral width omega_w > 0."""
+    errors.real("g", g)
+    errors.real("omega_w", omega_w, above=True)
     return complex(np.sqrt(complex(omega_w * omega_w - 2.0 * g * omega_w)))
 
 
@@ -226,7 +201,7 @@ def lorentzian_G(g, omega_w, t):
     throughout, so the underdamped regime (2 g > omega_w, b imaginary)
     needs no case split; the result is real either way.
     """
-    return _float_if_0d(_g_at(g, omega_w, 0.5 * _check_time(t)))
+    return _float_if_0d(_g_at(g, omega_w, 0.5 * errors.times("t", t)))
 
 
 def _g_at(g, omega_w, half):
@@ -249,7 +224,7 @@ def lorentzian_gamma(g, omega_w, t):
     those of 1 + q. t is a time (a float is returned) or an array of times;
     InvalidInput is raised if any |1 + q| < 1e-12.
     """
-    half = 0.5 * _check_time(t)
+    half = 0.5 * errors.times("t", t)
     q = _q_at(_lorentzian_b(g, omega_w), omega_w, half)
     singular = np.abs(1.0 + q) < 1e-12
     if singular.any():
@@ -258,10 +233,9 @@ def lorentzian_gamma(g, omega_w, t):
 
 
 def random_kraus_channel(seed, n_kraus):
-    """Seeded random CPT channel built from a Haar-like isometry."""
-    if not (isinstance(n_kraus, numbers.Integral) and n_kraus >= 1):
-        raise InvalidInput(f"need an integer n_kraus >= 1, got {n_kraus!r}")
-    rng = np.random.default_rng(seed)
+    """Random CPT map of n_kraus >= 1 operators from a Haar-like isometry, fixed by a seed >= 0."""
+    n_kraus = errors.count("n_kraus", n_kraus, 1)
+    rng = np.random.default_rng(errors.count("seed", seed, 0))
     raw = rng.normal(size=(2 * n_kraus, 2)) + 1j * rng.normal(size=(2 * n_kraus, 2))
     q, r = np.linalg.qr(raw)
     # Fix the phase convention so the map is a deterministic function of seed.
@@ -289,7 +263,7 @@ def transfer_grid(ch, times):
     identity is exact, so every T(t) is bit-identical to calling `rk4_evolve`
     on the carrier interval by interval.
     """
-    times = _check_time(times).reshape(-1)
+    times = errors.times("times", times).reshape(-1)
     if np.any(np.diff(times) < 0):
         raise InvalidInput("time grid must be non-decreasing")
     if isinstance(ch, LorentzianAD):
@@ -338,7 +312,7 @@ def choi_from_transfer(tmat):
 
 def apply_channel(ch, t, rho):
     """rho(0) -> rho(t) for any channel variant and a single time t."""
-    _check_scalar_time(t)
+    t = errors.real("t", t)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise InvalidInput(f"expected a 2x2 state, got shape {rho.shape}")
@@ -353,7 +327,7 @@ def propagate_assemblage(ch, t, asm: Assemblage) -> Assemblage:
     state other than I/2 dephases differently in different bases, so only
     maximally-mixed inputs produce non-signaling families in the first place.
     """
-    _check_scalar_time(t)
+    t = errors.real("t", t)
     out = evolve_grid(ch, asm.stacked(), [t])[0]
     new = _from_stack(asm.labels, out, time_tag=t)
     hard = [v for v in validate(new, 1e-8) if v.kind != "non-signaling"]

@@ -1,4 +1,10 @@
-"""Exception types shared across the package, one per kind a caller can act on."""
+"""Exception types shared across the package, one per kind a caller can act on, and the
+one rule per kind of scalar argument: `real`, `count` and `times`."""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class TswError(Exception):
@@ -19,3 +25,35 @@ class ValidationError(InvalidInput):
 
 class CertificateInvalid(TswError):
     """Optimality certificate failed verification."""
+
+
+def real(name, value, low=0, above=False):
+    """value as a float; InvalidInput unless it is a real, not a bool, finite and >= low
+    (> low when above is set). Strings, complex numbers and arrays, 0-d too, fail."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or (value <= low if above else value < low)):
+        raise InvalidInput(f"{name} must be a finite real {'>' if above else '>='} {low}, "
+                           f"got {value!r}")
+    return float(value)
+
+
+def count(name, value, low, high=None):
+    """value as an int; InvalidInput unless it is an integer, not a bool, in low..high
+    (unbounded above when high is None). Floats fail, 2.0 too."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low
+            or (high is not None and value > high)):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise InvalidInput(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
+
+
+def times(name, value):
+    """value as a float array; InvalidInput unless its dtype is integer or float and every
+    entry is finite and >= 0."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or not (np.isfinite(arr) & (arr >= 0)).all():
+        raise InvalidInput(f"{name} must be finite reals >= 0, got {value!r}")
+    return np.asarray(arr, dtype=float)

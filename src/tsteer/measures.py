@@ -19,14 +19,12 @@ witness on the same grids.
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import channels, hermat
-from .errors import InvalidInput, ValidationError
+from .errors import InvalidInput, ValidationError, count, real
 from .steering import (
     Assemblage,
     MeasurementSet,
@@ -64,20 +62,17 @@ class NmResult:
     series: TraceSeries = field(repr=False)
 
 
-@functools.lru_cache(maxsize=32)
-def _uniform_grid(t_max: float, n_steps: int) -> np.ndarray:
-    """Read-only uniform grid of n_steps points on [0, t_max].
+def _uniform_grid(t_max, n_steps) -> np.ndarray:
+    """Read-only grid of n_steps >= 2 points on [0, t_max > 0], checked before the cache,
+    which would hash an unhashable argument first."""
+    return _grid(real("t_max", t_max, above=True), count("n_steps", n_steps, 2))
 
-    Raises InvalidInput unless t_max is a finite positive real and n_steps
-    an integral real of at least 2. Traces on equal grids share the grid, so
-    a caller that keeps many traces holds one copy of each grid rather than
-    one per trace.
-    """
-    if not (isinstance(t_max, numbers.Real) and math.isfinite(t_max) and t_max > 0):
-        raise InvalidInput(f"t_max must be finite and positive, got {t_max!r}")
-    if not (isinstance(n_steps, numbers.Real) and float(n_steps).is_integer() and n_steps >= 2):
-        raise InvalidInput(f"need an integral number of at least 2 grid points, got {n_steps!r}")
-    times = np.linspace(0.0, t_max, int(n_steps))
+
+@functools.lru_cache(maxsize=32)
+def _grid(t_max: float, n_steps: int) -> np.ndarray:
+    """Traces on equal grids share one cached grid, so a caller that keeps many traces
+    holds one copy of each grid rather than one per trace."""
+    times = np.linspace(0.0, t_max, n_steps)
     times.flags.writeable = False
     return times
 
@@ -142,12 +137,10 @@ def n_tsw(series: TraceSeries,
     noise. The |slope| integral plus the boundary term, sum |d| + sum d over
     the same filtered increments d, is exactly twice this value. A
     non-finite value is a broken point, not a flat one, so it raises
-    InvalidInput; so does a threshold that is not a real, is NaN (it would
-    switch the filter off) or is negative.
+    InvalidInput; so does a threshold that is not a finite real >= 0 (NaN
+    would switch the filter off).
     """
-    if not (isinstance(slope_threshold, numbers.Real) and math.isfinite(slope_threshold)
-            and slope_threshold >= 0):
-        raise InvalidInput(f"slope_threshold must be finite and >= 0, got {slope_threshold!r}")
+    slope_threshold = real("slope_threshold", slope_threshold)
     values = np.asarray(series.values, dtype=float)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:

@@ -60,12 +60,11 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificateInvalid, InvalidInput
+from .errors import CertificateInvalid, InvalidInput, count, real
 from .hermat import IDENTITY, anti_herm_norm, det2, herm, min_eig, psd_project
 from .steering import Assemblage, check_blocks, strategy_table
 
@@ -183,10 +182,8 @@ def solve(targets: np.ndarray, tol: float = DEFAULT_TOL,
     `check_blocks` at tolerance 1e-8: non-finite, not Hermitian, or with an
     eigenvalue < -1e-8.
     """
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
-        raise InvalidInput(f"tolerance must be finite and positive, got {tol!r}")
-    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 0):
-        raise InvalidInput(f"max_iter must be a non-negative integer, got {max_iter!r}")
+    tol = real("tol", tol, above=True)
+    max_iter = count("max_iter", max_iter, 0)
     d_mat = _strategies(targets)
     targets = np.asarray(targets, dtype=complex)
     check_blocks(targets, 1e-8, [f"target block {i}" for i in range(len(targets))])
@@ -588,12 +585,11 @@ def dual_certificate(sol: SdpSolution, targets: np.ndarray,
     sum_{a,x} D_lam(a|x) F_{a|x} dominates the identity for every lam, and
     that the dual value is recorded right, not below mu_star beyond roundoff.
     Raises CertificateInvalid when any check fails beyond tol, when a value
-    it reads is not finite, when the multipliers do not match the targets'
-    2 n constraints, or when tol is not a finite positive real; InvalidInput
-    for targets that `solve` would reject by shape.
+    it reads is not finite, or when the multipliers do not match the targets'
+    2 n constraints; InvalidInput unless tol is a finite real > 0, and for
+    targets that `solve` would reject by shape.
     """
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
-        raise CertificateInvalid(f"tolerance must be finite and positive, got {tol!r}")
+    tol = real("tol", tol, above=True)
     d_mat = _strategies(targets)
     if sol.status is not SolveStatus.OPTIMAL:
         raise CertificateInvalid(f"solution status is {sol.status.value}, not optimal")

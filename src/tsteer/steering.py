@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import hermat
-from .errors import InvalidInput, ValidationError
+from .errors import InvalidInput, ValidationError, count, real
 
 PAULI = {"X": hermat.SIGMA_X, "Y": hermat.SIGMA_Y, "Z": hermat.SIGMA_Z}
 OUTCOMES = (1, -1)
@@ -50,6 +49,8 @@ class MeasurementSet:
     projectors: tuple  # one (P_plus, P_minus) pair per label
 
     def __post_init__(self):
+        if len(self.labels) == 0:
+            raise InvalidInput("need at least one setting")
         if len(set(self.labels)) != len(self.labels):
             raise InvalidInput(f"repeated label in {tuple(self.labels)}")
         if len(self.projectors) != len(self.labels):
@@ -80,8 +81,6 @@ def pauli_measurement_set(labels) -> MeasurementSet:
     like "XZ" works too. Setting order follows the input order.
     """
     labels = tuple(str(l).upper() for l in labels)
-    if not labels:
-        raise InvalidInput("need at least one measurement label")
     pairs = []
     for lab in labels:
         if lab not in PAULI:
@@ -100,6 +99,8 @@ class Assemblage:
     time_tag: float = 0.0
 
     def __post_init__(self):
+        if len(self.labels) == 0:
+            raise InvalidInput("need at least one setting")
         keys = {(x, a) for x in self.labels for a in OUTCOMES}
         if len(self.members) != 2 * len(self.labels) or set(self.members) != keys:
             raise InvalidInput(f"members must be keyed by exactly {tuple(self.labels)} x "
@@ -149,9 +150,7 @@ def strategy_table(n_meas: int) -> np.ndarray:
     lam gives setting x the outcome +1 iff bit n-1-x of lam is set, so lam = 0
     is all -1, the last column all +1, and the last setting varies fastest.
     """
-    if not (isinstance(n_meas, numbers.Real) and float(n_meas).is_integer() and 1 <= n_meas <= 6):
-        raise InvalidInput(f"n_meas must be an integer in 1..6, got {n_meas!r}")
-    return _strategy_table(int(n_meas))
+    return _strategy_table(count("n_meas", n_meas, 1, 6))
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,8 +244,7 @@ def validate(asm: Assemblage, tol: float = 1e-9) -> list:
     Raises InvalidInput unless tol is a finite real >= 0, since a NaN tol
     passes every check and a negative one fails them all.
     """
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
-        raise InvalidInput(f"tol must be finite and >= 0, got {tol}")
+    tol = real("tol", tol)
     stack = asm.stacked()
     out = block_violations(stack, tol, [f"({x},{a:+d})" for x in asm.labels for a in OUTCOMES])
     if out and out[0].kind == "non-finite":

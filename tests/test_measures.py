@@ -214,10 +214,11 @@ def test_n_tsw_threshold_filters_noise():
     assert n_tsw(ts, slope_threshold=1e-8).value == pytest.approx(1e-6, rel=1e-6)
     # a NaN threshold would switch the filter off, a negative one is meaningless
     for bad in (np.nan, np.inf, -1e-6):
-        with pytest.raises(InvalidInput, match=f"slope_threshold must be finite and >= 0, got {bad}"):
+        with pytest.raises(InvalidInput,
+                           match=f"slope_threshold must be a finite real >= 0, got {bad}"):
             n_tsw(series([0.0, 0.5, 1.0]), slope_threshold=bad)
     for bad in ("x", None):
-        with pytest.raises(InvalidInput, match="slope_threshold must be finite and >= 0"):
+        with pytest.raises(InvalidInput, match="slope_threshold must be a finite real >= 0"):
             n_tsw(series([0.0, 0.5, 1.0]), slope_threshold=bad)
     assert n_tsw(ts, slope_threshold=np.float64(1e-6)).value == 0.0
 
@@ -436,15 +437,17 @@ def test_traces_on_equal_grids_share_one_read_only_times_array():
     (None, 5), (2.0, "5"), (2.0, None),
 ])
 def test_traces_reject_bad_grid_arguments(t_max, n_steps):
-    match = "t_max must be finite and positive" if n_steps == 5 else "at least 2 grid points"
+    match = "t_max must be a finite real > 0" if n_steps == 5 else "n_steps must be an integer >= 2"
     with pytest.raises(InvalidInput, match=match):
         nc_trace(RabiDecay(1.0), t_max, n_steps)
     with pytest.raises(InvalidInput, match=match):
         tsw_trace(RabiDecay(1.0), XYZ, MIXED, t_max, n_steps)
 
 
-def test_traces_accept_integral_float_grid_size():
-    assert nc_trace(RabiDecay(1.0), 2.0, 5.0).times.size == 5
+def test_traces_take_an_integer_grid_size():
+    # a float count fails, as in np.linspace; numpy scalars are reals and integers
+    with pytest.raises(InvalidInput, match="n_steps must be an integer >= 2, got 5.0"):
+        nc_trace(RabiDecay(1.0), 2.0, 5.0)
     assert nc_trace(RabiDecay(1.0), np.float64(2.0), np.int64(5)).times.size == 5
 
 

@@ -178,7 +178,8 @@ def test_solution_invariants_random(rng):
 ])
 def test_solve_rejects_bad_arguments(kwargs):
     name = next(iter(kwargs))
-    with pytest.raises(InvalidInput, match="tolerance" if name == "tol" else "max_iter"):
+    match = "tol must be a finite real > 0" if name == "tol" else "max_iter must be an integer >= 0"
+    with pytest.raises(InvalidInput, match=match):
         solve(depol_problem(0.5), **kwargs)
 
 
@@ -330,8 +331,9 @@ def test_certificates_reject_non_finite_values():
             bad = dataclasses.replace(sol, **{name: np.full_like(getattr(sol, name), nan)})
             with pytest.raises(CertificateInvalid):
                 certificate(bad, p)
+    # a bad tol is a bad argument, not a failed certificate
     for tol in (nan, float("inf"), 0.0, -1e-7, "1e-7", None):
-        with pytest.raises(CertificateInvalid, match="tolerance"):
+        with pytest.raises(InvalidInput, match="tol must be a finite real > 0"):
             dual_certificate(sol, p, tol=tol)
     assert dual_certificate(sol, p, tol=np.float64(1e-7)).gap == sol.gap
     # the untouched solution still passes both

@@ -62,12 +62,21 @@ def test_pauli_set_two_settings():
 
 
 def test_pauli_set_errors():
-    with pytest.raises(InvalidInput, match="at least one measurement label"):
+    with pytest.raises(InvalidInput, match="need at least one setting"):
         pauli_measurement_set([])
     with pytest.raises(InvalidInput, match="repeated label"):
         pauli_measurement_set("XX")
     with pytest.raises(InvalidInput, match="unsupported label 'Q'"):
         pauli_measurement_set("XQ")
+
+
+def test_no_settings_is_invalid_input():
+    # an empty set used to die in numpy: IndexError in MeasurementSet, and an
+    # AxisError when the empty assemblage reached validate or tsw
+    with pytest.raises(InvalidInput, match="^need at least one setting$"):
+        MeasurementSet((), ())
+    with pytest.raises(InvalidInput, match="^need at least one setting$"):
+        Assemblage((), {})
 
 
 def test_measurement_set_needs_distinct_labels_one_pair_each():
@@ -225,7 +234,9 @@ def test_strategy_single_setting():
 def test_strategy_table_is_built_once_and_read_only():
     for n in range(1, 7):
         d = strategy_table(n)
-        assert strategy_table(float(n)) is d
+        with pytest.raises(InvalidInput, match=f"n_meas must be an integer in 1..6, got {n}.0"):
+            strategy_table(float(n))
+        assert strategy_table(np.int64(n)) is d
         assert d.shape == (2 * n, 2 ** n) and d.dtype == np.float64
         assert np.isin(d, (0.0, 1.0)).all()
         # column lam, read as bits with D(+1|x) -> bit n-1-x, is lam in binary
@@ -241,7 +252,9 @@ def test_strategy_out_of_range():
     for bad in (0, 7, -1, 2.5, np.nan, "3", None, 3j):
         with pytest.raises(InvalidInput, match="n_meas must be an integer in 1..6"):
             strategy_table(bad)
-    assert strategy_table(np.int64(3)) is strategy_table(3.0) is strategy_table(3)
+    with pytest.raises(InvalidInput, match="n_meas must be an integer in 1..6, got 3.0"):
+        strategy_table(3.0)
+    assert strategy_table(np.int64(3)) is strategy_table(3)
 
 
 # --- hidden-state assemblages ------------------------------------------------
