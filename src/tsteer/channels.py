@@ -178,10 +178,10 @@ def _tanhc(z):
 
 
 def _lorentzian_b(g, omega_w):
-    """b = sqrt(w^2 - 2 g w) of a checked coupling g >= 0 and spectral width omega_w > 0."""
-    errors.real("g", g)
-    errors.real("omega_w", omega_w, above=True)
-    return complex(np.sqrt(complex(omega_w * omega_w - 2.0 * g * omega_w)))
+    """The coupling g >= 0 and spectral width omega_w > 0, checked and as floats, and
+    b = sqrt(w^2 - 2 g w)."""
+    g, omega_w = errors.real("g", g), errors.real("omega_w", omega_w, above=True)
+    return g, omega_w, complex(np.sqrt(complex(omega_w * omega_w - 2.0 * g * omega_w)))
 
 
 def _q_at(b, omega_w, half):
@@ -207,7 +207,7 @@ def lorentzian_G(g, omega_w, t):
 def _g_at(g, omega_w, half):
     """G = (e+ + e-)/2 + (w t/2)(e+ - e-)/(bt) = (e+ + e-)/2 (1 + q) at the checked times
     t = 2 half, e+- = exp((+-b - w) t/2); neither exceeds 1, since Re b <= w."""
-    b = _lorentzian_b(g, omega_w)
+    _, omega_w, b = _lorentzian_b(g, omega_w)
     e_mean = 0.5 * (np.exp((b - omega_w) * half) + np.exp((-b - omega_w) * half)).real
     return e_mean * (1.0 + _q_at(b, omega_w, half))
 
@@ -225,7 +225,8 @@ def lorentzian_gamma(g, omega_w, t):
     InvalidInput is raised if any |1 + q| < 1e-12.
     """
     half = 0.5 * errors.times("t", t)
-    q = _q_at(_lorentzian_b(g, omega_w), omega_w, half)
+    g, omega_w, b = _lorentzian_b(g, omega_w)
+    q = _q_at(b, omega_w, half)
     singular = np.abs(1.0 + q) < 1e-12
     if singular.any():
         raise InvalidInput(f"gamma(t) is singular at a zero of G, at t = {2.0 * half[singular][0]}")

@@ -29,12 +29,17 @@ class CertificateInvalid(TswError):
 
 def real(name, value, low=0, above=False):
     """value as a float; InvalidInput unless it is a real, not a bool, finite and >= low
-    (> low when above is set). Strings, complex numbers and arrays, 0-d too, fail."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or (value <= low if above else value < low)):
+    (> low when above is set). Strings, complex numbers and arrays, 0-d too, fail, and so
+    does an int beyond the float range."""
+    try:
+        number = (float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool)
+                  else math.nan)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number) or (number <= low if above else number < low):
         raise InvalidInput(f"{name} must be a finite real {'>' if above else '>='} {low}, "
                            f"got {value!r}")
-    return float(value)
+    return number
 
 
 def count(name, value, low, high=None):

@@ -43,15 +43,11 @@ D = `strategy_table(n)` from its length.
    each rank-deficient member, F_m += K (I - P_m), with P_m taken from
    sigma_m so the lift costs nothing when sigma_m is exactly rank one,
    then shifted to be exactly cone-feasible. The map back only lowers the
-   primal value, to theta (-c.x) for its shrink theta <= 1, and only
-   raises the dual one above -b.y. So its gap is at least the reduced gap
-   c.x - b.y, and at least -b.y + (1 - k) c.x for any lower bound k on
-   1 - theta. It runs at the iterate the run stops at, and elsewhere only
-   where neither bound exceeds tol. k is read in reduced coordinates from
-   the dense slacks: E_m + k U_m >= 0 needs k >= -lambda_min(E_m) /
-   <v, U_m v>, taken where U_m is well conditioned; the second bound must
-   clear tol by tol / 16 plus 2^-48 cond(R) |c.x|, the roundoff of the
-   whitened map back. The run stops once the signed gap dual - primal is
+   primal value below -c.x and, up to roundoff, only raises the dual one
+   above -b.y. So `_Reduced.certify` maps an iterate back only where the
+   reduced gap c.x - b.y is at most tol, and its dual side only where
+   -b.y - primal is at most 2 tol; every exit maps back the iterate it
+   stops at. The run stops once the signed gap dual - primal is
    in [-1e-12 max(1, |dual|), tol]: weak duality forbids dual < primal,
    and 1e-12 is the primal certificate's own roundoff.
 """
@@ -172,10 +168,9 @@ def solve(targets: np.ndarray, tol: float = DEFAULT_TOL,
     means max_iter Newton steps, or a numerical breakdown, came first; such
     an exit certifies only its primal side, mu_star <= mu*, and its
     dual_value can lie far below mu_star. The certified map back is skipped
-    at iterates where a reduced-coordinate bound shows its gap would exceed
-    tol (module docstring, step 4). An OPTIMAL run on the paper's traces
-    takes 8 to 20 Lorentz-cone steps, mostly 8 to 11, and a constant map
-    none.
+    at iterates that cannot certify (module docstring, step 4). An OPTIMAL
+    run on the paper's traces takes 8 to 20 Lorentz-cone steps, mostly 8 to
+    11, and a constant map none.
     Raises InvalidInput unless targets has shape (2 n, 2, 2) with 1 <= n <=
     6, tol is a finite positive real and max_iter a non-negative integer,
     and its subclass ValidationError for a target block that fails
@@ -276,11 +271,10 @@ class _Reduced:
         self.amat = np.zeros((n_rows, n_blocks, 4))
         self.amat[self.dense_rows] = rows.reshape(-1, n_blocks, 4)
         self.amat[self.rank1_rows] = touches[rank1][:, :, None] * _HALF_TRACE
-        self.b_dense = _svec(b[dense])
         self.b_vec = np.empty(n_rows)
-        self.b_vec[self.dense_rows] = self.b_dense.reshape(-1)
+        self.b_vec[self.dense_rows] = _svec(b[dense]).reshape(-1)
         self.b_vec[self.rank1_rows] = tr_b[rank1]
-        self.r_vec = r_vec = _svec(red)
+        r_vec = _svec(red)
         self.c_vec = np.zeros((n_blocks, 4))
         plain, on_face = np.flatnonzero(~face[:n_keep]), np.flatnonzero(face[:n_keep])
         self.c_vec[plain] = -r_vec
@@ -292,9 +286,7 @@ class _Reduced:
         self.lift = np.zeros_like(targets)
         self.lift[rank1] = (tr_t * IDENTITY - targets[rank1]) / tr_t
         self.lift[zero] = IDENTITY
-        # per-problem constants of the map back (its index arrays) and of
-        # the shrink bound (the strategy columns of the dense rows of amat,
-        # det R and cond R)
+        # per-problem constants of the map back
         self.n_keep, self.plain, self.on_face = n_keep, plain, on_face
         self.plain_lam, self.face_lam = keep[plain], keep[on_face]
         self.tr_b_home, self.t_home = tr_b[home[on_face]], targets[home[on_face]]
@@ -302,10 +294,6 @@ class _Reduced:
         self.t_rank1, self.tr_b_rank1 = targets[rank1], tr_b[rank1]
         self.tr_t_sq = tr_t[:, 0, 0] ** 2
         self.lift_cover, self.t_conj = _cover(d_mat.T, self.lift), targets.conj()
-        dense_amat = self.amat[self.dense_rows, :n_keep]
-        self.dense_amat = dense_amat.reshape(len(dense_amat), 4 * n_keep)
-        self.det_r = det2(red)
-        self.cond_r = _trace(red) ** 2 / self.det_r  # cond(R) + 2 + 1 / cond(R)
 
     def primal(self, x):
         """Exactly feasible sigma_tilde in original coordinates, and its value,
@@ -329,46 +317,25 @@ class _Reduced:
         sig = min(max(float(theta.min()), 0.0), 1.0) * sig
         return sig, float(np.einsum("nii->", sig).real)
 
-    def shrink_bound(self, x):
-        """A lower bound on the shrink 1 - theta that `primal` applies to x,
-        from the dense slacks alone.
+    def certify(self, x, y, tol):
+        """The map back (sigma_tilde, primal, F, dual) of the iterate (x, y), or
+        None where it cannot certify.
 
-        Read in reduced coordinates: the strategy load of dense constraint m
-        is U_m = A_m x, and the slack primal maps back is E_m = b_m - U_m, up
-        to the congruence by R^{1/2}. E_m + k U_m >= 0 needs k >=
-        -lambda_min(E_m) / <v, U_m v> for the eigenvector v of lambda_min(E_m);
-        this is taken only where U_m is well conditioned (lambda_min >=
-        lambda_max / 10) and passes the full-rank test of `_lift_size` with a
-        factor 100 to spare, so that the root `_lift_size` finds is well
-        conditioned and not below it.
+        The map back only lowers the primal value below -c.x, and it only
+        raises the dual one above -b.y up to roundoff. So this is None where
+        the reduced gap c.x - b.y exceeds tol; otherwise it maps x back, and y
+        only where -b.y - primal <= 2 tol. That margin of tol is for the
+        roundoff that puts dual(y) below -b.y: at most 6.7e-16 on the paper's
+        traces, but up to 1.9e-8 on rank-deficient members in a rotated
+        basis, where the premise fails.
         """
-        u = (self.dense_amat @ x[:self.n_keep].reshape(-1)).reshape(-1, 4)
-        e = self.b_dense - u
-        u_sp, e_sp = (np.sqrt(np.einsum("ij,ij->i", w[:, 1:], w[:, 1:])) for w in (u, e))
-        lo, hi = u[:, 0] - u_sp, u[:, 0] + u_sp  # sqrt 2 times the eigenvalues of U
-        # in svec coordinates lambda_min(E) = (e0 - |e[1:]|) / sqrt 2 and
-        # <v, U v> = (u0 - e[1:].u[1:] / |e[1:]|) / sqrt 2
-        need = (e_sp - e[:, 0]) * e_sp
-        along = u[:, 0] * e_sp - np.einsum("ij,ij->i", e[:, 1:], u[:, 1:])
-        # det q = det R lo hi / 2 and tr q = <R, U> for q = R^{1/2} U R^{1/2}
-        ok = ((need > 0.0) & (lo >= 0.1 * hi)
-              & (self.det_r * lo * hi > 200.0 * _RANK_EPS * (u @ self.r_vec) ** 2))
-        k_dense = np.divide(need, along, out=np.zeros_like(need), where=ok)
-        return min(float(k_dense.max(initial=0.0)), 1.0)
-
-    def cannot_certify(self, x, y, tol):
-        """Whether the map back of the iterate (x, y) is sure to leave a gap
-        above tol. It only lowers the primal value below -c.x and only raises
-        the dual one above -b.y, so it is when c.x - b.y > tol, or when the
-        shrink bound leaves -b.y - primal above tol by a margin for the
-        roundoff of the map back: tol / 16 plus 2^-48 cond(R) |c.x|, since
-        whitening loses a factor cond(R) of relative precision."""
-        cx, by = float(np.vdot(self.c_vec, x)), float(self.b_vec @ y)
-        if cx - by > tol:
-            return True
-        # with cx <= 0 no shrink takes -b.y - primal above -b.y
-        bar = tol + tol / 16.0 + 2.0 ** -48 * self.cond_r * abs(cx)
-        return -by > bar and -by + (1.0 - self.shrink_bound(x)) * cx > bar
+        by = float(self.b_vec @ y)
+        if float(np.vdot(self.c_vec, x)) - by > tol:
+            return None
+        sig, primal = self.primal(x)
+        if -by - primal > 2.0 * tol:
+            return None
+        return (sig, primal, *self.dual(y))
 
     def dual(self, y):
         """Exactly feasible multipliers F in original coordinates, and their value.
@@ -419,11 +386,8 @@ def _lift_size(g, q):
 def _interior_point(reduced: _Reduced, tol, max_iter):
     """Primal-dual interior-point run on (n_blocks, 4) Lorentz-cone vectors.
 
-    From a cold start; 2x2 blocks exist only in the map back. That only
-    lowers the primal value below -c.x (theta <= 1, face blocks keep their
-    trace) and only raises the dual one above -b.y (lifts and shifts add
-    non-negative multiples of <sigma_m, PSD>), so while
-    `_Reduced.cannot_certify` shows a gap above tol the map back is skipped;
+    From a cold start; 2x2 blocks exist only in the map back. Each iterate
+    is mapped back as far as `_Reduced.certify` finds it can certify, and
     every exit maps back the iterate it stops at. x and z are held as one
     pair xz, so the scaling and the step lengths run once over both cones."""
     amat, b_vec, c_vec = reduced.amat, reduced.b_vec, reduced.c_vec
@@ -435,9 +399,6 @@ def _interior_point(reduced: _Reduced, tol, max_iter):
     # the rows of A, then the dual residual rd: W scales both in one call
     a_rd = np.concatenate((amat, np.empty((1, n_blocks, 4))))
     rd = a_rd[n_rows]
-
-    def map_back():
-        return (*reduced.primal(xz[0]), *reduced.dual(y))
 
     def direction():
         # A W dxs = rp, A^T dy + dz = rd, dxs + W dz = rc, with dxs = W^-1 dx;
@@ -460,7 +421,7 @@ def _interior_point(reduced: _Reduced, tol, max_iter):
         # degenerate constraints drive an unbounded dual ray, so judge the
         # dual residual relative to the multiplier size
         dinf = float(np.abs(rd).max()) / (1.0 + float(np.abs(y).max()))
-        mapped = None if reduced.cannot_certify(x, y, tol) else map_back()
+        mapped = reduced.certify(x, y, tol)
         if mapped is not None and _certifies(mapped[1], mapped[3], tol):
             status = SolveStatus.OPTIMAL
             break
@@ -501,7 +462,7 @@ def _interior_point(reduced: _Reduced, tol, max_iter):
             break
         step = np.fmin(1.0, _STEP * _max_steps(xz, d, c))
         xz, y = xz + step[:, None, None] * d, y + step[1] * dy
-    sig, primal, f, dual = mapped or map_back()
+    sig, primal, f, dual = mapped or (*reduced.primal(xz[0]), *reduced.dual(y))
     return SdpSolution(primal, sig, f, dual, it, status, pinf, dinf)
 
 

@@ -87,11 +87,11 @@ ARGUMENTS = [
      lambda v: tsteer.channels.transfer_grid(tsteer.RabiDecay(1.0), v), (-1.0,)),
 ]
 
-# every kind of argument rejects these; a real rejects lists and arrays, 0-d too, and a
-# count floats besides, while an array of times is fine
+# every kind of argument rejects these; a real rejects lists and arrays, 0-d too, and an
+# int beyond the float range, and a count floats besides, while an array of times is fine
 BAD = [True, "1", 1j, None, np.nan, np.inf]
 BAD_BY_KIND = {
-    "real": [[1.0], np.array(1.0)],
+    "real": [[1.0], np.array(1.0), 10 ** 400],
     "count": [[1], np.array(2), 2.0, 2.5, np.float64(3.0)],
     "times": [[0.0, 1j], [0.0, np.nan], [[0.5], [1.0, 2.0]], np.array([1.0, -1.0]),
               np.array([False, True])],
@@ -122,9 +122,11 @@ def test_every_scalar_count_and_time_has_one_rule(name, kind, call, out_of_range
             with pytest.raises(InvalidInput, match=f"^{name} must be ") as err:
                 call(bad)
             assert type(err.value) is InvalidInput, bad
-        # numpy's scalars, and an int for a real, give what the plain value gives
+        # numpy's scalars, float32 too, and an int for a real, give what the plain
+        # value gives
         good = GOOD_BY_KIND[kind]
         want = call(good)
-        same = [np.int64(good)] if kind == "count" else [1, np.int64(1), np.float64(1.0)]
+        same = ([np.int64(good)] if kind == "count"
+                else [1, np.int64(1), np.float32(1.0), np.float64(1.0)])
         for value in same:
             assert _same(call(value), want), value
