@@ -8,7 +8,6 @@ from .channels import (
     apply_channel,
     lorentzian_G,
     lorentzian_gamma,
-    propagate_assemblage,
     random_kraus_channel,
 )
 from .measures import (
@@ -18,6 +17,7 @@ from .measures import (
     concurrence,
     n_tsw,
     nc_trace,
+    propagate_assemblage,
     tsw,
     tsw_trace,
 )

@@ -50,8 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors, hermat
-from .errors import InvalidInput, ValidationError
-from .steering import Assemblage, _from_stack, validate
+from .errors import InvalidInput
 
 # Base RK4 step in units of 1/(model rate); halving it moves outputs by
 # well under 1e-9 for every model in the suite.
@@ -318,23 +317,6 @@ def apply_channel(ch, t, rho):
     if rho.shape != (2, 2):
         raise InvalidInput(f"expected a 2x2 state, got shape {rho.shape}")
     return (transfer_grid(ch, [t])[0] @ rho.reshape(4)).reshape(2, 2)
-
-
-def propagate_assemblage(ch, t, asm: Assemblage) -> Assemblage:
-    """Evolve every member of an assemblage independently to a single time t.
-
-    Positivity, Hermiticity, and total trace of the output are enforced at
-    1e-8. Setting-dependent reduced states are tolerated: premeasuring any
-    state other than I/2 dephases differently in different bases, so only
-    maximally-mixed inputs produce non-signaling families in the first place.
-    """
-    t = errors.real("t", t)
-    out = evolve_grid(ch, asm.stacked(), [t])[0]
-    new = _from_stack(asm.labels, out, time_tag=t)
-    hard = [v for v in validate(new, 1e-8) if v.kind != "non-signaling"]
-    if hard:
-        raise ValidationError(hard)
-    return new
 
 
 def evolve_grid(ch, mats, times):

@@ -90,12 +90,31 @@ def tsw(asm: Assemblage, tol: float = 1e-8) -> TswResult:
     its gap, 1 - dual_value <= TSW <= 1 - mu_star. A non-OPTIMAL exit
     certifies only its primal side, so only TSW <= 1 - mu_star.
     """
-    hard = [v for v in validate(asm, 1e-8) if v.kind != "non-signaling"]
-    if hard:
-        raise ValidationError(hard)
+    _require_valid(asm)
     table = strategy_table(asm.n_meas)
     sol = solve(build_sw_sdp(asm, table), tol=tol)
     return TswResult(1.0 - sol.mu_star, sol, asm.time_tag)
+
+
+def propagate_assemblage(ch, t, asm: Assemblage) -> Assemblage:
+    """Evolve every member of an assemblage independently to a single time t.
+
+    The output is checked as `tsw` checks its input, so positivity,
+    Hermiticity and total trace are enforced at 1e-8.
+    """
+    t = real("t", t)
+    new = _from_stack(asm.labels, channels.evolve_grid(ch, asm.stacked(), [t])[0], time_tag=t)
+    _require_valid(new)
+    return new
+
+
+def _require_valid(asm):
+    """Raise ValidationError listing every violation `validate` finds at 1e-8 but
+    non-signaling: premeasuring any state other than I/2 dephases differently in
+    different bases, so only maximally-mixed inputs give non-signaling families."""
+    hard = [v for v in validate(asm, 1e-8) if v.kind != "non-signaling"]
+    if hard:
+        raise ValidationError(hard)
 
 
 def tsw_trace(ch, ms: MeasurementSet, rho0, t_max: float, n_steps: int,

@@ -49,7 +49,10 @@ D = `strategy_table(n)` from its length.
    -b.y - primal is at most 2 tol; every exit maps back the iterate it
    stops at. The run stops once the signed gap dual - primal is
    in [-1e-12 max(1, |dual|), tol]: weak duality forbids dual < primal,
-   and 1e-12 is the primal certificate's own roundoff.
+   and 1e-12 is the certificates' one roundoff rule: a block stack they
+   check (sigma_tilde and the slacks; F and the coverage sum D F - I) is
+   finite with least eigenvalue >= -1e-12 max(1, M), M the largest entry
+   magnitude of the data it is computed from.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from .steering import Assemblage, check_blocks, strategy_table
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 300
 _RANK_EPS = 1e-14  # a 2x2 PSD block with det <= _RANK_EPS * tr^2 has rank one
-_ROUNDOFF = 1e-12  # relative roundoff of the certified values, as in primal_certificate
+_ROUNDOFF = 1e-12  # roundoff relative to max(1, data magnitude), in both certificates
 _STEP = 0.95       # fraction of the step to the cone boundary taken per iteration
 _SQRT_HALF = math.sqrt(0.5)
 _J = np.array([1.0, -1.0, -1.0, -1.0])  # the Lorentz form u.J u = u0^2 - |u[1:]|^2
@@ -196,9 +199,10 @@ def _constant_map(targets, d_mat, red, tol):
     alpha_m P + (I - P) / n_meas >= 0, with alpha = 1 on a setting attaining
     r_min and 0 elsewhere, reach r_min (1 for a normalized non-signaling
     assemblage, so TSW = 0): each strategy takes one outcome of that
-    setting, so its coverage is exactly P + (I - P) = I.
+    setting, so its coverage is exactly P + (I - P) = I. An all-zero stack
+    has R = 0 and takes P = 0: mu* = 0, with F_m = I / n_meas.
     """
-    proj = red / _trace(red)
+    proj = red / (_trace(red) or 1.0)
     c = np.maximum(np.einsum("mij,ij->m", targets.conj(), proj).real, 0.0)
     r = c[0::2] + c[1::2]
     best = int(np.argmin(r))
@@ -533,82 +537,75 @@ def _nt_scaling(xz):
 class CertificateReport:
     dual_value: float
     gap: float
-    multiplier_min_eig: float
-    coverage_min_eig: float  # min eig of sum_m D F - I over strategies
 
 
-def dual_certificate(sol: SdpSolution, targets: np.ndarray,
-                     tol: float = 1e-7) -> CertificateReport:
+def dual_certificate(sol: SdpSolution, targets: np.ndarray) -> CertificateReport:
     """Verify the dual multipliers of a solve of the (2 n, 2, 2) targets
     independently of the solve path.
 
-    Checks that every multiplier block is PSD, that the strategy coverage
-    sum_{a,x} D_lam(a|x) F_{a|x} dominates the identity for every lam, and
-    that the dual value is recorded right, not below mu_star beyond roundoff.
-    Raises CertificateInvalid when any check fails beyond tol, when a value
-    it reads is not finite, or when the multipliers do not match the targets'
-    2 n constraints; InvalidInput unless tol is a finite real > 0, and for
-    targets that `solve` would reject by shape.
+    Checks that F has one block per constraint, that F and every strategy's
+    coverage sum_{a,x} D_lam(a|x) F_{a|x} - I pass the one roundoff rule
+    (module docstring, M the largest entry of F or of the coverage), and
+    that the dual value is recorded to 1e-12 max(1, |dual|) and not below
+    mu_star by more. Raises CertificateInvalid when a check fails or the
+    status is not OPTIMAL; InvalidInput for targets `solve` rejects by shape.
     """
-    tol = real("tol", tol, above=True)
     d_mat = _strategies(targets)
     if sol.status is not SolveStatus.OPTIMAL:
         raise CertificateInvalid(f"solution status is {sol.status.value}, not optimal")
-    f = sol.dual_vars
-    if f.shape != (len(targets), 2, 2):
-        raise CertificateInvalid("multiplier count does not match constraints")
-    _require_finite(dual_vars=f, dual_value=sol.dual_value, mu_star=sol.mu_star,
-                    targets=targets)
-    m_eig = float(min_eig(f).min())
-    cover = np.tensordot(d_mat.T, f, axes=(1, 0)) - IDENTITY
-    c_eig = float(min_eig(cover).min())
+    f = _require_psd("dual_vars", sol.dual_vars, len(targets), sol.dual_vars)
+    cover = np.tensordot(d_mat.T, f, axes=(1, 0))
+    _require_psd("strategy coverage", cover - IDENTITY, len(cover), cover)
     dual = float(np.einsum("mij,mij->", np.conj(targets), f).real)
-    if m_eig < -tol:
-        raise CertificateInvalid(f"multiplier min eigenvalue {m_eig:.3e} < -{tol:.1e}")
-    if c_eig < -tol:
-        raise CertificateInvalid(f"strategy coverage min eigenvalue {c_eig:.3e} < -{tol:.1e}")
-    if abs(dual - sol.dual_value) > 1e-9 * max(1.0, abs(dual)):
-        raise CertificateInvalid("recorded dual value does not match the multipliers")
-    if dual < sol.mu_star - _ROUNDOFF * max(1.0, abs(dual)):
+    if not abs(dual - sol.dual_value) <= _band(dual):  # NaN fails here too
+        raise CertificateInvalid(f"recorded dual_value {sol.dual_value!r} is not {dual!r}")
+    if not dual >= sol.mu_star - _band(dual):
         raise CertificateInvalid(f"dual value {dual!r} is below mu_star {sol.mu_star!r}")
-    return CertificateReport(dual, sol.gap, m_eig, c_eig)
+    return CertificateReport(dual, sol.gap)
 
 
 def primal_certificate(sol: SdpSolution, targets: np.ndarray) -> float:
     """Verify the primal point of a solve of the (2 n, 2, 2) targets
     independently of the solve path.
 
-    Checks in closed form that every sigma_tilde block is Hermitian and PSD,
-    that every slack sigma_{a|x} - sum_lam D_lam(a|x) sigma_tilde_lam is PSD
-    (up to roundoff, 1e-12), and that mu_star is their total trace. Returns
-    mu_star, a lower bound on the optimum: with `dual_certificate`,
+    Checks that sigma_tilde has one Hermitian block per strategy, that it
+    and every slack sigma_{a|x} - sum_lam D_lam(a|x) sigma_tilde_lam pass
+    the one roundoff rule (module docstring, M the largest entry of the
+    targets), and that mu_star is their total trace to the same roundoff.
+    Returns mu_star, a lower bound on the optimum: with `dual_certificate`,
     [1 - dual_value, 1 - mu_star] brackets the steerable weight. Raises
-    CertificateInvalid when any check fails, a value it reads is not finite,
-    or sigma_tilde does not match the targets' 2^n strategies; InvalidInput
-    for targets that `solve` would reject by shape.
+    CertificateInvalid when a check fails; InvalidInput for targets `solve`
+    rejects by shape.
     """
-    d_mat, sig, tol = _strategies(targets), sol.sigma_tilde, _ROUNDOFF
-    if sig.shape != (d_mat.shape[1], 2, 2):
-        raise CertificateInvalid("sigma_tilde count does not match strategies")
-    _require_finite(sigma_tilde=sig, mu_star=sol.mu_star, targets=targets)
-    if float(anti_herm_norm(sig).max()) > tol:
+    d_mat = _strategies(targets)
+    sig = _require_psd("sigma_tilde", sol.sigma_tilde, d_mat.shape[1], targets)
+    if float(anti_herm_norm(sig).max()) > _band(targets):
         raise CertificateInvalid("sigma_tilde is not Hermitian")
-    b_eig = float(min_eig(sig).min())
-    slack = targets - np.tensordot(d_mat, sig, axes=(1, 0))
-    s_eig = float(min_eig(slack).min())
+    _require_psd("slack", targets - np.tensordot(d_mat, sig, axes=(1, 0)), len(targets), targets)
     value = float(np.einsum("nii->", sig).real)
-    if b_eig < -tol:
-        raise CertificateInvalid(f"sigma_tilde min eigenvalue {b_eig:.3e} < -{tol:.1e}")
-    if s_eig < -tol:
-        raise CertificateInvalid(f"slack min eigenvalue {s_eig:.3e} < -{tol:.1e}")
-    if abs(value - sol.mu_star) > _ROUNDOFF * max(1.0, abs(value)):
-        raise CertificateInvalid("recorded mu_star is not the trace of sigma_tilde")
+    if not abs(value - sol.mu_star) <= _band(value):
+        raise CertificateInvalid(f"recorded mu_star {sol.mu_star!r} is not {value!r}")
     return value
 
 
-def _require_finite(**values):
-    """Raise CertificateInvalid naming every value with a non-finite entry:
-    NaN fails every comparison, so it would pass each check silently."""
-    bad = [name for name, v in values.items() if not np.all(np.isfinite(v))]
-    if bad:
-        raise CertificateInvalid(f"non-finite {', '.join(bad)}")
+def _band(data):
+    """The one roundoff allowance of both certificates: _ROUNDOFF max(1, M), M the
+    largest entry magnitude of data, the values a checked quantity is computed from."""
+    return _ROUNDOFF * max(1.0, float(np.abs(data).max()))
+
+
+def _require_psd(name, blocks, count, data):
+    """The one check of a certificate's block stack: count 2x2 blocks with finite
+    entries and least eigenvalue >= -_band(data), data the values the blocks are
+    computed from; read only once the shape fits. Returns the blocks as an array;
+    raises CertificateInvalid naming the stack. Finiteness comes first, since NaN
+    fails every comparison and so would pass the eigenvalue test silently."""
+    if np.shape(blocks) != (count, 2, 2):
+        raise CertificateInvalid(f"{name} has shape {np.shape(blocks)}, not ({count}, 2, 2)")
+    blocks = np.asarray(blocks)
+    if not np.isfinite(blocks).all():
+        raise CertificateInvalid(f"non-finite {name}")
+    low, band = float(min_eig(blocks).min()), _band(data)
+    if low < -band:
+        raise CertificateInvalid(f"{name} min eigenvalue {low:.3e} < -{band:.1e}")
+    return blocks

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from tsteer.channels import propagate_assemblage, random_kraus_channel
+from tsteer.channels import random_kraus_channel
 from tsteer.errors import InvalidInput
 from tsteer.hermat import IDENTITY, herm, min_eig, psd_project
+from tsteer.measures import propagate_assemblage
 from tsteer.steering import (
     Assemblage,
     MeasurementSet,

@@ -12,12 +12,12 @@ from tsteer.channels import (
     liouvillian,
     lorentzian_G,
     lorentzian_gamma,
-    propagate_assemblage,
     random_kraus_channel,
     rk4_evolve,
 )
 from tsteer.errors import InvalidInput
 from tsteer.hermat import IDENTITY, KET_E, KET_G, SIGMA_X, kron
+from tsteer.measures import propagate_assemblage
 from tsteer.steering import pauli_measurement_set, premeasure, validate
 
 EE = np.outer(KET_E, KET_E.conj())

@@ -8,7 +8,6 @@ from tsteer.channels import (
     LorentzianAD,
     RabiDecay,
     lorentzian_G,
-    propagate_assemblage,
     random_kraus_channel,
 )
 from tsteer import channels, hermat, measures, sdp
@@ -18,6 +17,7 @@ from tsteer.measures import (
     concurrence,
     n_tsw,
     nc_trace,
+    propagate_assemblage,
     tsw,
     tsw_trace,
     TraceSeries,

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import depolarized_assemblage, primal_ascent_bound, random_assemblage, random_density
 from tsteer import sdp
-from tsteer.channels import Exchange, LorentzianAD, evolve_grid, propagate_assemblage
+from tsteer.channels import Exchange, LorentzianAD, RabiDecay, evolve_grid
 from tsteer.errors import CertificateInvalid, InvalidInput, ValidationError
 from tsteer.hermat import IDENTITY, KET_E, SIGMA_X, SIGMA_Y, SIGMA_Z, det2, herm, min_eig
 from tsteer.sdp import (
@@ -15,7 +15,7 @@ from tsteer.sdp import (
     primal_certificate,
     solve,
 )
-from tsteer.measures import tsw
+from tsteer.measures import propagate_assemblage, tsw
 from tsteer.steering import (
     Assemblage,
     pauli_measurement_set,
@@ -287,12 +287,12 @@ def test_solve_reads_real_targets_as_complex():
 
 
 def test_certificate_accepts_optimal_solves(rng):
+    # the report recomputes the dual value bit for bit and carries the solve's gap
     for v in (0.0, 0.4, 0.8, 1.0):
         p = depol_problem(v)
         sol = solve(p)
         report = dual_certificate(sol, p)
-        assert report.multiplier_min_eig >= -1e-7
-        assert report.coverage_min_eig >= -1e-7
+        assert report == sdp.CertificateReport(sol.dual_value, sol.gap)
         assert report.gap <= 1e-7
 
 
@@ -310,6 +310,24 @@ def test_certificate_rejects_zero_multipliers():
     )
     with pytest.raises(CertificateInvalid):
         dual_certificate(fake, p)
+
+
+def test_certificate_rejects_a_multiplier_past_roundoff():
+    # one F block of an OPTIMAL solve, max|F| = 2.66, pushed to min eigenvalue
+    # -1e-9 with its dual value recomputed: far past the roundoff of F, 1e-12
+    # max(1, max|F|), though inside the absolute 1e-7 that once accepted it
+    p = paper_point(RabiDecay(1.0, 1 / 6), 1.3)
+    sol = solve(p)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert np.abs(sol.dual_vars).max() == pytest.approx(2.66, abs=0.01)
+    assert dual_certificate(sol, p).gap == sol.gap
+    f = sol.dual_vars.copy()
+    f[0] -= (min_eig(f[0]) + 1e-9) * IDENTITY
+    assert min_eig(f[0]) == pytest.approx(-1e-9, rel=1e-6)
+    shifted = dataclasses.replace(
+        sol, dual_vars=f, dual_value=float(np.einsum("mij,mij->", p.conj(), f).real))
+    with pytest.raises(CertificateInvalid, match="^dual_vars min eigenvalue -1.000e-09 < "):
+        dual_certificate(shifted, p)
 
 
 def test_certificate_requires_optimal_status():
@@ -331,11 +349,10 @@ def test_certificates_reject_non_finite_values():
             bad = dataclasses.replace(sol, **{name: np.full_like(getattr(sol, name), nan)})
             with pytest.raises(CertificateInvalid):
                 certificate(bad, p)
-    # a bad tol is a bad argument, not a failed certificate
-    for tol in (nan, float("inf"), 0.0, -1e-7, "1e-7", None):
-        with pytest.raises(InvalidInput, match="tol must be a finite real > 0"):
-            dual_certificate(sol, p, tol=tol)
-    assert dual_certificate(sol, p, tol=np.float64(1e-7)).gap == sol.gap
+        # a point that is no array at all fails the certificate, not on its .shape
+        name = fields[0]
+        with pytest.raises(CertificateInvalid, match=f"^{name} has shape \\(\\), not "):
+            certificate(dataclasses.replace(sol, **{name: None}), p)
     # the untouched solution still passes both
     assert primal_certificate(sol, p) == sol.mu_star
     assert dual_certificate(sol, p).gap == sol.gap
@@ -381,6 +398,18 @@ def test_constant_map_is_solved_in_closed_form():
     assert sol.mu_star == pytest.approx(0.4, abs=1e-12)
     assert primal_certificate(sol, p) == sol.mu_star
     assert dual_certificate(sol, p).dual_value == pytest.approx(0.4, abs=1e-12)
+    # the all-zero stack has R = 0, tr R = 0: mu* = 0 from sigma_tilde = 0 and
+    # F_m = I / 3, whose coverage is exactly I for every strategy
+    zero = np.zeros((6, 2, 2))
+    sol = solve(zero)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.mu_star == sol.dual_value == 0.0
+    assert not sol.sigma_tilde.any()
+    assert np.array_equal(sol.dual_vars, np.broadcast_to(IDENTITY / 3, (6, 2, 2)))
+    assert np.array_equal(np.tensordot(strategy_table(3).T, sol.dual_vars, axes=(1, 0)),
+                          np.broadcast_to(IDENTITY, (8, 2, 2)))
+    assert primal_certificate(sol, zero) == 0.0
+    assert dual_certificate(sol, zero).dual_value == 0.0
 
 
 def whitening(r):
@@ -750,15 +779,28 @@ def test_ascent_bound_is_tight_on_easy_instances():
 
 
 def test_scale_covariance(rng):
-    asm = random_assemblage(rng)
-    p = build_sw_sdp(asm, strategy_table(3))
-    base = solve(p)
-    for c in (0.25, 0.5, 0.9):
-        scaled = c * p
-        sol = solve(scaled)
-        assert sol.mu_star == pytest.approx(c * base.mu_star, abs=1e-7)
-        # normalized weight is scale free
-        assert 1 - sol.mu_star / c == pytest.approx(1 - base.mu_star, abs=1e-7)
+    # mu*(c p) = c mu*(p), so two solves, each certified to its own absolute
+    # gap tol, differ by at most (1 + c) tol. Both certificates judge roundoff
+    # relative to the data, so they accept every solve they can certify at
+    # every scale; at c = 1e6 tol is a relative 1e-14, which not every solve
+    # reaches before a breakdown, and those exits certify their primal side
+    statuses = []
+    for _ in range(10):
+        p = build_sw_sdp(random_assemblage(rng), strategy_table(3))
+        base = solve(p)
+        for c in (0.25, 0.5, 0.9, 1e6, 1e-6):
+            scaled = c * p
+            sol = solve(scaled)
+            statuses.append((c, sol.status))
+            assert primal_certificate(sol, scaled) == sol.mu_star
+            if sol.status is SolveStatus.OPTIMAL:
+                assert dual_certificate(sol, scaled).gap == sol.gap
+            gaps = (1.0 + c) * sdp.DEFAULT_TOL
+            assert sol.mu_star == pytest.approx(c * base.mu_star, abs=max(1e-7, gaps))
+            # normalized weight is scale free
+            assert 1 - sol.mu_star / c == pytest.approx(1 - base.mu_star, abs=max(1e-7, gaps / c))
+    optimal = [c for c, status in statuses if status is SolveStatus.OPTIMAL]
+    assert len(optimal) >= 45 and optimal.count(1e6) >= 8
 
 
 def test_mixing_concavity(rng):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import depolarized_assemblage
-from tsteer.channels import KrausChannel, propagate_assemblage
+from tsteer.channels import KrausChannel
 from tsteer.errors import InvalidInput, ValidationError
 from tsteer.hermat import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
-from tsteer.measures import tsw
+from tsteer.measures import propagate_assemblage, tsw
 from tsteer.steering import (
     Assemblage,
     MeasurementSet,
