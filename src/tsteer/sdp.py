@@ -47,12 +47,10 @@ D = `strategy_table(n)` from its length.
    above -b.y. So `_Reduced.certify` maps an iterate back only where the
    reduced gap c.x - b.y is at most tol, and its dual side only where
    -b.y - primal is at most 2 tol; every exit maps back the iterate it
-   stops at. The run stops once the signed gap dual - primal is
-   in [-1e-12 max(1, |dual|), tol]: weak duality forbids dual < primal,
-   and 1e-12 is the certificates' one roundoff rule: a block stack they
-   check (sigma_tilde and the slacks; F and the coverage sum D F - I) is
-   finite with least eigenvalue >= -1e-12 max(1, M), M the largest entry
-   magnitude of the data it is computed from.
+   stops at. The run stops once dual - primal is in [-1e-12 max(1, |dual|),
+   tol]. 1e-12 max(1, M) is the certificates' one roundoff rule, M the
+   largest entry of what is checked against it: the targets, a value, or a
+   block of F or its coverage, whose shortfall enters the dual bound.
 """
 
 from __future__ import annotations
@@ -133,9 +131,15 @@ class SdpSolution:
         return self.dual_value - self.mu_star
 
 
+def _band(data, axis=None):
+    """The one roundoff allowance of both certificates: _ROUNDOFF max(1, M), M the largest
+    entry magnitude of data (per block along axis), the values a check is computed from."""
+    return _ROUNDOFF * np.maximum(1.0, np.abs(data).max(axis=axis))
+
+
 def _certifies(primal, dual, tol):
     """Whether dual - primal is at most tol, and below 0 by roundoff only."""
-    return -_ROUNDOFF * max(1.0, abs(dual)) <= dual - primal <= tol
+    return -_band(dual) <= dual - primal <= tol
 
 
 def _strategies(targets) -> np.ndarray:
@@ -165,15 +169,12 @@ def solve(targets: np.ndarray, tol: float = DEFAULT_TOL,
 
     The strategy table is `strategy_table(n)`, and the targets are read as
     complex. Whitens, face-reduces and runs the interior-point method once,
-    cold (see the module docstring). OPTIMAL means the signed gap dual_value
-    - mu_star of the exactly feasible primal and dual points is at most tol,
-    and below 0 by at most roundoff, 1e-12 max(1, |dual_value|). MAX_ITER
-    means max_iter Newton steps, or a numerical breakdown, came first; such
-    an exit certifies only its primal side, mu_star <= mu*, and its
-    dual_value can lie far below mu_star. The certified map back is skipped
-    at iterates that cannot certify (module docstring, step 4). An OPTIMAL
-    run on the paper's traces takes 8 to 20 Lorentz-cone steps, mostly 8 to
-    11, and a constant map none.
+    cold (module docstring). OPTIMAL means the signed gap dual_value -
+    mu_star of the mapped-back primal and dual points is at most tol, and
+    below 0 by at most 1e-12 max(1, |dual_value|). MAX_ITER means max_iter
+    Newton steps, or a breakdown, came first; such an exit certifies only
+    mu_star <= mu*, and its dual_value can lie far below mu_star. An
+    OPTIMAL run on the paper's traces takes 8 to 20 steps, a constant map none.
     Raises InvalidInput unless targets has shape (2 n, 2, 2) with 1 <= n <=
     6, tol is a finite positive real and max_iter a non-negative integer,
     and its subclass ValidationError for a target block that fails
@@ -540,28 +541,35 @@ class CertificateReport:
 
 
 def dual_certificate(sol: SdpSolution, targets: np.ndarray) -> CertificateReport:
-    """Verify the dual multipliers of a solve of the (2 n, 2, 2) targets
-    independently of the solve path.
-
-    Checks that F has one block per constraint, that F and every strategy's
-    coverage sum_{a,x} D_lam(a|x) F_{a|x} - I pass the one roundoff rule
-    (module docstring, M the largest entry of F or of the coverage), and
-    that the dual value is recorded to 1e-12 max(1, |dual|) and not below
-    mu_star by more. Raises CertificateInvalid when a check fails or the
-    status is not OPTIMAL; InvalidInput for targets `solve` rejects by shape.
+    """Verify the dual multipliers F of a solve of the (2 n, 2, 2) targets
+    independently of the solve path, and bound mu* from above by repairing F:
+    checks that F has one finite block per constraint, that the recorded
+    dual_value is <sigma, F>, that herm(F) and each strategy's coverage
+    sum_{a,x} D_lam(a|x) F+_{a|x} - I pass the one roundoff rule per block,
+    and that a finite mu_star is not above the bound <sigma, F+> / (1 - s)
+    >= mu*, F+ the PSD part of herm(F), s < 1 its worst coverage shortfall.
+    Reports the bound (dual_value if within roundoff of it) and its gap over
+    mu_star. Raises CertificateInvalid when a check fails or the status is
+    not OPTIMAL; InvalidInput for targets `solve` rejects by shape.
     """
     d_mat = _strategies(targets)
     if sol.status is not SolveStatus.OPTIMAL:
         raise CertificateInvalid(f"solution status is {sol.status.value}, not optimal")
-    f = _require_psd("dual_vars", sol.dual_vars, len(targets), sol.dual_vars)
-    cover = np.tensordot(d_mat.T, f, axes=(1, 0))
-    _require_psd("strategy coverage", cover - IDENTITY, len(cover), cover)
+    f = _finite("dual_vars", sol.dual_vars, len(targets))
     dual = float(np.einsum("mij,mij->", np.conj(targets), f).real)
     if not abs(dual - sol.dual_value) <= _band(dual):  # NaN fails here too
         raise CertificateInvalid(f"recorded dual_value {sol.dual_value!r} is not {dual!r}")
-    if not dual >= sol.mu_star - _band(dual):
-        raise CertificateInvalid(f"dual value {dual!r} is below mu_star {sol.mu_star!r}")
-    return CertificateReport(dual, sol.gap)
+    _require_psd("dual_vars", f := herm(f), _band(f, (1, 2)))
+    plus = np.where((min_eig(f) < 0.0)[:, None, None], psd_project(f), f)
+    cover = np.tensordot(d_mat.T, plus, axes=(1, 0))
+    short = max(0.0, -_require_psd("strategy coverage", cover - IDENTITY, _band(cover, (1, 2))))
+    if not short < 1.0:
+        raise CertificateInvalid(f"a strategy's coverage falls {short:.3e} below I")
+    bound = (dual + float(np.einsum("mij,mij->", np.conj(targets), plus - f).real)) / (1 - short)
+    bound = dual if abs(bound - dual) <= _band(bound) else bound
+    if not (math.isfinite(sol.mu_star) and bound >= sol.mu_star - _band(bound)):
+        raise CertificateInvalid(f"dual bound {bound!r} is below mu_star {sol.mu_star!r}")
+    return CertificateReport(bound, bound - sol.mu_star)
 
 
 def primal_certificate(sol: SdpSolution, targets: np.ndarray) -> float:
@@ -570,42 +578,35 @@ def primal_certificate(sol: SdpSolution, targets: np.ndarray) -> float:
 
     Checks that sigma_tilde has one Hermitian block per strategy, that it
     and every slack sigma_{a|x} - sum_lam D_lam(a|x) sigma_tilde_lam pass
-    the one roundoff rule (module docstring, M the largest entry of the
-    targets), and that mu_star is their total trace to the same roundoff.
-    Returns mu_star, a lower bound on the optimum: with `dual_certificate`,
-    [1 - dual_value, 1 - mu_star] brackets the steerable weight. Raises
-    CertificateInvalid when a check fails; InvalidInput for targets `solve`
-    rejects by shape.
+    the one roundoff rule with M the largest target entry, and that mu_star
+    is their total trace. Returns mu_star <= mu*. Raises CertificateInvalid
+    when a check fails; InvalidInput for targets `solve` rejects by shape.
     """
-    d_mat = _strategies(targets)
-    sig = _require_psd("sigma_tilde", sol.sigma_tilde, d_mat.shape[1], targets)
-    if float(anti_herm_norm(sig).max()) > _band(targets):
+    d_mat, band = _strategies(targets), _band(targets)
+    sig = _finite("sigma_tilde", sol.sigma_tilde, d_mat.shape[1])
+    if float(anti_herm_norm(sig).max()) > band:
         raise CertificateInvalid("sigma_tilde is not Hermitian")
-    _require_psd("slack", targets - np.tensordot(d_mat, sig, axes=(1, 0)), len(targets), targets)
+    _require_psd("sigma_tilde", sig, band)
+    _require_psd("slack", targets - np.tensordot(d_mat, sig, axes=(1, 0)), band)
     value = float(np.einsum("nii->", sig).real)
     if not abs(value - sol.mu_star) <= _band(value):
         raise CertificateInvalid(f"recorded mu_star {sol.mu_star!r} is not {value!r}")
     return value
 
 
-def _band(data):
-    """The one roundoff allowance of both certificates: _ROUNDOFF max(1, M), M the
-    largest entry magnitude of data, the values a checked quantity is computed from."""
-    return _ROUNDOFF * max(1.0, float(np.abs(data).max()))
-
-
-def _require_psd(name, blocks, count, data):
-    """The one check of a certificate's block stack: count 2x2 blocks with finite
-    entries and least eigenvalue >= -_band(data), data the values the blocks are
-    computed from; read only once the shape fits. Returns the blocks as an array;
-    raises CertificateInvalid naming the stack. Finiteness comes first, since NaN
-    fails every comparison and so would pass the eigenvalue test silently."""
+def _finite(name, blocks, count):
+    """count finite 2x2 blocks, as an array; CertificateInvalid naming the stack otherwise."""
     if np.shape(blocks) != (count, 2, 2):
         raise CertificateInvalid(f"{name} has shape {np.shape(blocks)}, not ({count}, 2, 2)")
     blocks = np.asarray(blocks)
     if not np.isfinite(blocks).all():
         raise CertificateInvalid(f"non-finite {name}")
-    low, band = float(min_eig(blocks).min()), _band(data)
-    if low < -band:
-        raise CertificateInvalid(f"{name} min eigenvalue {low:.3e} < -{band:.1e}")
     return blocks
+
+
+def _require_psd(name, blocks, band):
+    """The least eigenvalue, once each block's is >= -band; CertificateInvalid (NaN too) if not."""
+    low = min_eig(blocks)
+    if not (ok := low >= -(band := np.broadcast_to(band, low.shape))).all():
+        raise CertificateInvalid(f"{name} min eigenvalue {low[~ok][0]:.3e} < -{band[~ok][0]:.1e}")
+    return float(low.min())

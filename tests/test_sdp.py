@@ -313,9 +313,11 @@ def test_certificate_rejects_zero_multipliers():
 
 
 def test_certificate_rejects_a_multiplier_past_roundoff():
-    # one F block of an OPTIMAL solve, max|F| = 2.66, pushed to min eigenvalue
-    # -1e-9 with its dual value recomputed: far past the roundoff of F, 1e-12
-    # max(1, max|F|), though inside the absolute 1e-7 that once accepted it
+    # one F block of an OPTIMAL solve, max|F_0| < 1, pushed to min eigenvalue
+    # -1e-9 with its dual value recomputed: far past that block's roundoff,
+    # 1e-12 max(1, max|F_0|), yet inside an absolute 1e-7. So is a
+    # non-Hermitian F whose upper triangle alone looks PSD, since the check
+    # reads herm(F)
     p = paper_point(RabiDecay(1.0, 1 / 6), 1.3)
     sol = solve(p)
     assert sol.status is SolveStatus.OPTIMAL
@@ -324,10 +326,53 @@ def test_certificate_rejects_a_multiplier_past_roundoff():
     f = sol.dual_vars.copy()
     f[0] -= (min_eig(f[0]) + 1e-9) * IDENTITY
     assert min_eig(f[0]) == pytest.approx(-1e-9, rel=1e-6)
-    shifted = dataclasses.replace(
-        sol, dual_vars=f, dual_value=float(np.einsum("mij,mij->", p.conj(), f).real))
-    with pytest.raises(CertificateInvalid, match="^dual_vars min eigenvalue -1.000e-09 < "):
-        dual_certificate(shifted, p)
+    skew = sol.dual_vars.copy()
+    skew[:, 1, 0] += 10.0
+    assert min_eig(skew).min() >= 0.0 and min_eig(herm(skew)).min() < -4.0
+    for f, low in ((f, "-1.000e-09"), (skew, "-[0-9.]+e\\+00")):
+        bad = dataclasses.replace(
+            sol, dual_vars=f, dual_value=float(np.einsum("mij,mij->", p.conj(), f).real))
+        with pytest.raises(CertificateInvalid, match=f"^dual_vars min eigenvalue {low}"):
+            dual_certificate(bad, p)
+
+
+def test_certificate_allowance_does_not_grow_with_the_multiplier():
+    # sigma_{+|Z} = |0><0| / 2 gives |1><1| no weight, so a 1e13 entry of
+    # F_{+|Z} there leaves the dual value as it is. Halved, that F covers only
+    # I / 2, and a strategy without F_{+|Z} fails its own coverage band, which
+    # the entry does not widen; a band from max|F| over the whole stack would
+    # accept the half, whose dual value lies below mu*
+    p = np.array([IDENTITY + 0.5 * SIGMA_X, IDENTITY - 0.5 * SIGMA_X,
+                  2.0 * np.diag([1.0, 0.0]), 2.0 * np.diag([0.0, 1.0])]) / 4.0
+    sol = solve(p)
+    assert sol.status is SolveStatus.OPTIMAL and sol.mu_star > 0.4
+    f = sol.dual_vars.copy()
+    f[2, 1, 1] += 1e13
+    assert np.einsum("mij,mij->", p.conj(), f).real == sol.dual_value
+    half = dataclasses.replace(sol, mu_star=sol.mu_star / 2, sigma_tilde=sol.sigma_tilde / 2,
+                               dual_vars=f / 2, dual_value=sol.dual_value / 2)
+    assert primal_certificate(half, p) == half.mu_star
+    with pytest.raises(CertificateInvalid, match="^strategy coverage min eigenvalue -5.000e-01 < "):
+        dual_certificate(half, p)
+
+
+def test_certificate_reports_the_repaired_bound():
+    # Exchange(1, 0) at point 37 of a 41-point grid, rotated by the first
+    # unitary of default_rng(2024): max|F| = 8.3e6, and one block's min
+    # eigenvalue -9.3e-10 is roundoff of that block but lies where its target
+    # has weight. Accepted, the report carries the repaired bound, 4.6e-10
+    # above the recorded dual value, and its gap stays below tol
+    rng = np.random.default_rng(2024)
+    u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    stack = evolve_grid(Exchange(1.0, 0.0), premeasure(IDENTITY / 2, XYZ).stacked(),
+                        np.linspace(0.0, 2 * np.pi, 41))[37]
+    p = u @ stack @ u.conj().T
+    sol = solve(p)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert min_eig(sol.dual_vars).min() == pytest.approx(-9.3e-10, rel=0.01)
+    report = dual_certificate(sol, p)
+    assert 4e-10 < report.dual_value - sol.dual_value < 5e-10
+    assert report.gap == report.dual_value - sol.mu_star < sdp.DEFAULT_TOL
 
 
 def test_certificate_requires_optimal_status():
@@ -339,16 +384,17 @@ def test_certificate_requires_optimal_status():
 
 
 def test_certificates_reject_non_finite_values():
-    # NaN fails every comparison, so each check would pass it silently
+    # NaN fails every comparison, so each check would pass it silently, and
+    # mu_star = -inf is below every dual value
     p = depol_problem(0.8)
     sol = solve(p)
-    nan = float("nan")
     for certificate, fields in ((dual_certificate, ("dual_vars", "dual_value", "mu_star")),
                                 (primal_certificate, ("sigma_tilde", "mu_star"))):
         for name in fields:
-            bad = dataclasses.replace(sol, **{name: np.full_like(getattr(sol, name), nan)})
-            with pytest.raises(CertificateInvalid):
-                certificate(bad, p)
+            for value in (float("nan"), float("inf"), -float("inf")):
+                bad = dataclasses.replace(sol, **{name: np.full_like(getattr(sol, name), value)})
+                with pytest.raises(CertificateInvalid):
+                    certificate(bad, p)
         # a point that is no array at all fails the certificate, not on its .shape
         name = fields[0]
         with pytest.raises(CertificateInvalid, match=f"^{name} has shape \\(\\), not "):
