@@ -26,6 +26,7 @@ import numpy as np
 from . import channels, hermat
 from .errors import InvalidInput, ValidationError, count, real
 from .steering import (
+    TARGET_TOL,
     Assemblage,
     MeasurementSet,
     _from_stack,
@@ -33,7 +34,7 @@ from .steering import (
     strategy_table,
     validate,
 )
-from .sdp import SdpSolution, SolveStatus, build_sw_sdp, solve
+from .sdp import DEFAULT_TOL, SdpSolution, SolveStatus, build_sw_sdp, solve
 
 DEFAULT_SLOPE_THRESHOLD = 1e-6
 
@@ -47,12 +48,21 @@ class TswResult:
 
 @dataclass
 class TraceSeries:
-    """A sampled scalar measure over a strictly increasing time grid."""
+    """A sampled scalar measure over a strictly increasing time grid. Raises InvalidInput
+    unless times and values are 1-D of one length, and so is solutions when given."""
 
     times: np.ndarray
     values: np.ndarray
     metadata: dict = field(default_factory=dict)
     solutions: list = field(default=None, repr=False)
+
+    def __post_init__(self):
+        t_shape, v_shape = np.shape(self.times), np.shape(self.values)
+        if len(t_shape) != 1 or v_shape != t_shape:
+            raise InvalidInput(f"times of shape {t_shape} and values of shape {v_shape} "
+                               "are not 1-D of one length")
+        if self.solutions is not None and len(self.solutions) != t_shape[0]:
+            raise InvalidInput(f"{len(self.solutions)} solutions for {t_shape[0]} times")
 
 
 @dataclass
@@ -77,12 +87,12 @@ def _grid(t_max: float, n_steps: int) -> np.ndarray:
     return times
 
 
-def tsw(asm: Assemblage, tol: float = 1e-8) -> TswResult:
+def tsw(asm: Assemblage, tol: float = DEFAULT_TOL) -> TswResult:
     """Temporal steerable weight 1 - mu* of an assemblage.
 
     Raises ValidationError, listing the violations, unless `validate` at
-    1e-8 finds every member finite, Hermitian and PSD and every setting of
-    unit total trace; that check flags every block `solve` rejects. A
+    TARGET_TOL finds every member finite, Hermitian and PSD and every setting
+    of unit total trace; `solve` checks its blocks at that same band. A
     setting-dependent reduced state (the signature of premeasuring anything
     but I/2) is tolerated; the weight stays well defined because the
     hidden-state side of the decomposition is non-signaling by construction.
@@ -91,8 +101,7 @@ def tsw(asm: Assemblage, tol: float = 1e-8) -> TswResult:
     certifies only its primal side, so only TSW <= 1 - mu_star.
     """
     _require_valid(asm)
-    table = strategy_table(asm.n_meas)
-    sol = solve(build_sw_sdp(asm, table), tol=tol)
+    sol = solve(build_sw_sdp(asm, strategy_table(asm.n_meas)), tol=tol)
     return TswResult(1.0 - sol.mu_star, sol, asm.time_tag)
 
 
@@ -100,7 +109,7 @@ def propagate_assemblage(ch, t, asm: Assemblage) -> Assemblage:
     """Evolve every member of an assemblage independently to a single time t.
 
     The output is checked as `tsw` checks its input, so positivity,
-    Hermiticity and total trace are enforced at 1e-8.
+    Hermiticity and total trace are enforced at TARGET_TOL.
     """
     t = real("t", t)
     new = _from_stack(asm.labels, channels.evolve_grid(ch, asm.stacked(), [t])[0], time_tag=t)
@@ -109,16 +118,16 @@ def propagate_assemblage(ch, t, asm: Assemblage) -> Assemblage:
 
 
 def _require_valid(asm):
-    """Raise ValidationError listing every violation `validate` finds at 1e-8 but
+    """Raise ValidationError listing every violation `validate` finds at TARGET_TOL but
     non-signaling: premeasuring any state other than I/2 dephases differently in
     different bases, so only maximally-mixed inputs give non-signaling families."""
-    hard = [v for v in validate(asm, 1e-8) if v.kind != "non-signaling"]
+    hard = [v for v in validate(asm, TARGET_TOL) if v.kind != "non-signaling"]
     if hard:
         raise ValidationError(hard)
 
 
 def tsw_trace(ch, ms: MeasurementSet, rho0, t_max: float, n_steps: int,
-              tol: float = 1e-8) -> TraceSeries:
+              tol: float = DEFAULT_TOL) -> TraceSeries:
     """TSW of the premeasured-and-evolved assemblage on a uniform grid.
 
     Every grid point is one `tsw`, so one cold `solve`. A point whose solve

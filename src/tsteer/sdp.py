@@ -37,7 +37,8 @@ D = `strategy_table(n)` from its length.
    corrector are rank-one closed forms. Guards floor each block's small
    spectral value at 1e-16 times its large one, and gamma^2 at 1. Each
    direction is one LU solve of the augmented system [[-I, (AW)^T], [AW, 0]],
-   as its Schur complement squares the condition; a singular one ends the run.
+   as its Schur complement squares the condition; a singular one ends the run,
+   as does the 300th Newton step.
 4. A certified map back: sigma_tilde is shrunk until it and every slack
    are exactly PSD, and the multipliers are lifted along the kernel of
    each rank-deficient member, F_m += K (I - P_m), with P_m taken from
@@ -61,12 +62,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificateInvalid, InvalidInput, count, real
+from .errors import CertificateInvalid, InvalidInput, real
 from .hermat import IDENTITY, anti_herm_norm, det2, herm, min_eig, psd_project
-from .steering import Assemblage, check_blocks, strategy_table
+from .steering import TARGET_TOL, Assemblage, check_blocks, strategy_table
 
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 300
+_MAX_ITER = 300    # Newton steps after which a solve ends MAX_ITER
 _RANK_EPS = 1e-14  # a 2x2 PSD block with det <= _RANK_EPS * tr^2 has rank one
 _ROUNDOFF = 1e-12  # roundoff relative to max(1, data magnitude), in both certificates
 _STEP = 0.95       # fraction of the step to the cone boundary taken per iteration
@@ -162,8 +163,7 @@ def build_sw_sdp(asm: Assemblage, table: np.ndarray) -> np.ndarray:
     return asm.stacked()
 
 
-def solve(targets: np.ndarray, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER) -> SdpSolution:
+def solve(targets: np.ndarray, tol: float = DEFAULT_TOL) -> SdpSolution:
     """Solve the steerable-weight SDP of a (2 n, 2, 2) stack of targets
     sigma_{a|x}, in constraint order, to a certified duality gap.
 
@@ -171,25 +171,23 @@ def solve(targets: np.ndarray, tol: float = DEFAULT_TOL,
     complex. Whitens, face-reduces and runs the interior-point method once,
     cold (module docstring). OPTIMAL means the signed gap dual_value -
     mu_star of the mapped-back primal and dual points is at most tol, and
-    below 0 by at most 1e-12 max(1, |dual_value|). MAX_ITER means max_iter
+    below 0 by at most 1e-12 max(1, |dual_value|). MAX_ITER means 300
     Newton steps, or a breakdown, came first; such an exit certifies only
     mu_star <= mu*, and its dual_value can lie far below mu_star. An
     OPTIMAL run on the paper's traces takes 8 to 20 steps, a constant map none.
     Raises InvalidInput unless targets has shape (2 n, 2, 2) with 1 <= n <=
-    6, tol is a finite positive real and max_iter a non-negative integer,
-    and its subclass ValidationError for a target block that fails
-    `check_blocks` at tolerance 1e-8: non-finite, not Hermitian, or with an
-    eigenvalue < -1e-8.
+    6 and tol is a finite positive real, and its subclass ValidationError
+    for a target block that fails `check_blocks` at steering.TARGET_TOL:
+    non-finite, not Hermitian, or with an eigenvalue below -TARGET_TOL.
     """
     tol = real("tol", tol, above=True)
-    max_iter = count("max_iter", max_iter, 0)
     d_mat = _strategies(targets)
     targets = np.asarray(targets, dtype=complex)
-    check_blocks(targets, 1e-8, [f"target block {i}" for i in range(len(targets))])
+    check_blocks(targets, TARGET_TOL, [f"target block {i}" for i in range(len(targets))])
     red = herm(targets.sum(axis=0) / (len(targets) // 2))
     if det2(red) <= _RANK_EPS * _trace(red) ** 2:
         return _constant_map(targets, d_mat, red, tol)
-    return _interior_point(_Reduced(targets, d_mat, red), tol, max_iter)
+    return _interior_point(_Reduced(targets, d_mat, red), tol)
 
 
 def _constant_map(targets, d_mat, red, tol):
@@ -388,13 +386,13 @@ def _lift_size(g, q):
     return np.maximum(np.maximum(np.where(np.isfinite(root), root, 0.0), by_trace), 0.0)
 
 
-def _interior_point(reduced: _Reduced, tol, max_iter):
+def _interior_point(reduced: _Reduced, tol):
     """Primal-dual interior-point run on (n_blocks, 4) Lorentz-cone vectors.
 
-    From a cold start; 2x2 blocks exist only in the map back. Each iterate
-    is mapped back as far as `_Reduced.certify` finds it can certify, and
-    every exit maps back the iterate it stops at. x and z are held as one
-    pair xz, so the scaling and the step lengths run once over both cones."""
+    From a cold start, for at most _MAX_ITER steps; 2x2 blocks exist only in
+    the map back, which `_Reduced.certify` makes of each iterate it can
+    certify and of the iterate every exit stops at. xz holds x and z as one
+    pair, so the scaling and the step lengths run once over both cones."""
     amat, b_vec, c_vec = reduced.amat, reduced.b_vec, reduced.c_vec
     n_rows, n_blocks = amat.shape[:2]
     n_x = 4 * n_blocks
@@ -418,7 +416,7 @@ def _interior_point(reduced: _Reduced, tol, max_iter):
     y = np.zeros(n_rows)
     b_norm = 1.0 + float(np.abs(b_vec).max())
     status = SolveStatus.MAX_ITER
-    for it in range(max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         x, z = xz
         rp = b_vec - flat @ x.reshape(-1)
         np.subtract(c_vec - (y @ flat).reshape(n_blocks, 4), z, out=rd)
@@ -431,7 +429,7 @@ def _interior_point(reduced: _Reduced, tol, max_iter):
             status = SolveStatus.OPTIMAL
             break
         mu = float(np.vdot(x, z)) / (2.0 * n_blocks)
-        if it == max_iter or not math.isfinite(mu) or mu <= 0:
+        if it == _MAX_ITER or not math.isfinite(mu) or mu <= 0:
             break
         try:
             beta, v, lam, lam_det = _nt_scaling(xz)

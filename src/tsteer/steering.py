@@ -30,6 +30,7 @@ from .errors import InvalidInput, ValidationError, count, real
 
 PAULI = {"X": hermat.SIGMA_X, "Y": hermat.SIGMA_Y, "Z": hermat.SIGMA_Z}
 OUTCOMES = (1, -1)
+TARGET_TOL = 1e-8  # the validity band of an SDP's targets, which `tsw` and `solve` both check
 
 # Outcome a maps to the eigenvalue-a eigenprojector (I + a*sigma)/2; array
 # index 0 holds a=+1 and index 1 holds a=-1.

@@ -68,7 +68,6 @@ ARGUMENTS = [
      (-1.0,)),
     ("solve", "tol", "real", lambda v: tsteer.solve(_targets(), tol=v), (0.0, -1e-8)),
     ("tsw", "tol", "real", lambda v: tsteer.tsw(tsteer.premeasure(MIXED, XYZ), tol=v), (0.0,)),
-    ("solve", "max_iter", "count", lambda v: tsteer.solve(_targets(), max_iter=v), (-1,)),
     ("random_kraus_channel", "n_kraus", "count",
      lambda v: tsteer.random_kraus_channel(0, v).operators, (0, -1)),
     ("random_kraus_channel", "seed", "count", lambda v: tsteer.random_kraus_channel(v, 2).operators,

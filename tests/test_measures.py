@@ -24,6 +24,7 @@ from tsteer.measures import (
 )
 from tsteer.sdp import SolveStatus
 from tsteer.steering import (
+    TARGET_TOL,
     Assemblage,
     pauli_measurement_set,
     premeasure,
@@ -243,6 +244,19 @@ def test_n_tsw_is_half_the_abs_slope_plus_boundary(rng):
     # filtered, and the abs-plus-boundary sum of the filtered steps is 0 too
     vals = 0.5 + rng.uniform(-1, 1, size=50) * 4e-7
     assert n_tsw(series(vals)).value == 0.0
+
+
+def test_trace_series_rejects_mismatched_arrays():
+    # n_tsw once read 1.0 off 3 times and 2 values
+    for times, values, shapes in (
+            (np.arange(3.0), np.zeros(2), r"\(3,\) and values of shape \(2,\)"),
+            (np.zeros((2, 2)), np.zeros((2, 2)), r"\(2, 2\) and values of shape \(2, 2\)"),
+            (1.0, 1.0, r"\(\) and values of shape \(\)")):
+        with pytest.raises(InvalidInput, match=f"^times of shape {shapes} are not 1-D of one"):
+            TraceSeries(times, values)
+    with pytest.raises(InvalidInput, match="2 solutions for 3 times"):
+        TraceSeries(np.arange(3.0), np.zeros(3), {}, [None, None])
+    assert TraceSeries(np.arange(3.0), np.zeros(3), {}, [None] * 3).solutions == [None] * 3
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -474,7 +488,7 @@ def test_tsw_rejects_every_assemblage_solve_rejects():
     asm = premeasure(MIXED, XYZ)
     asm.members[("X", 1)] = asm.members[("X", 1)].copy()
     asm.members[("X", 1)][0, 1] += 5e-9
-    found = validate(asm, 1e-8)
+    found = validate(asm, TARGET_TOL)
     assert [(v.kind, v.where) for v in found] == [("not-hermitian", "(X,+1)")]
     assert found[0].magnitude == pytest.approx(5e-9 * np.sqrt(2))
     with pytest.raises(ValidationError, match=r"not-hermitian at \(X,\+1\)"):
@@ -483,3 +497,17 @@ def test_tsw_rejects_every_assemblage_solve_rejects():
         propagate_assemblage(KrausChannel([IDENTITY]), 0.5, asm)
     with pytest.raises(ValidationError, match="not-hermitian at target block 0"):
         sdp.solve(asm.stacked())
+
+    # the PSD half of the band: (Z,+1) becomes diag(1/2 + eps, -eps), of the
+    # same trace, just past TARGET_TOL and just inside it
+    for eps, past in ((1.01 * TARGET_TOL, True), (0.99 * TARGET_TOL, False)):
+        asm = premeasure(MIXED, XYZ)
+        asm.members[("Z", 1)] = np.diag([0.5 + eps, -eps]).astype(complex)
+        calls = (lambda: tsw(asm), lambda: propagate_assemblage(KrausChannel([IDENTITY]), 0.5, asm),
+                 lambda: sdp.solve(asm.stacked()))
+        for call, where in zip(calls, (r"\(Z,\+1\)", r"\(Z,\+1\)", "target block 4")):
+            if past:
+                with pytest.raises(ValidationError, match=f"not-psd at {where}"):
+                    call()
+            else:
+                call()
