@@ -173,6 +173,7 @@ def test_solution_invariants_random(rng):
 
 @pytest.mark.parametrize("kwargs", [
     {"tol": 0.0}, {"tol": -1e-8}, {"tol": float("nan")}, {"tol": float("inf")},
+    {"tol": True}, {"tol": 1e-8 + 0j}, {"tol": np.array(1e-8)},
     {"tol": "1e-8"}, {"tol": None},
 ])
 def test_solve_rejects_bad_arguments(kwargs):
