@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channels, hermat
-from .errors import InvalidInput, ValidationError, count, real
+from .errors import InvalidInput, count, real
 from .steering import (
-    TARGET_TOL,
     Assemblage,
     MeasurementSet,
     _from_stack,
@@ -90,17 +89,15 @@ def _grid(t_max: float, n_steps: int) -> np.ndarray:
 def tsw(asm: Assemblage, tol: float = DEFAULT_TOL) -> TswResult:
     """Temporal steerable weight 1 - mu* of an assemblage.
 
-    Raises ValidationError, listing the violations, unless `validate` at
-    TARGET_TOL finds every member finite, Hermitian and PSD and every setting
-    of unit total trace; `solve` checks its blocks at that same band. A
-    setting-dependent reduced state (the signature of premeasuring anything
-    but I/2) is tolerated; the weight stays well defined because the
-    hidden-state side of the decomposition is non-signaling by construction.
+    Raises ValidationError, listing the violations, unless `validate` accepts
+    the assemblage; `solve` checks its blocks at the same band. The weight is
+    defined for signaling assemblages too, since the hidden-state side of
+    the decomposition has one reduced state for every setting by construction.
     One cold `solve`; when it ends OPTIMAL the value is certified to within
     its gap, 1 - dual_value <= TSW <= 1 - mu_star. A non-OPTIMAL exit
     certifies only its primal side, so only TSW <= 1 - mu_star.
     """
-    _require_valid(asm)
+    validate(asm)
     sol = solve(build_sw_sdp(asm, strategy_table(asm.n_meas)), tol=tol)
     return TswResult(1.0 - sol.mu_star, sol, asm.time_tag)
 
@@ -108,22 +105,12 @@ def tsw(asm: Assemblage, tol: float = DEFAULT_TOL) -> TswResult:
 def propagate_assemblage(ch, t, asm: Assemblage) -> Assemblage:
     """Evolve every member of an assemblage independently to a single time t.
 
-    The output is checked as `tsw` checks its input, so positivity,
-    Hermiticity and total trace are enforced at TARGET_TOL.
+    The output goes through `validate`, as the input of `tsw` does.
     """
     t = real("t", t)
     new = _from_stack(asm.labels, channels.evolve_grid(ch, asm.stacked(), [t])[0], time_tag=t)
-    _require_valid(new)
+    validate(new)
     return new
-
-
-def _require_valid(asm):
-    """Raise ValidationError listing every violation `validate` finds at TARGET_TOL but
-    non-signaling: premeasuring any state other than I/2 dephases differently in
-    different bases, so only maximally-mixed inputs give non-signaling families."""
-    hard = [v for v in validate(asm, TARGET_TOL) if v.kind != "non-signaling"]
-    if hard:
-        raise ValidationError(hard)
 
 
 def tsw_trace(ch, ms: MeasurementSet, rho0, t_max: float, n_steps: int,
@@ -150,7 +137,7 @@ def tsw_trace(ch, ms: MeasurementSet, rho0, t_max: float, n_steps: int,
         "measure": "tsw",
         "channel": ch,
         "labels": ms.labels,
-        "rho0": np.asarray(rho0, dtype=complex),
+        "rho0": np.array(rho0, dtype=complex),
         "tol": tol,
         "non_optimal": non_optimal,
     }

@@ -175,6 +175,9 @@ def solve(targets: np.ndarray, tol: float = DEFAULT_TOL) -> SdpSolution:
     Newton steps, or a breakdown, came first; such an exit certifies only
     mu_star <= mu*, and its dual_value can lie far below mu_star. An
     OPTIMAL run on the paper's traces takes 8 to 20 steps, a constant map none.
+    Both statements need every block's least eigenvalue >= -1e-12 max(1, M),
+    M the largest target entry: a block in [-TARGET_TOL, -1e-12 max(1, M))
+    passes the check below, but no feasible primal point exists for it.
     Raises InvalidInput unless targets has shape (2 n, 2, 2) with 1 <= n <=
     6 and tol is a finite positive real, and its subclass ValidationError
     for a target block that fails `check_blocks` at steering.TARGET_TOL:
@@ -196,8 +199,8 @@ def _constant_map(targets, d_mat, red, tol):
     P = R / tr R is its range, c_m = <sigma_m, P>, r_x = c_{+|x} + c_{-|x},
     and both sigma_tilde_lam = r_min prod_x (c_{lam(x)|x} / r_x) P and F_m =
     alpha_m P + (I - P) / n_meas >= 0, with alpha = 1 on a setting attaining
-    r_min and 0 elsewhere, reach r_min (1 for a normalized non-signaling
-    assemblage, so TSW = 0): each strategy takes one outcome of that
+    r_min and 0 elsewhere, reach r_min (1 when every setting has unit
+    trace, so TSW = 0): each strategy takes one outcome of that
     setting, so its coverage is exactly P + (I - P) = I. An all-zero stack
     has R = 0 and takes P = 0: mu* = 0, with F_m = I / n_meas.
     """

@@ -64,8 +64,6 @@ ARGUMENTS = [
      lambda v: tsteer.tsw_trace(tsteer.RabiDecay(1.0, 0.5), XYZ, MIXED, v, 3), (0.0, -1.0)),
     ("n_tsw", "slope_threshold", "real",
      lambda v: tsteer.n_tsw(_series(), slope_threshold=v), (-1e-6,)),
-    ("validate", "tol", "real", lambda v: tsteer.validate(tsteer.premeasure(MIXED, XYZ), v),
-     (-1.0,)),
     ("solve", "tol", "real", lambda v: tsteer.solve(_targets(), tol=v), (0.0, -1e-8)),
     ("tsw", "tol", "real", lambda v: tsteer.tsw(tsteer.premeasure(MIXED, XYZ), tol=v), (0.0,)),
     ("random_kraus_channel", "n_kraus", "count",

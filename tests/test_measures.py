@@ -481,6 +481,51 @@ def test_tsw_rejects_non_finite_members():
         propagate_assemblage(RabiDecay(1.0, 0.5), 0.5, asm)
 
 
+# one broken member of premeasure(I/2, XYZ) per kind of violation
+DEFECTS = {"non-finite": (("Y", -1), np.full((2, 2), np.nan)),
+           "not-hermitian": (("X", 1), np.array([[0.5, 1e-3], [0.0, 0.0]])),
+           "not-psd": (("Z", 1), np.diag([0.5 + 2 * TARGET_TOL, -2 * TARGET_TOL])),
+           "total-trace": (("Z", -1), np.zeros((2, 2)))}
+
+
+@pytest.mark.parametrize("kind", sorted(DEFECTS))
+def test_validate_tsw_and_propagate_assemblage_raise_the_same_violations(kind):
+    asm = premeasure(MIXED, XYZ)
+    key, member = DEFECTS[kind]
+    asm.members[key] = member.astype(complex)
+    calls = (lambda: validate(asm), lambda: tsw(asm),
+             lambda: propagate_assemblage(KrausChannel([IDENTITY]), 0.5, asm))
+    found = []
+    for call in calls:
+        with pytest.raises(ValidationError) as err:
+            call()
+        found.append(err.value.violations)
+    assert [v.kind for v in found[0]] == [kind]
+    assert found[1] == found[0] and found[2] == found[0]
+
+
+def test_validate_tsw_and_propagate_assemblage_accept_signaling_assemblages(seed=21):
+    # premeasuring any state but I/2 gives setting-dependent outcome sums
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        asm = premeasure(random_density(rng), XYZ)
+        sums = asm.stacked()[0::2] + asm.stacked()[1::2]
+        assert np.linalg.norm(sums - sums[0], axis=(1, 2)).max() > 1e-3
+        validate(asm)
+        assert tsw(asm).solution.status is SolveStatus.OPTIMAL
+        propagate_assemblage(RabiDecay(1.0, 0.5), 0.5, asm)
+
+
+def test_tsw_trace_stores_a_copy_of_the_initial_state():
+    # metadata["rho0"] was the caller's complex array itself, so mutating
+    # that array afterwards rewrote the metadata
+    rho0 = MIXED.astype(complex)
+    ts = tsw_trace(RabiDecay(1.0, 0.5), XYZ, rho0, 1.0, 3)
+    rho0[0, 0] = 1.0
+    assert ts.metadata["rho0"] is not rho0
+    assert np.array_equal(ts.metadata["rho0"], MIXED)
+
+
 def test_tsw_rejects_every_assemblage_solve_rejects():
     # validate at 1e-8 let this member's 7.1e-9 anti-Hermitian part through,
     # while solve's relative 1e-10 rule rejected it, so tsw raised the
@@ -488,7 +533,9 @@ def test_tsw_rejects_every_assemblage_solve_rejects():
     asm = premeasure(MIXED, XYZ)
     asm.members[("X", 1)] = asm.members[("X", 1)].copy()
     asm.members[("X", 1)][0, 1] += 5e-9
-    found = validate(asm, TARGET_TOL)
+    with pytest.raises(ValidationError) as err:
+        validate(asm)
+    found = err.value.violations
     assert [(v.kind, v.where) for v in found] == [("not-hermitian", "(X,+1)")]
     assert found[0].magnitude == pytest.approx(5e-9 * np.sqrt(2))
     with pytest.raises(ValidationError, match=r"not-hermitian at \(X,\+1\)"):

@@ -755,6 +755,21 @@ def test_non_optimal_exits_certify_their_primal_side():
                 assert dual_certificate(sol, p).gap == sol.gap
 
 
+@pytest.mark.xfail(strict=True, reason="solve accepts a block whose least eigenvalue lies in "
+                   "[-TARGET_TOL, -1e-12 max(1, M)), for which no feasible primal point exists")
+def test_indefinite_targets_inside_the_band_get_a_certified_primal():
+    # both stacks pass check_blocks; the first is a constant map that ends
+    # OPTIMAL with mu_star 1, the second runs to the step cap and ends MAX_ITER,
+    # and primal_certificate rejects each (slack -5e-9 and -9.9e-9)
+    constant = np.array([np.diag([0.5, -5e-9]), np.diag([0.5, 5e-9]), np.diag([1.0, 0.0]),
+                         np.zeros((2, 2))], dtype=complex)
+    capped = premeasure(IDENTITY / 2, XYZ).stacked()
+    capped[4] = np.diag([0.5 + 0.99e-8, -0.99e-8])
+    for p in (constant, capped):
+        sol = solve(p)
+        assert primal_certificate(sol, p) == sol.mu_star
+
+
 def test_skipped_map_backs_would_not_certify(monkeypatch):
     # wherever `certify` skips a map back, by the reduced gap c.x - b.y or on
     # the dual side, where -b.y - primal > 2 tol, the full map back of that

@@ -7,8 +7,10 @@ from tsteer.errors import InvalidInput, ValidationError
 from tsteer.hermat import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
 from tsteer.measures import propagate_assemblage, tsw
 from tsteer.steering import (
+    OUTCOMES,
     Assemblage,
     MeasurementSet,
+    block_violations,
     lhs_assemblage,
     pauli_measurement_set,
     premeasure,
@@ -23,6 +25,19 @@ def random_density(rng):
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def assert_exact(asm, signaling=False):
+    """`validate` accepts asm, and at 1e-12 every member passes `block_violations` and every
+    setting's outcome sum has trace 1; unless signaling is set, those sums are all equal."""
+    validate(asm)
+    stack = asm.stacked()
+    names = [f"({x},{a:+d})" for x in asm.labels for a in OUTCOMES]
+    assert block_violations(stack, 1e-12, names) == []
+    sums = stack[0::2] + stack[1::2]
+    assert np.abs(np.trace(sums, axis1=1, axis2=2).real - 1.0).max() <= 1e-12
+    if not signaling:
+        assert np.linalg.norm(sums - sums[0], axis=(1, 2)).max() <= 1e-12
 
 
 def bloch_corner_sigmas():
@@ -105,7 +120,7 @@ def test_measurement_set_rejects_pairs_that_are_not_projective():
     n = np.array([np.sin(0.7) * np.cos(1.9), np.sin(0.7) * np.sin(1.9), np.cos(0.7)])
     s = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
     ms = MeasurementSet(("N",), (((IDENTITY + s) / 2, (IDENTITY - s) / 2),))
-    assert validate(premeasure(IDENTITY / 2, ms), 1e-12) == []
+    assert_exact(premeasure(IDENTITY / 2, ms))
 
 
 # --- premeasure --------------------------------------------------------------
@@ -157,21 +172,16 @@ def test_premeasure_rejects_non_finite_state():
 
 
 def test_premeasure_validates_random(seed=13):
-    # Positivity and total trace hold for any input state; the non-signaling
-    # condition is specific to the maximally mixed input (or one setting),
-    # because projective dephasing is basis dependent.
+    # Every input state gives a valid assemblage, exact to 1e-12. It signals
+    # unless the input is I/2 or there is one setting, because projective
+    # dephasing is basis dependent, and validate accepts that.
     rng = np.random.default_rng(seed)
     for _ in range(50):
         rho = random_density(rng)
         labels = ["X", "Y", "Z"][: rng.integers(1, 4)]
-        asm = premeasure(rho, pauli_measurement_set(labels))
-        kinds = {v.kind for v in validate(asm, 1e-12)}
-        assert kinds <= {"non-signaling"}
-        if len(labels) == 1:
-            assert kinds == set()
+        assert_exact(premeasure(rho, pauli_measurement_set(labels)), signaling=len(labels) > 1)
     for labels in ("X", "XZ", "XYZ"):
-        asm = premeasure(IDENTITY / 2, pauli_measurement_set(labels))
-        assert validate(asm, 1e-12) == []
+        assert_exact(premeasure(IDENTITY / 2, pauli_measurement_set(labels)))
 
 
 def test_assemblage_members_are_keyed_by_labels_and_outcomes():
@@ -186,7 +196,7 @@ def test_assemblage_members_are_keyed_by_labels_and_outcomes():
                             (("X", "X", "Y", "Z"), full)):
         with pytest.raises(InvalidInput, match="members must be keyed by exactly"):
             Assemblage(labels, members)
-    assert validate(Assemblage(XYZ.labels, dict(full)), 1e-12) == []
+    assert_exact(Assemblage(XYZ.labels, dict(full)))
 
 
 def test_assemblage_and_measurement_set_reject_blocks_that_are_not_2x2():
@@ -266,7 +276,7 @@ def test_lhs_uniform_model():
     for x in asm.labels:
         for a in (1, -1):
             assert np.allclose(asm.member(x, a), IDENTITY / 4, atol=1e-12)
-    assert validate(asm, 1e-12) == []
+    assert_exact(asm)
 
 
 def test_lhs_bloch_corner_member():
@@ -274,7 +284,7 @@ def test_lhs_bloch_corner_member():
     asm = lhs_assemblage(bloch_corner_sigmas())
     expect = IDENTITY / 4 + SIGMA_X / (4 * np.sqrt(3))
     assert np.allclose(asm.member("X", 1), expect, atol=1e-12)
-    assert validate(asm, 1e-12) == []
+    assert_exact(asm)
 
 
 def test_lhs_deterministic_concentration():
@@ -314,7 +324,7 @@ def test_lhs_validates_random():
         total = sum(np.trace(s).real for s in sigmas)
         sigmas = [s / total for s in sigmas]
         asm = lhs_assemblage(sigmas)
-        assert validate(asm, 1e-12) == []
+        assert_exact(asm)
 
 
 def test_lhs_errors():
@@ -374,37 +384,46 @@ def test_depolarized_out_of_range():
 # --- validation ---------------------------------------------------------------
 
 
+def violations(asm):
+    """The violations `validate` raises for asm."""
+    with pytest.raises(ValidationError) as err:
+        validate(asm)
+    return err.value.violations
+
+
 def test_validate_clean():
-    assert validate(premeasure(IDENTITY / 2, XYZ), 1e-12) == []
-    assert validate(premeasure(IDENTITY / 2, XYZ), np.float64(1e-12)) == []
+    assert validate(premeasure(IDENTITY / 2, XYZ)) is None
+    assert_exact(premeasure(IDENTITY / 2, XYZ))
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, None, "1e-9"])
 def test_validate_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
-    # a NaN tol reported a member with eigenvalue -0.3, signalling and off in
-    # trace, as clean; tol = -1 flagged a valid assemblage "not-hermitian 0"
+    # a NaN tol reported a member with eigenvalue -0.3, off in trace, as
+    # clean, and tol = -1 flagged a valid assemblage "not-hermitian 0"; the
+    # band is now TARGET_TOL alone, so validate takes no tolerance at all
     broken = premeasure(IDENTITY / 2, XYZ)
     broken.members[("X", 1)] = np.diag([0.9, -0.3]).astype(complex)
-    assert {v.kind for v in validate(broken, 1e-9)} == {"not-psd", "non-signaling",
-                                                         "total-trace"}
+    assert {v.kind for v in violations(broken)} == {"not-psd", "total-trace"}
     for asm in (broken, premeasure(IDENTITY / 2, XYZ)):
-        with pytest.raises(InvalidInput, match="tol"):
+        with pytest.raises(TypeError):
             validate(asm, tol)
+        with pytest.raises(TypeError):
+            validate(asm, tol=tol)
 
 
 def test_validate_flags_non_psd_member():
     asm = premeasure(IDENTITY / 2, XYZ)
     asm.members[("Y", 1)] = SIGMA_Z.copy()
-    kinds = {v.kind for v in validate(asm, 1e-9)}
+    kinds = {v.kind for v in violations(asm)}
     assert "not-psd" in kinds
 
 
 def test_validate_flags_signaling_and_trace():
+    # the doubled member makes setting X signal and sum to trace 3/2; only the
+    # trace is a violation, since the weight is defined for signaling families
     asm = premeasure(IDENTITY / 2, XYZ)
     asm.members[("X", 1)] = 2 * asm.members[("X", 1)]
-    kinds = {v.kind for v in validate(asm, 1e-9)}
-    assert "non-signaling" in kinds
-    assert "total-trace" in kinds
+    assert violations(asm) == [("total-trace", "(x=X)", pytest.approx(0.5))]
 
 
 def test_validate_checks_the_total_trace_of_every_setting():
@@ -412,7 +431,7 @@ def test_validate_checks_the_total_trace_of_every_setting():
     # tsw tolerates, and read TSW 1.0 with status OPTIMAL
     asm = premeasure(IDENTITY / 2, pauli_measurement_set("XZ"))
     asm.members[("Z", -1)] = np.zeros((2, 2), dtype=complex)
-    traces = [v for v in validate(asm, 1e-8) if v.kind == "total-trace"]
+    traces = [v for v in violations(asm) if v.kind == "total-trace"]
     assert [(v.where, v.magnitude) for v in traces] == [("(x=Z)", pytest.approx(0.5))]
     with pytest.raises(ValidationError, match="total-trace"):
         tsw(asm)
@@ -424,7 +443,7 @@ def test_validate_flags_non_finite_members_only():
     asm = premeasure(IDENTITY / 2, XYZ)
     asm.members[("Y", -1)] = np.full((2, 2), np.nan, dtype=complex)
     asm.members[("Z", 1)] = np.array([[0.5, np.inf], [np.inf, 0.5]], dtype=complex)
-    found = validate(asm, 1e-9)
+    found = violations(asm)
     assert [(v.kind, v.where) for v in found] == [
         ("non-finite", "(Y,-1)"), ("non-finite", "(Z,+1)")]
     assert all(v.magnitude == np.inf for v in found)
@@ -434,7 +453,7 @@ def test_validate_reports_members_in_constraint_order():
     asm = premeasure(IDENTITY / 2, XYZ)
     asm.members[("X", -1)] = SIGMA_Z.copy()
     asm.members[("Y", 1)] = np.array([[0.25, 0.5], [0.0, 0.25]], dtype=complex)
-    found = validate(asm, 1e-9)
+    found = violations(asm)
     assert [(v.kind, v.where) for v in found[:2]] == [
         ("not-psd", "(X,-1)"), ("not-hermitian", "(Y,+1)")]
     assert found[0].magnitude == pytest.approx(1.0)
