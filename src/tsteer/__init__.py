@@ -5,7 +5,6 @@ from .channels import (
     KrausChannel,
     LorentzianAD,
     RabiDecay,
-    apply_channel,
     lorentzian_G,
     lorentzian_gamma,
     random_kraus_channel,

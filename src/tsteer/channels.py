@@ -31,13 +31,16 @@ acting on row-major vectorized states, vec(rho(t)) = T(t) vec(rho):
 * LorentzianAD: the closed-form G(t) map.
 * KrausChannel: sum_k K (x) conj(K), the same at every time.
 
-Applying a channel, evolving a grid, the Choi matrix and the ancilla states
-of the concurrence trace are all products with T or reshuffles of it.
-Master-equation propagators are the classical RK4 solution with a fixed
-step: one step matrix sum_{k<=4} (hL)^k / k! raised to the number of steps.
-`transfer_grid` builds one propagator per distinct grid spacing and advances
-the carrier by one product per grid point, which gives bit for bit the
-matrices of stepping every interval on its own.
+Evolving a grid, the Choi matrix and the ancilla states of the concurrence
+trace are all products with T or reshuffles of it.
+`_master_equation` is the one place that knows a master-equation model:
+its H and jumps on the carrier space, its RK4 step bound and its carrier
+maps (E and R above, the identity for RabiDecay). Its propagators are the
+classical RK4 solution with a fixed step: one step matrix
+sum_{k<=4} (hL)^k / k! raised to the number of steps. `transfer_grid`
+builds one propagator per distinct grid spacing and advances the carrier by
+one product per grid point, which gives bit for bit the matrices of
+stepping every interval on its own.
 The G(t) map is applied exactly, never by integrating gamma(t), which is
 singular at zeros of G.
 """
@@ -45,6 +48,7 @@ singular at zeros of G.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,10 +91,11 @@ class LorentzianAD:
 
 
 class KrausChannel:
-    """A single-shot CPT map given by its Kraus operators (time-independent)."""
+    """A single-shot CPT map given by its Kraus operators (time-independent), kept as
+    read-only copies so that the checks below hold for the map's whole life."""
 
     def __init__(self, operators):
-        ops = tuple(np.asarray(k, dtype=complex) for k in operators)
+        ops = tuple(np.array(k, dtype=complex) for k in operators)
         if not ops:
             raise InvalidInput("need at least one Kraus operator")
         if any(k.shape != (2, 2) or not np.isfinite(k).all() for k in ops):
@@ -98,6 +103,8 @@ class KrausChannel:
         total = sum(k.conj().T @ k for k in ops)
         if np.abs(total - hermat.IDENTITY).max() > 1e-10:
             raise InvalidInput("Kraus operators do not satisfy sum K^dag K = I")
+        for k in ops:
+            k.flags.writeable = False
         self.operators = ops
 
     def __repr__(self):
@@ -127,42 +134,19 @@ def liouvillian(h, jumps):
     return lmat
 
 
-def _generator(ch):
-    """Hamiltonian and jump list realizing the model on its carrier space."""
-    if isinstance(ch, RabiDecay):
-        h = ch.g1 * (hermat.SIGMA_PLUS + hermat.SIGMA_MINUS)
-        return h, [(hermat.SIGMA_MINUS, ch.gamma1)]
-    if isinstance(ch, Exchange):
-        h = ch.j * (
-            hermat.kron(hermat.SIGMA_PLUS, hermat.SIGMA_MINUS)
-            + hermat.kron(hermat.SIGMA_MINUS, hermat.SIGMA_PLUS)
-        )
-        return h, [(hermat.kron(hermat.SIGMA_MINUS, hermat.IDENTITY), ch.gamma2)]
-    raise InvalidInput(f"no master-equation generator for {type(ch).__name__}")
+def rk4_evolve(lmat, t, h_target):
+    """Propagator of dv/dt = L v over time t by fixed-step RK4.
 
-
-def _rate_scale(ch):
-    if isinstance(ch, RabiDecay):
-        return ch.g1 + ch.gamma1
-    if isinstance(ch, Exchange):
-        return ch.j + ch.gamma2
-    return 1.0
-
-
-def rk4_evolve(lmat, vecs, t, h_target):
-    """Integrate dv/dt = L v for time t with fixed-step RK4.
-
-    n = ceil(t / h_target) classical RK4 steps of size h = t / n. For a
-    linear generator one step is the matrix sum_{k<=4} (hL)^k / k!, so the
-    n steps are that matrix to the n-th power.
+    n = ceil(t / h_target) classical RK4 steps of size h = t / n, at least
+    one. For a linear generator one step is the matrix sum_{k<=4} (hL)^k / k!,
+    so the propagator is that matrix to the n-th power; at t = 0 it is
+    exactly the identity.
     """
-    if t == 0.0:
-        return vecs.copy()
     n = max(1, math.ceil(t / h_target))
     hl = (t / n) * lmat
     idm = np.eye(lmat.shape[0], dtype=complex)
     step = idm + hl @ (idm + hl @ (idm + hl @ (idm + hl / 4.0) / 3.0) / 2.0)
-    return np.linalg.matrix_power(step, n) @ vecs
+    return np.linalg.matrix_power(step, n)
 
 
 # --- Lorentzian memory amplitude and random Kraus maps -----------------------
@@ -253,15 +237,40 @@ _EMBED = np.stack([hermat.kron(u, _ENV_EXCITED).reshape(16) for u in _UNITS], ax
 _TRACE_PARTNER = np.stack([hermat.kron(u, hermat.IDENTITY).reshape(16) for u in _UNITS])
 
 
+# A master-equation model: H and the (operator, rate) jumps on its carrier space, its RK4
+# step bound, and the maps vec(rho) -> carrier at t = 0 and carrier at t -> vec(rho(t)).
+_MasterEquation = namedtuple("_MasterEquation", "h jumps step carrier read")
+
+
+def _master_equation(ch):
+    """The one record of a master-equation model; InvalidInput for any other channel.
+
+    The step bound is RK4_BASE_STEP / max(1, rate), rate the sum of the model's two rates.
+    """
+    if isinstance(ch, RabiDecay):
+        h = ch.g1 * (hermat.SIGMA_PLUS + hermat.SIGMA_MINUS)
+        jumps, rate = [(hermat.SIGMA_MINUS, ch.gamma1)], ch.g1 + ch.gamma1
+        carrier = read = np.eye(4, dtype=complex)
+    elif isinstance(ch, Exchange):
+        h = ch.j * (hermat.kron(hermat.SIGMA_PLUS, hermat.SIGMA_MINUS)
+                    + hermat.kron(hermat.SIGMA_MINUS, hermat.SIGMA_PLUS))
+        jumps = [(hermat.kron(hermat.SIGMA_MINUS, hermat.IDENTITY), ch.gamma2)]
+        rate = ch.j + ch.gamma2
+        carrier, read = _EMBED, _TRACE_PARTNER
+    else:
+        raise InvalidInput(f"unknown channel {ch!r}")
+    return _MasterEquation(h, jumps, RK4_BASE_STEP / max(1.0, rate), carrier, read)
+
+
 def transfer_grid(ch, times):
     """Transfer matrices T(t), shape (len(times), 4, 4), on a non-decreasing grid.
 
-    vec(rho(t)) = T(t) vec(rho) with row-major vec. Master-equation models
-    step the propagator incrementally between grid points: one `rk4_evolve`
-    of the identity per distinct spacing t_i - t_{i-1} (t_{-1} = 0), kept for
-    this call only, then one product per grid point. A product with the
-    identity is exact, so every T(t) is bit-identical to calling `rk4_evolve`
-    on the carrier interval by interval.
+    vec(rho(t)) = T(t) vec(rho) with row-major vec. A master-equation model
+    steps its carrier between grid points: one `rk4_evolve` per distinct
+    spacing t_i - t_{i-1} (t_{-1} = 0), kept for this call only, then one
+    product per grid point, so every T(t) is bit for bit that of stepping
+    each interval on its own. Raises InvalidInput for a channel that is none
+    of the four models.
     """
     times = errors.times("times", times).reshape(-1)
     if np.any(np.diff(times) < 0):
@@ -277,25 +286,18 @@ def transfer_grid(ch, times):
     if isinstance(ch, KrausChannel):
         tmat = sum(np.kron(k, k.conj()) for k in ch.operators)
         return np.repeat(tmat[None], times.size, axis=0)
-    if isinstance(ch, RabiDecay):
-        carrier = read = np.eye(4, dtype=complex)
-    elif isinstance(ch, Exchange):
-        carrier, read = _EMBED, _TRACE_PARTNER
-    else:
-        raise InvalidInput(f"unknown channel {ch!r}")
-    lmat = liouvillian(*_generator(ch))
-    h_target = RK4_BASE_STEP / max(1.0, _rate_scale(ch))
-    identity = np.eye(lmat.shape[0], dtype=complex)
-    propagators = {}
+    model = _master_equation(ch)
+    lmat = liouvillian(model.h, model.jumps)
+    carrier, propagators = model.carrier, {}
     out = np.empty((times.size, 4, 4), dtype=complex)
     t_prev = 0.0
     for i, t in enumerate(times):
         dt = t - t_prev
         if dt not in propagators:
-            propagators[dt] = rk4_evolve(lmat, identity, dt, h_target)
+            propagators[dt] = rk4_evolve(lmat, dt, model.step)
         carrier = propagators[dt] @ carrier
         t_prev = t
-        out[i] = read @ carrier
+        out[i] = model.read @ carrier
     return out
 
 
@@ -305,18 +307,6 @@ def choi_from_transfer(tmat):
     lead = tmat.shape[:-2]
     blocks = tmat.reshape(*lead, 2, 2, 2, 2)
     return np.einsum("...abij->...iajb", blocks).reshape(*lead, 4, 4)
-
-
-# --- applications ------------------------------------------------------------
-
-
-def apply_channel(ch, t, rho):
-    """rho(0) -> rho(t) for any channel variant and a single time t."""
-    t = errors.real("t", t)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise InvalidInput(f"expected a 2x2 state, got shape {rho.shape}")
-    return (transfer_grid(ch, [t])[0] @ rho.reshape(4)).reshape(2, 2)
 
 
 def evolve_grid(ch, mats, times):

@@ -49,9 +49,11 @@ D = `strategy_table(n)` from its length.
    reduced gap c.x - b.y is at most tol, and its dual side only where
    -b.y - primal is at most 2 tol; every exit maps back the iterate it
    stops at. The run stops once dual - primal is in [-1e-12 max(1, |dual|),
-   tol]. 1e-12 max(1, M) is the certificates' one roundoff rule, M the
+   tol]. 1e-12 max(1, M) is the package's one roundoff rule, M the
    largest entry of what is checked against it: the targets, a value, or a
-   block of F or its coverage, whose shortfall enters the dual bound.
+   block of F or its coverage, whose shortfall enters the dual bound. The
+   targets are checked at it on entry too, so every accepted block is PSD
+   up to the roundoff that `primal_certificate` allows.
 """
 
 from __future__ import annotations
@@ -64,12 +66,11 @@ import numpy as np
 
 from .errors import CertificateInvalid, InvalidInput, real
 from .hermat import IDENTITY, anti_herm_norm, det2, herm, min_eig, psd_project
-from .steering import TARGET_TOL, Assemblage, check_blocks, strategy_table
+from .steering import Assemblage, _band, check_blocks, strategy_table
 
 DEFAULT_TOL = 1e-8
 _MAX_ITER = 300    # Newton steps after which a solve ends MAX_ITER
 _RANK_EPS = 1e-14  # a 2x2 PSD block with det <= _RANK_EPS * tr^2 has rank one
-_ROUNDOFF = 1e-12  # roundoff relative to max(1, data magnitude), in both certificates
 _STEP = 0.95       # fraction of the step to the cone boundary taken per iteration
 _SQRT_HALF = math.sqrt(0.5)
 _J = np.array([1.0, -1.0, -1.0, -1.0])  # the Lorentz form u.J u = u0^2 - |u[1:]|^2
@@ -132,12 +133,6 @@ class SdpSolution:
         return self.dual_value - self.mu_star
 
 
-def _band(data, axis=None):
-    """The one roundoff allowance of both certificates: _ROUNDOFF max(1, M), M the largest
-    entry magnitude of data (per block along axis), the values a check is computed from."""
-    return _ROUNDOFF * np.maximum(1.0, np.abs(data).max(axis=axis))
-
-
 def _certifies(primal, dual, tol):
     """Whether dual - primal is at most tol, and below 0 by roundoff only."""
     return -_band(dual) <= dual - primal <= tol
@@ -175,18 +170,16 @@ def solve(targets: np.ndarray, tol: float = DEFAULT_TOL) -> SdpSolution:
     Newton steps, or a breakdown, came first; such an exit certifies only
     mu_star <= mu*, and its dual_value can lie far below mu_star. An
     OPTIMAL run on the paper's traces takes 8 to 20 steps, a constant map none.
-    Both statements need every block's least eigenvalue >= -1e-12 max(1, M),
-    M the largest target entry: a block in [-TARGET_TOL, -1e-12 max(1, M))
-    passes the check below, but no feasible primal point exists for it.
     Raises InvalidInput unless targets has shape (2 n, 2, 2) with 1 <= n <=
     6 and tol is a finite positive real, and its subclass ValidationError
-    for a target block that fails `check_blocks` at steering.TARGET_TOL:
-    non-finite, not Hermitian, or with an eigenvalue below -TARGET_TOL.
+    for a target block that fails `check_blocks` at the certificates'
+    roundoff rule 1e-12 max(1, M), M the largest target entry: non-finite,
+    not Hermitian, or with an eigenvalue below -1e-12 max(1, M).
     """
     tol = real("tol", tol, above=True)
     d_mat = _strategies(targets)
     targets = np.asarray(targets, dtype=complex)
-    check_blocks(targets, TARGET_TOL, [f"target block {i}" for i in range(len(targets))])
+    check_blocks(targets, _band(targets), [f"target block {i}" for i in range(len(targets))])
     red = herm(targets.sum(axis=0) / (len(targets) // 2))
     if det2(red) <= _RANK_EPS * _trace(red) ** 2:
         return _constant_map(targets, d_mat, red, tol)

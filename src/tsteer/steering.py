@@ -30,7 +30,10 @@ from .errors import InvalidInput, ValidationError, count
 
 PAULI = {"X": hermat.SIGMA_X, "Y": hermat.SIGMA_Y, "Z": hermat.SIGMA_Z}
 OUTCOMES = (1, -1)
-TARGET_TOL = 1e-8  # the validity band of an SDP's targets, which `validate` and `solve` both check
+TARGET_TOL = 1e-8  # how far a setting's outcome sum may miss trace 1 in `validate`
+# Roundoff relative to max(1, data magnitude), applied by `_band`: the one rule of the
+# block checks of `validate` and `sdp.solve` and of both certificates.
+_ROUNDOFF = 1e-12
 
 # Outcome a maps to the eigenvalue-a eigenprojector (I + a*sigma)/2; array
 # index 0 holds a=+1 and index 1 holds a=-1.
@@ -43,7 +46,8 @@ class MeasurementSet:
     Raises InvalidInput, naming the setting, unless the labels are distinct,
     there is one pair of 2x2 projectors per label, and P_plus^2 = P_plus and
     P_plus + P_minus = I within 1e-10; its subclass ValidationError when a
-    projector fails `check_blocks` at tolerance 1e-10.
+    projector fails `check_blocks` at tolerance 1e-10. Keeps a label tuple and
+    read-only projector copies, so those checks hold for the set's life.
     """
 
     labels: tuple
@@ -60,7 +64,9 @@ class MeasurementSet:
         if any(len(pair) != 2 or any(np.shape(p) != (2, 2) for p in pair)
                for pair in self.projectors):
             raise InvalidInput("every setting needs one pair of 2x2 projectors")
-        pairs = np.asarray(self.projectors, dtype=complex)
+        pairs = np.array(self.projectors, dtype=complex)
+        pairs.flags.writeable = False
+        self.labels, self.projectors = tuple(self.labels), tuple(map(tuple, pairs))
         check_blocks(pairs.reshape(-1, 2, 2), 1e-10,
                      [f"setting {x!r} P{a:+d}" for x in self.labels for a in OUTCOMES])
         pp, pm = pairs[:, 0], pairs[:, 1]
@@ -227,6 +233,12 @@ def block_violations(stack, tol, where) -> list:
             for i in np.flatnonzero((asym > asym_tol) | (low < -tol))]
 
 
+def _band(data, axis=None):
+    """The one roundoff rule: _ROUNDOFF max(1, M), M the largest entry magnitude of data
+    (per block along axis), the values a check is computed from."""
+    return _ROUNDOFF * np.maximum(1.0, np.abs(data).max(axis=axis))
+
+
 def check_blocks(stack, tol, where):
     """Raise ValidationError listing the `block_violations` of the stack, if any."""
     bad = block_violations(stack, tol, where)
@@ -238,17 +250,18 @@ def validate(asm: Assemblage) -> None:
     """Raise ValidationError listing every violation of the assemblage contract.
 
     The one check of an assemblage, which `tsw` and `propagate_assemblage`
-    apply, at the band TARGET_TOL that `solve` checks its blocks at: each
-    member passes `block_violations` (non-finite, not-hermitian, not-psd),
-    and each setting's outcome sum has unit trace ("total-trace"). If a
-    member is non-finite, only the non-finite members are reported, since
-    every other invariant would be computed from them. The outcome sums may
+    apply. Each member passes `block_violations` (non-finite, not-hermitian,
+    not-psd) at the roundoff rule 1e-12 max(1, M), M the largest member
+    entry, which `solve` checks its blocks at too, and each setting's
+    outcome sum has trace 1 within TARGET_TOL ("total-trace"). If a member
+    is non-finite, only the non-finite members are reported, since every
+    other invariant would be computed from them. The outcome sums may
     differ between settings: premeasuring any state but I/2 dephases
     differently in different bases, and the steerable weight is defined for
     such signaling families too.
     """
     stack = asm.stacked()
-    out = block_violations(stack, TARGET_TOL,
+    out = block_violations(stack, _band(stack),
                            [f"({x},{a:+d})" for x in asm.labels for a in OUTCOMES])
     if not out or out[0].kind != "non-finite":
         tr_dev = np.abs(np.trace(stack[0::2] + stack[1::2], axis1=-2, axis2=-1).real - 1.0)

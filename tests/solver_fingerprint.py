@@ -1,4 +1,4 @@
-"""Fingerprint of the solver on three fixed check sets.
+"""Fingerprint of the solver on three fixed check sets, and of the channels.
 
     PYTHONPATH=src python3 tests/solver_fingerprint.py
 
@@ -18,9 +18,17 @@ sets identically. The sets:
 - random-kraus: random_kraus_channel(k, 1 + k % 4) at t = 1 for k < 300, XYZ
   settings from I/2 for even k and XZ for odd k.
 
+A fourth line, channels, is a SHA-256 over the `transfer_grid` matrices of
+RabiDecay(1, 1/6) on [0, 8], Exchange(1, 0) and Exchange(1, 0.3) on
+[0, 2 pi] and LorentzianAD(2, 1) on [0, 10], 81 points each, and over the
+`nc_trace` values of the benchmark's nc_compare curves: RabiDecay(1, 1/6) on
+[0, 8] at 33 points, Exchange(1, 0) on [0, 2 pi] and LorentzianAD(2, 1) on
+[0, 10] at 81. Two trees whose channels lines agree evolve those grids bit
+for bit alike.
+
 Exits 1 unless every solve of the 10-trace and random-kraus sets is OPTIMAL.
-The hash and the F6 count depend on the BLAS build, so they are printed only.
-Takes about 10 s on one core.
+The hashes and the F6 count depend on the BLAS build, so they are printed
+only. Takes about 10 s on one core.
 """
 
 import dataclasses
@@ -38,6 +46,7 @@ from tsteer import (  # noqa: E402
     LorentzianAD,
     RabiDecay,
     SolveStatus,
+    nc_trace,
     pauli_measurement_set,
     premeasure,
     propagate_assemblage,
@@ -46,7 +55,7 @@ from tsteer import (  # noqa: E402
     tsw,
     tsw_trace,
 )
-from tsteer.channels import evolve_grid  # noqa: E402
+from tsteer.channels import evolve_grid, transfer_grid  # noqa: E402
 
 MIXED = np.eye(2, dtype=complex) / 2
 XYZ, XZ = pauli_measurement_set("XYZ"), pauli_measurement_set("XZ")
@@ -54,6 +63,10 @@ TRACES = ((Exchange(1.0, 0.0), 2 * np.pi), (Exchange(1.0, 0.3), 2 * np.pi),
           (LorentzianAD(2.0, 1.0), 10.0),
           (LorentzianAD(2.017722244222895, 1.0002265510562873), 10.0),
           (RabiDecay(1.0, 1.0 / 6.0), 8.0))
+GRIDS = ((RabiDecay(1.0, 1.0 / 6.0), 8.0), (Exchange(1.0, 0.0), 2 * np.pi),
+         (Exchange(1.0, 0.3), 2 * np.pi), (LorentzianAD(2.0, 1.0), 10.0))
+NC_CURVES = ((RabiDecay(1.0, 1.0 / 6.0), 8.0, 33), (Exchange(1.0, 0.0), 2 * np.pi, 81),
+             (LorentzianAD(2.0, 1.0), 10.0, 81))
 
 
 def ten_traces():
@@ -99,6 +112,16 @@ def fingerprint(solutions):
     return problems, optimal, steps, digest.hexdigest()
 
 
+def channel_fingerprint():
+    """SHA-256 over the transfer matrices of GRIDS and the concurrence values of NC_CURVES."""
+    digest = hashlib.sha256()
+    for ch, t_max in GRIDS:
+        digest.update(transfer_grid(ch, np.linspace(0.0, t_max, 81)).tobytes())
+    for ch, t_max, n_steps in NC_CURVES:
+        digest.update(nc_trace(ch, t_max, n_steps).values.tobytes())
+    return digest.hexdigest()
+
+
 def main():
     short = []
     for name, solutions, required in SETS:
@@ -107,6 +130,8 @@ def main():
               flush=True)
         if required and optimal < problems:
             short.append(name)
+    print(f"{'channels':<13} {len(GRIDS)} transfer grids, {len(NC_CURVES)} nc_trace curves  "
+          f"sha256 {channel_fingerprint()}", flush=True)
     if short:
         sys.exit(f"not every solve is OPTIMAL: {', '.join(short)}")
 

@@ -13,11 +13,11 @@ from tsteer.errors import InvalidInput
 
 PUBLIC = [
     "Assemblage", "Exchange", "KrausChannel", "LorentzianAD", "MeasurementSet", "NmResult",
-    "RabiDecay", "SdpSolution", "SolveStatus", "TraceSeries", "TswResult", "apply_channel",
-    "build_sw_sdp", "concurrence", "dual_certificate", "lhs_assemblage", "lorentzian_G",
-    "lorentzian_gamma", "n_tsw", "nc_trace", "pauli_measurement_set", "premeasure",
-    "primal_certificate", "propagate_assemblage", "random_kraus_channel", "solve",
-    "strategy_table", "tsw", "tsw_trace", "validate",
+    "RabiDecay", "SdpSolution", "SolveStatus", "TraceSeries", "TswResult", "build_sw_sdp",
+    "concurrence", "dual_certificate", "lhs_assemblage", "lorentzian_G", "lorentzian_gamma",
+    "n_tsw", "nc_trace", "pauli_measurement_set", "premeasure", "primal_certificate",
+    "propagate_assemblage", "random_kraus_channel", "solve", "strategy_table", "tsw",
+    "tsw_trace", "validate",
 ]
 
 
@@ -54,8 +54,6 @@ ARGUMENTS = [
     ("LorentzianAD", "g", "real", lambda v: tsteer.LorentzianAD(v, 1.0), (-1.0,)),
     ("LorentzianAD", "omega_w", "real", lambda v: tsteer.LorentzianAD(2.0, v), (0.0, -1.0)),
     ("lorentzian_G", "omega_w", "real", lambda v: tsteer.lorentzian_G(2.0, v, 1.0), (0.0,)),
-    ("apply_channel", "t", "real",
-     lambda v: tsteer.apply_channel(tsteer.RabiDecay(1.0, 0.5), v, MIXED), (-1.0,)),
     ("propagate_assemblage", "t", "real",
      lambda v: tsteer.propagate_assemblage(tsteer.RabiDecay(1.0, 0.5), v,
                                            tsteer.premeasure(MIXED, XYZ)), (-1.0,)),

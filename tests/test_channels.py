@@ -8,7 +8,6 @@ from tsteer.channels import (
     KrausChannel,
     LorentzianAD,
     RabiDecay,
-    apply_channel,
     liouvillian,
     lorentzian_G,
     lorentzian_gamma,
@@ -31,24 +30,30 @@ def random_density(rng, dim=2):
     return rho / np.trace(rho).real
 
 
+def apply_at(ch, t, rho):
+    """rho(0) -> rho(t): the transfer matrix of the one-point grid [t] times vec(rho)."""
+    return (channels.transfer_grid(ch, [t])[0] @ np.reshape(rho, 4)).reshape(2, 2)
+
+
 # --- Rabi + decay -------------------------------------------------------------
 
 
 def test_rabi_full_flop():
     # exp(-i g sx t) at t = pi/(2 g) maps the ground level to the excited one
-    out = apply_channel(RabiDecay(1.0, 0.0), np.pi / 2, GG)
+    out = apply_at(RabiDecay(1.0, 0.0), np.pi / 2, GG)
     assert np.linalg.norm(out - EE) < 1e-9
 
 
 def test_rabi_time_zero():
     rng = np.random.default_rng(0)
     rho = random_density(rng)
-    assert np.allclose(apply_channel(RabiDecay(1.0, 0.3), 0.0, rho), rho)
+    assert np.allclose(apply_at(RabiDecay(1.0, 0.3), 0.0, rho), rho)
 
 
 def test_rabi_fixed_point():
-    lmat = liouvillian(*channels._generator(RabiDecay(1.0, 1.0)))
-    out = apply_channel(RabiDecay(1.0, 1.0), 40.0, IDENTITY / 2)
+    model = channels._master_equation(RabiDecay(1.0, 1.0))
+    lmat = liouvillian(model.h, model.jumps)
+    out = apply_at(RabiDecay(1.0, 1.0), 40.0, IDENTITY / 2)
     residual = np.linalg.norm(lmat @ out.reshape(4))
     assert residual < 1e-8
     # independent oracle: the null space of the Liouvillian
@@ -63,7 +68,7 @@ def test_rabi_fixed_point():
 
 def test_rabi_negative_time():
     with pytest.raises(InvalidInput, match="t must be a finite real >= 0, got -0.1"):
-        apply_channel(RabiDecay(1.0, 0.0), -0.1, IDENTITY / 2)
+        propagate_assemblage(RabiDecay(1.0, 0.0), -0.1, premeasure(IDENTITY / 2, XYZ))
     with pytest.raises(InvalidInput, match="gamma1 must be a finite real >= 0, got -0.5"):
         RabiDecay(1.0, -0.5)
 
@@ -90,28 +95,28 @@ def test_exchange_full_swap():
     rng = np.random.default_rng(1)
     for _ in range(5):
         rho = random_density(rng)
-        out = apply_channel(Exchange(1.0, 0.0), np.pi / 2, rho)
+        out = apply_at(Exchange(1.0, 0.0), np.pi / 2, rho)
         assert np.linalg.norm(out - EE * np.trace(rho)) < 1e-9
 
 
 def test_exchange_pi_phase():
     plus = (KET_E + KET_G) / np.sqrt(2)
     rho = np.outer(plus, plus.conj())
-    out = apply_channel(Exchange(1.0, 0.0), np.pi, rho)
+    out = apply_at(Exchange(1.0, 0.0), np.pi, rho)
     assert np.linalg.norm(out - (IDENTITY - SIGMA_X) / 2) < 1e-9
 
 
 def test_exchange_periodic():
     rng = np.random.default_rng(2)
     rho = random_density(rng)
-    out = apply_channel(Exchange(1.0, 0.0), 2 * np.pi, rho)
+    out = apply_at(Exchange(1.0, 0.0), 2 * np.pi, rho)
     assert np.linalg.norm(out - rho) < 1e-8
 
 
 def test_exchange_time_zero():
     rng = np.random.default_rng(3)
     rho = random_density(rng)
-    assert np.allclose(apply_channel(Exchange(1.0, 0.1), 0.0, rho), rho, atol=1e-12)
+    assert np.allclose(apply_at(Exchange(1.0, 0.1), 0.0, rho), rho, atol=1e-12)
 
 
 # --- Lorentzian reservoir -------------------------------------------------------
@@ -241,13 +246,13 @@ def test_gamma_finite_difference_consistency():
 def test_lorentzian_map_cases():
     rng = np.random.default_rng(4)
     rho = random_density(rng)
-    assert np.allclose(apply_channel(LorentzianAD(2.0, 1.0), 0.0, rho), rho)
+    assert np.allclose(apply_at(LorentzianAD(2.0, 1.0), 0.0, rho), rho)
     t0 = 4 * np.pi / (3 * np.sqrt(3))
-    out = apply_channel(LorentzianAD(2.0, 1.0), t0, rho)
+    out = apply_at(LorentzianAD(2.0, 1.0), t0, rho)
     assert np.linalg.norm(out - GG * np.trace(rho)) < 1e-10
     gval = lorentzian_G(0.3, 1.0, 2.0)
     plus = (KET_E + KET_G) / np.sqrt(2)
-    out = apply_channel(LorentzianAD(0.3, 1.0), 2.0, np.outer(plus, plus.conj()))
+    out = apply_at(LorentzianAD(0.3, 1.0), 2.0, np.outer(plus, plus.conj()))
     assert out[0, 1] == pytest.approx(gval * 0.5)
 
 
@@ -333,6 +338,17 @@ def test_kraus_rejects_incomplete():
         KrausChannel([np.diag([0.5, 0.5])])
 
 
+def test_kraus_channel_keeps_read_only_copies_of_its_operators():
+    # the caller's array was the operator, so K[0][0, 0] = 5 after the
+    # completeness check made transfer_grid(ch, [1.0])[0][0, 0] read 25
+    ops = [np.eye(2, dtype=complex)]
+    ch = KrausChannel(ops)
+    ops[0][0, 0] = 5.0
+    assert np.array_equal(channels.transfer_grid(ch, [1.0])[0], np.eye(4))
+    with pytest.raises(ValueError, match="read-only"):
+        ch.operators[0][0, 0] = 5.0
+
+
 @pytest.mark.parametrize("operators", [
     [np.full((2, 2), np.nan)],
     [np.array([[1.0, 0.0], [0.0, np.inf]])],
@@ -345,16 +361,8 @@ def test_kraus_rejects_non_finite_and_non_qubit_operators(operators):
         KrausChannel(operators)
 
 
-@pytest.mark.parametrize("rho", [np.eye(3) / 3, np.full(4, 0.25), np.array(1.0)])
-def test_apply_channel_rejects_states_that_are_not_2x2(rho):
-    with pytest.raises(InvalidInput, match="2x2 state"):
-        apply_channel(RabiDecay(1.0, 0.5), 1.0, rho)
-
-
 @pytest.mark.parametrize("times", [[1.0, 2.0], np.array([1.0]), [[0.5]]])
 def test_single_time_applications_reject_a_time_that_is_not_a_scalar(times):
-    with pytest.raises(InvalidInput, match="t must be a finite real >= 0, got "):
-        apply_channel(RabiDecay(1.0, 0.5), times, IDENTITY / 2)
     with pytest.raises(InvalidInput, match="t must be a finite real >= 0, got "):
         propagate_assemblage(RabiDecay(1.0, 0.5), times, premeasure(IDENTITY / 2, XYZ))
 
@@ -411,10 +419,10 @@ def test_trace_preservation_and_linearity():
         for t in times:
             a = random_density(rng)
             b = random_density(rng)
-            out = apply_channel(ch, t, a)
+            out = apply_at(ch, t, a)
             assert abs(np.trace(out).real - 1.0) < 1e-8
-            mix = apply_channel(ch, t, 0.3 * a + 0.7 * b)
-            sep = 0.3 * apply_channel(ch, t, a) + 0.7 * apply_channel(ch, t, b)
+            mix = apply_at(ch, t, 0.3 * a + 0.7 * b)
+            sep = 0.3 * apply_at(ch, t, a) + 0.7 * apply_at(ch, t, b)
             assert np.linalg.norm(mix - sep) < 1e-8
 
 
@@ -433,33 +441,46 @@ def test_rabi_divisibility():
         ch = RabiDecay(1.0, gamma1)
         rho = random_density(rng)
         for t, tau in ((0.3, 0.8), (1.0, 2.0)):
-            once = apply_channel(ch, t + tau, rho)
-            twice = apply_channel(ch, tau, apply_channel(ch, t, rho))
+            once = apply_at(ch, t + tau, rho)
+            twice = apply_at(ch, tau, apply_at(ch, t, rho))
             assert np.linalg.norm(once - twice) < 1e-8
+
+
+def _lmat_and_step(ch):
+    """The Liouvillian of a master-equation model and its RK4 step bound."""
+    model = channels._master_equation(ch)
+    return liouvillian(model.h, model.jumps), model.step
 
 
 def test_rk4_matches_eigendecomposition_propagator():
     rng = np.random.default_rng(8)
     for ch in (RabiDecay(1.0, 0.5), Exchange(1.0, 0.1)):
-        lmat = liouvillian(*channels._generator(ch))
+        lmat, step = _lmat_and_step(ch)
         dim = int(np.sqrt(lmat.shape[0]))
         rho = random_density(rng, dim)
         for t in (0.5, 2.0, 6.0):
             v0 = rho.reshape(dim * dim, 1)
-            a = rk4_evolve(lmat, v0, t, channels.RK4_BASE_STEP / max(1.0, channels._rate_scale(ch)))
+            a = rk4_evolve(lmat, t, step) @ v0
             b = eig_propagate(lmat, t, v0)
             assert np.abs(a - b).max() < 1e-8
 
 
 def test_rk4_step_halving():
-    ch = RabiDecay(1.0, 1.0)
-    lmat = liouvillian(*channels._generator(ch))
+    # the model's own step bound, RK4_BASE_STEP / 2 at the rate 1 + 1
+    lmat, h = _lmat_and_step(RabiDecay(1.0, 1.0))
     rng = np.random.default_rng(9)
     v0 = random_density(rng).reshape(4, 1)
-    h = channels.RK4_BASE_STEP / 2.0
-    a = rk4_evolve(lmat, v0, 10.0, h)
-    b = rk4_evolve(lmat, v0, 10.0, h / 2)
+    a = rk4_evolve(lmat, 10.0, h) @ v0
+    b = rk4_evolve(lmat, 10.0, h / 2) @ v0
     assert np.abs(a - b).max() < 1e-9
+
+
+@pytest.mark.parametrize("ch", [RabiDecay(1.0, 0.5), Exchange(1.0, 0.1)])
+def test_rk4_propagator_at_time_zero_is_exactly_the_identity(ch):
+    # one RK4 step of size 0 is I to the bit, signs of zeros included
+    lmat, h_target = _lmat_and_step(ch)
+    prop = rk4_evolve(lmat, 0.0, h_target)
+    assert prop.tobytes() == np.eye(lmat.shape[0], dtype=complex).tobytes()
 
 
 def test_evolve_grid_matches_pointwise_apply():
@@ -470,13 +491,15 @@ def test_evolve_grid_matches_pointwise_apply():
         grid = channels.evolve_grid(ch, mats, times)
         for i, t in enumerate(times):
             for k in range(3):
-                direct = apply_channel(ch, t, mats[k])
+                direct = apply_at(ch, t, mats[k])
                 assert np.abs(grid[i, k] - direct).max() < 1e-9
 
 
 def test_evolve_grid_rejects_stacks_that_are_not_2x2_blocks():
-    # a (k, 3, 3) stack died in a raw numpy reshape
-    for mats in (np.zeros((2, 3, 3)), np.eye(2), np.zeros((2, 4))):
+    # a (k, 3, 3) stack died in a raw numpy reshape; the last three are one
+    # state that is not 2x2
+    for mats in (np.zeros((2, 3, 3)), np.eye(2), np.zeros((2, 4)),
+                 [np.eye(3) / 3], [np.full(4, 0.25)], [np.array(1.0)]):
         with pytest.raises(InvalidInput, match="\\(k, 2, 2\\) stack"):
             channels.evolve_grid(LorentzianAD(2.0, 1.0), mats, [0.0, 1.0])
 
@@ -496,11 +519,10 @@ def _sequential_rk4(lmat, v, t, h_target):
 def test_rk4_step_matrix_power_matches_sequential_loop():
     rng = np.random.default_rng(11)
     for ch, t in ((RabiDecay(1.0, 1.0), 10.0), (Exchange(1.0, 0.1), 6.0)):
-        lmat = liouvillian(*channels._generator(ch))
+        lmat, h_target = _lmat_and_step(ch)
         dim = int(np.sqrt(lmat.shape[0]))
         v0 = random_density(rng, dim).reshape(dim * dim, 1)
-        h_target = channels.RK4_BASE_STEP / max(1.0, channels._rate_scale(ch))
-        a = rk4_evolve(lmat, v0, t, h_target)
+        a = rk4_evolve(lmat, t, h_target) @ v0
         b = _sequential_rk4(lmat, v0, t, h_target)
         assert np.abs(a - b).max() < 1e-12
 
@@ -533,19 +555,16 @@ def test_transfer_grid_rejects_bad_grids():
 
 
 def _interval_transfer_grid(ch, times):
-    """Reference for transfer_grid: one rk4_evolve of the carrier per grid interval."""
-    if isinstance(ch, RabiDecay):
-        carrier = read = np.eye(4, dtype=complex)
-    else:
-        carrier, read = channels._EMBED, channels._TRACE_PARTNER
-    lmat = liouvillian(*channels._generator(ch))
-    h_target = channels.RK4_BASE_STEP / max(1.0, channels._rate_scale(ch))
+    """Reference for transfer_grid: one rk4_evolve per grid interval, applied to the carrier."""
+    model = channels._master_equation(ch)
+    lmat, h_target = _lmat_and_step(ch)
+    carrier = model.carrier
     out = []
     t_prev = 0.0
     for t in times:
-        carrier = rk4_evolve(lmat, carrier, t - t_prev, h_target)
+        carrier = rk4_evolve(lmat, t - t_prev, h_target) @ carrier
         t_prev = t
-        out.append(read @ carrier)
+        out.append(model.read @ carrier)
     return np.array(out)
 
 
@@ -574,7 +593,7 @@ def test_transfer_grid_runs_one_propagator_per_distinct_spacing(ch, times, n_spa
     real = channels.rk4_evolve
 
     def counting(*args):
-        calls.append(args[2])
+        calls.append(args[1])
         return real(*args)
 
     monkeypatch.setattr(channels, "rk4_evolve", counting)

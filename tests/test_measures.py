@@ -394,9 +394,9 @@ def test_nc_exchange_is_abs_cos():
 
 def _ancilla_concurrence(ch, times):
     """Concurrence of (I (x) Lambda_t)(Phi+) evolved on the ancilla-extended space."""
-    h, jumps = channels._generator(ch)
-    h_ext = hermat.kron(IDENTITY, h)
-    jumps_ext = [(hermat.kron(IDENTITY, op), rate) for op, rate in jumps]
+    model = channels._master_equation(ch)
+    h_ext = hermat.kron(IDENTITY, model.h)
+    jumps_ext = [(hermat.kron(IDENTITY, op), rate) for op, rate in model.jumps]
     lmat = channels.liouvillian(h_ext, jumps_ext)
     phi = np.zeros((4, 4), dtype=complex)
     phi[np.ix_([0, 3], [0, 3])] = 0.5
@@ -546,8 +546,9 @@ def test_tsw_rejects_every_assemblage_solve_rejects():
         sdp.solve(asm.stacked())
 
     # the PSD half of the band: (Z,+1) becomes diag(1/2 + eps, -eps), of the
-    # same trace, just past TARGET_TOL and just inside it
-    for eps, past in ((1.01 * TARGET_TOL, True), (0.99 * TARGET_TOL, False)):
+    # same trace, just past the roundoff rule 1e-12 max(1, M) and just inside
+    # it; every entry is below 1 here, so the band is 1e-12
+    for eps, past in ((1.01e-12, True), (0.99e-12, False)):
         asm = premeasure(MIXED, XYZ)
         asm.members[("Z", 1)] = np.diag([0.5 + eps, -eps]).astype(complex)
         calls = (lambda: tsw(asm), lambda: propagate_assemblage(KrausChannel([IDENTITY]), 0.5, asm),

@@ -18,9 +18,11 @@ from tsteer.sdp import (
 from tsteer.measures import propagate_assemblage, tsw
 from tsteer.steering import (
     Assemblage,
+    _from_stack,
     pauli_measurement_set,
     premeasure,
     strategy_table,
+    validate,
 )
 
 XYZ = pauli_measurement_set("XYZ")
@@ -240,7 +242,12 @@ def test_infeasible_flag_for_malformed_targets():
     with pytest.raises(ValidationError, match="not-psd at target block 0"):
         solve(p)
     assert not hasattr(SolveStatus, "INFEASIBLE")
-    p[0] = np.diag([0.5, -1e-9]).astype(complex)  # roundoff-sized: no raise
+    # the band is the roundoff rule 1e-12 max(1, M), here 1e-12: -1e-9, which the
+    # old 1e-8 band let through, raises, and a roundoff-sized -0.99e-12 does not
+    p[0] = np.diag([0.5, -1e-9]).astype(complex)
+    with pytest.raises(ValidationError, match="not-psd at target block 0"):
+        solve(p)
+    p[0] = np.diag([0.5, -0.99e-12]).astype(complex)
     assert np.isfinite(solve(p).mu_star)
 
 
@@ -251,7 +258,11 @@ def test_solve_rejects_non_hermitian_targets():
     targets[0][1, 0] += 0.05
     with pytest.raises(ValidationError, match="not-hermitian at target block 0"):
         solve(targets)
-    targets[0][1, 0] -= 0.05 - 1e-12  # roundoff-sized: no raise
+    # ||h - h^dag||_F = sqrt 2 times the offset, against the band 1e-12
+    targets[0][1, 0] -= 0.05 - 1e-12
+    with pytest.raises(ValidationError, match="not-hermitian at target block 0"):
+        solve(targets)
+    targets[0][1, 0] -= 1e-12 - 0.7e-12  # roundoff-sized: no raise
     assert solve(targets).status is SolveStatus.OPTIMAL
 
 
@@ -755,19 +766,27 @@ def test_non_optimal_exits_certify_their_primal_side():
                 assert dual_certificate(sol, p).gap == sol.gap
 
 
-@pytest.mark.xfail(strict=True, reason="solve accepts a block whose least eigenvalue lies in "
-                   "[-TARGET_TOL, -1e-12 max(1, M)), for which no feasible primal point exists")
-def test_indefinite_targets_inside_the_band_get_a_certified_primal():
-    # both stacks pass check_blocks; the first is a constant map that ends
-    # OPTIMAL with mu_star 1, the second runs to the step cap and ends MAX_ITER,
-    # and primal_certificate rejects each (slack -5e-9 and -9.9e-9)
+def test_solve_tsw_and_validate_reject_indefinite_targets_past_roundoff():
+    # both stacks passed the old 1e-8 band, and no feasible primal point exists
+    # for either: the first, a constant map, ended OPTIMAL with mu_star 1, the
+    # second ran to the step cap and ended MAX_ITER, and primal_certificate
+    # rejected each (slack -5e-9 and -9.9e-9); at 1e-12 max(1, M) both raise
     constant = np.array([np.diag([0.5, -5e-9]), np.diag([0.5, 5e-9]), np.diag([1.0, 0.0]),
                          np.zeros((2, 2))], dtype=complex)
     capped = premeasure(IDENTITY / 2, XYZ).stacked()
     capped[4] = np.diag([0.5 + 0.99e-8, -0.99e-8])
-    for p in (constant, capped):
-        sol = solve(p)
-        assert primal_certificate(sol, p) == sol.mu_star
+    for labels, p, where, low in (("XZ", constant, 0, 5e-9), ("XYZ", capped, 4, 0.99e-8)):
+        asm = _from_stack(labels, p)
+        found = []
+        for call in (lambda: validate(asm), lambda: tsw(asm), lambda: solve(p)):
+            with pytest.raises(ValidationError) as err:
+                call()
+            found.append(err.value.violations)
+        assert found[1] == found[0]
+        assert [(v.kind, v.magnitude) for v in found[2]] == [(v.kind, v.magnitude)
+                                                            for v in found[0]]
+        assert [(v.kind, v.where) for v in found[2]] == [("not-psd", f"target block {where}")]
+        assert found[2][0].magnitude == pytest.approx(low, rel=1e-6)
 
 
 def test_skipped_map_backs_would_not_certify(monkeypatch):

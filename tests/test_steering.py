@@ -123,6 +123,21 @@ def test_measurement_set_rejects_pairs_that_are_not_projective():
     assert_exact(premeasure(IDENTITY / 2, ms))
 
 
+def test_measurement_set_keeps_copies_of_its_labels_and_projectors():
+    # the caller's arrays were the projectors, so P[0, 0] = 3 after the checks
+    # made premeasure(I/2, ms) give (Z,+1) trace 4.5
+    labels = ["Z"]
+    p, q = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    ms = MeasurementSet(labels, ((p, q),))
+    p[0, 0] = 3.0
+    labels.append("X")
+    asm = premeasure(IDENTITY / 2, ms)
+    assert ms.labels == ("Z",)
+    assert np.array_equal(asm.member("Z", 1), np.diag([0.5, 0.0]))
+    with pytest.raises(ValueError, match="read-only"):
+        ms.projectors[0][0][0, 0] = 3.0
+
+
 # --- premeasure --------------------------------------------------------------
 
 
@@ -400,7 +415,8 @@ def test_validate_clean():
 def test_validate_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
     # a NaN tol reported a member with eigenvalue -0.3, off in trace, as
     # clean, and tol = -1 flagged a valid assemblage "not-hermitian 0"; the
-    # band is now TARGET_TOL alone, so validate takes no tolerance at all
+    # bands are fixed now (the roundoff rule for members, TARGET_TOL for each
+    # setting's trace), so validate takes no tolerance at all
     broken = premeasure(IDENTITY / 2, XYZ)
     broken.members[("X", 1)] = np.diag([0.9, -0.3]).astype(complex)
     assert {v.kind for v in violations(broken)} == {"not-psd", "total-trace"}
