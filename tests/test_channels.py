@@ -35,6 +35,12 @@ def apply_at(ch, t, rho):
     return (channels.transfer_grid(ch, [t])[0] @ np.reshape(rho, 4)).reshape(2, 2)
 
 
+def _lmat_and_step(ch):
+    """The Liouvillian of a master-equation model and its RK4 step bound."""
+    model = channels._master_equation(ch)
+    return liouvillian(model.h, model.jumps), model.step
+
+
 # --- Rabi + decay -------------------------------------------------------------
 
 
@@ -51,8 +57,7 @@ def test_rabi_time_zero():
 
 
 def test_rabi_fixed_point():
-    model = channels._master_equation(RabiDecay(1.0, 1.0))
-    lmat = liouvillian(model.h, model.jumps)
+    lmat, _ = _lmat_and_step(RabiDecay(1.0, 1.0))
     out = apply_at(RabiDecay(1.0, 1.0), 40.0, IDENTITY / 2)
     residual = np.linalg.norm(lmat @ out.reshape(4))
     assert residual < 1e-8
@@ -444,12 +449,6 @@ def test_rabi_divisibility():
             once = apply_at(ch, t + tau, rho)
             twice = apply_at(ch, tau, apply_at(ch, t, rho))
             assert np.linalg.norm(once - twice) < 1e-8
-
-
-def _lmat_and_step(ch):
-    """The Liouvillian of a master-equation model and its RK4 step bound."""
-    model = channels._master_equation(ch)
-    return liouvillian(model.h, model.jumps), model.step
 
 
 def test_rk4_matches_eigendecomposition_propagator():
