@@ -495,12 +495,17 @@ def test_evolve_grid_matches_pointwise_apply():
 
 
 def test_evolve_grid_rejects_stacks_that_are_not_2x2_blocks():
-    # a (k, 3, 3) stack died in a raw numpy reshape; the last three are one
-    # state that is not 2x2
-    for mats in (np.zeros((2, 3, 3)), np.eye(2), np.zeros((2, 4)),
-                 [np.eye(3) / 3], [np.full(4, 0.25)], [np.array(1.0)]):
+    # a (k, 3, 3) stack died in a raw numpy reshape
+    for mats in (np.zeros((2, 3, 3)), np.eye(2), np.zeros((2, 4))):
         with pytest.raises(InvalidInput, match="\\(k, 2, 2\\) stack"):
             channels.evolve_grid(LorentzianAD(2.0, 1.0), mats, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("rho", [np.eye(3) / 3, np.full(4, 0.25), np.array(1.0)])
+def test_evolve_grid_rejects_states_that_are_not_2x2(rho):
+    # a one-state stack at one time: the single-state case of evolve_grid
+    with pytest.raises(InvalidInput, match="\\(k, 2, 2\\) stack"):
+        channels.evolve_grid(RabiDecay(1.0, 0.5), [rho], [1.0])
 
 
 def _sequential_rk4(lmat, v, t, h_target):
