@@ -101,7 +101,7 @@ class KrausChannel:
         if any(k.shape != (2, 2) or not np.isfinite(k).all() for k in ops):
             raise InvalidInput("Kraus operators must be finite 2x2 matrices")
         total = sum(k.conj().T @ k for k in ops)
-        if np.abs(total - hermat.IDENTITY).max() > 1e-10:
+        if np.abs(total - hermat.IDENTITY).max() > errors._band(total):
             raise InvalidInput("Kraus operators do not satisfy sum K^dag K = I")
         for k in ops:
             k.flags.writeable = False

@@ -1,10 +1,20 @@
-"""Exception types shared across the package, one per kind a caller can act on, and the
-one rule per kind of scalar argument: `real`, `count` and `times`."""
+"""Exception types, one per kind a caller can act on; one rule per kind of scalar argument,
+`real`, `count` and `times`; and the two bands: the roundoff rule `_band` for data entering
+the package and the certificates, the drift band TARGET_TOL for RK4 propagator output."""
 
 import math
 import numbers
 
 import numpy as np
+
+
+_ROUNDOFF = 1e-12
+TARGET_TOL = 1e-8
+
+
+def _band(data, axis=None):
+    """_ROUNDOFF max(1, M), M the largest entry magnitude of data (per block along axis)."""
+    return _ROUNDOFF * np.maximum(1.0, np.abs(data).max(axis=axis))
 
 
 class TswError(Exception):
@@ -27,17 +37,17 @@ class CertificateInvalid(TswError):
     """Optimality certificate failed verification."""
 
 
-def real(name, value, low=0, above=False):
-    """value as a float; InvalidInput unless it is a real, not a bool, finite and >= low
-    (> low when above is set). Strings, complex numbers and arrays, 0-d too, fail, and so
+def real(name, value, above=False):
+    """value as a float; InvalidInput unless it is a real, not a bool, finite and >= 0
+    (> 0 when above is set). Strings, complex numbers and arrays, 0-d too, fail, and so
     does an int beyond the float range."""
     try:
         number = (float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool)
                   else math.nan)
     except OverflowError:
         number = math.inf
-    if not math.isfinite(number) or (number <= low if above else number < low):
-        raise InvalidInput(f"{name} must be a finite real {'>' if above else '>='} {low}, "
+    if not math.isfinite(number) or (number <= 0 if above else number < 0):
+        raise InvalidInput(f"{name} must be a finite real {'>' if above else '>='} 0, "
                            f"got {value!r}")
     return number
 

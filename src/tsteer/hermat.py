@@ -38,23 +38,25 @@ def anti_herm_norm(h):
     return np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
 
 
-def min_eig(h):
-    """Smallest eigenvalue per 2x2 Hermitian block, closed form."""
+def _spectrum(h):
+    """Per block a, d, b = h00, h11, h01 and m, r with eigenvalues m -+ r."""
     a = h[..., 0, 0].real
     d = h[..., 1, 1].real
     b = h[..., 0, 1]
     m = 0.5 * (a + d)
     r = np.sqrt(0.25 * (a - d) ** 2 + b.real ** 2 + b.imag ** 2)
+    return a, d, b, m, r
+
+
+def min_eig(h):
+    """Smallest eigenvalue per 2x2 Hermitian block, closed form."""
+    _, _, _, m, r = _spectrum(h)
     return m - r
 
 
 def psd_project(h):
     """PSD projection per 2x2 Hermitian block, closed form."""
-    a = h[..., 0, 0].real
-    d = h[..., 1, 1].real
-    b = h[..., 0, 1]
-    m = 0.5 * (a + d)
-    r = np.sqrt(0.25 * (a - d) ** 2 + b.real ** 2 + b.imag ** 2)
+    a, d, b, m, r = _spectrum(h)
     lp, lm = m + r, m - r
     clp, clm = np.maximum(lp, 0.0), np.maximum(lm, 0.0)
     f = (clp - clm) / (2.0 * np.where(r > 0, r, 1.0))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channels, hermat
-from .errors import InvalidInput, count, real
+from .errors import TARGET_TOL, InvalidInput, count, real
 from .steering import (
     Assemblage,
     MeasurementSet,
@@ -177,19 +177,19 @@ def concurrence(rho) -> float:
     are the singular values of the symmetric tau = M^T (sy x sy) M, and
     C = max(0, l1 - l2 - l3 - l4) in decreasing order (W. K. Wootters,
     Phys. Rev. Lett. 80, 2245 (1998)). The least eigenvalue of that same
-    decomposition is the positivity check.
+    decomposition is the positivity check. The checks allow RK4 drift, TARGET_TOL.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidInput(f"expected a 4x4 density matrix, got {rho.shape}")
     if not np.isfinite(rho).all():
         raise InvalidInput("density matrix has non-finite entries")
-    if float(np.abs(rho - rho.conj().T).max()) > 1e-8:
+    if float(np.abs(rho - rho.conj().T).max()) > TARGET_TOL:
         raise InvalidInput("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
+    if abs(np.trace(rho).real - 1.0) > TARGET_TOL:
         raise InvalidInput(f"trace {np.trace(rho).real} != 1")
     evals, vecs = np.linalg.eigh(rho)
-    if float(evals[0]) < -1e-8:
+    if float(evals[0]) < -TARGET_TOL:
         raise InvalidInput("state is not positive semidefinite")
     m = vecs * np.sqrt(np.maximum(evals, 0.0))
     lams = np.linalg.svd(m.T @ _SY_SY @ m, compute_uv=False)

@@ -64,9 +64,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificateInvalid, InvalidInput, real
+from .errors import CertificateInvalid, InvalidInput, _band, real
 from .hermat import IDENTITY, anti_herm_norm, det2, herm, min_eig, psd_project
-from .steering import Assemblage, _band, check_blocks, strategy_table
+from .steering import Assemblage, check_blocks, strategy_table
 
 DEFAULT_TOL = 1e-8
 _MAX_ITER = 300    # Newton steps after which a solve ends MAX_ITER
@@ -172,14 +172,12 @@ def solve(targets: np.ndarray, tol: float = DEFAULT_TOL) -> SdpSolution:
     OPTIMAL run on the paper's traces takes 8 to 20 steps, a constant map none.
     Raises InvalidInput unless targets has shape (2 n, 2, 2) with 1 <= n <=
     6 and tol is a finite positive real, and its subclass ValidationError
-    for a target block that fails `check_blocks` at the certificates'
-    roundoff rule 1e-12 max(1, M), M the largest target entry: non-finite,
-    not Hermitian, or with an eigenvalue below -1e-12 max(1, M).
+    for a target block that fails `check_blocks`.
     """
     tol = real("tol", tol, above=True)
     d_mat = _strategies(targets)
     targets = np.asarray(targets, dtype=complex)
-    check_blocks(targets, _band(targets), [f"target block {i}" for i in range(len(targets))])
+    check_blocks(targets, [f"target block {i}" for i in range(len(targets))])
     red = herm(targets.sum(axis=0) / (len(targets) // 2))
     if det2(red) <= _RANK_EPS * _trace(red) ** 2:
         return _constant_map(targets, d_mat, red, tol)

@@ -26,14 +26,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hermat
-from .errors import InvalidInput, ValidationError, count
+from .errors import TARGET_TOL, InvalidInput, ValidationError, _band, count
 
 PAULI = {"X": hermat.SIGMA_X, "Y": hermat.SIGMA_Y, "Z": hermat.SIGMA_Z}
 OUTCOMES = (1, -1)
-TARGET_TOL = 1e-8  # how far a setting's outcome sum may miss trace 1 in `validate`
-# Roundoff relative to max(1, data magnitude), applied by `_band`: the one rule of the
-# block checks of `validate` and `sdp.solve` and of both certificates.
-_ROUNDOFF = 1e-12
 
 # Outcome a maps to the eigenvalue-a eigenprojector (I + a*sigma)/2; array
 # index 0 holds a=+1 and index 1 holds a=-1.
@@ -45,9 +41,9 @@ class MeasurementSet:
 
     Raises InvalidInput, naming the setting, unless the labels are distinct,
     there is one pair of 2x2 projectors per label, and P_plus^2 = P_plus and
-    P_plus + P_minus = I within 1e-10; its subclass ValidationError when a
-    projector fails `check_blocks` at tolerance 1e-10. Keeps a label tuple and
-    read-only projector copies, so those checks hold for the set's life.
+    P_plus + P_minus = I within the roundoff rule; its subclass ValidationError
+    when a projector fails `check_blocks`. Keeps a label tuple and read-only
+    projector copies, so those checks hold for the set's life.
     """
 
     labels: tuple
@@ -67,11 +63,11 @@ class MeasurementSet:
         pairs = np.array(self.projectors, dtype=complex)
         pairs.flags.writeable = False
         self.labels, self.projectors = tuple(self.labels), tuple(map(tuple, pairs))
-        check_blocks(pairs.reshape(-1, 2, 2), 1e-10,
+        check_blocks(pairs.reshape(-1, 2, 2),
                      [f"setting {x!r} P{a:+d}" for x in self.labels for a in OUTCOMES])
         pp, pm = pairs[:, 0], pairs[:, 1]
         off = np.maximum(np.linalg.norm(pp @ pp - pp, axis=(-2, -1)),
-                         np.linalg.norm(pp + pm - hermat.IDENTITY, axis=(-2, -1))) > 1e-10
+                         np.linalg.norm(pp + pm - hermat.IDENTITY, axis=(-2, -1))) > _band(pairs)
         if off.any():
             raise InvalidInput(f"setting {self.labels[int(np.argmax(off))]!r} is not a binary "
                                "projective measurement")
@@ -136,12 +132,13 @@ def _from_stack(labels, stack, time_tag=0.0) -> Assemblage:
 
 
 def premeasure(rho0, ms: MeasurementSet) -> Assemblage:
-    """Assemblage produced by measuring rho0 projectively, before any evolution."""
+    """Assemblage produced by measuring rho0 projectively, before any evolution; InvalidInput
+    unless rho0 passes `check_blocks` and has trace 1, both within the roundoff rule."""
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (2, 2):
         raise InvalidInput(f"expected a 2x2 density matrix, got shape {rho0.shape}")
-    check_blocks(rho0[None], 1e-9, ["initial state"])
-    if abs(np.trace(rho0).real - 1.0) > 1e-9:
+    check_blocks(rho0[None], ["initial state"])
+    if abs(np.trace(rho0).real - 1.0) > _band(rho0):
         raise InvalidInput(f"initial state trace {np.trace(rho0).real} != 1")
     members = {}
     for x, (pp, pm) in zip(ms.labels, ms.projectors):
@@ -176,7 +173,7 @@ def lhs_assemblage(sigmas, labels=None) -> Assemblage:
     keyed by (label, outcome). Raises InvalidInput for a count of states that
     is not 2^n with 1 <= n <= 6, a wrong count of labels, a repeated label or
     a state that is not 2x2, and its subclass ValidationError when a hidden
-    state fails `check_blocks` at tolerance 1e-10.
+    state fails `check_blocks`.
     """
     sigmas = [np.asarray(s, dtype=complex) for s in sigmas]
     n_lambda = len(sigmas)
@@ -187,7 +184,7 @@ def lhs_assemblage(sigmas, labels=None) -> Assemblage:
         if s.shape != (2, 2):
             raise InvalidInput(f"hidden state {i} must be 2x2, got shape {s.shape}")
     sigmas = np.array(sigmas)
-    check_blocks(sigmas, 1e-10, [f"hidden state {i}" for i in range(n_lambda)])
+    check_blocks(sigmas, [f"hidden state {i}" for i in range(n_lambda)])
     if labels is None:
         if n_meas <= 3:
             labels = ("X", "Y", "Z")[:n_meas]
@@ -210,38 +207,33 @@ class Violation(NamedTuple):
         return f"{self.kind} at {self.where}: {self.magnitude:.3e}"
 
 
-def block_violations(stack, tol, where) -> list:
+def block_violations(stack, where) -> list:
     """Violations of the blocks of a (k, 2, 2) stack, in block order, block i named where[i].
 
-    The one block check of the package. A block must be, in this order,
-    finite ("non-finite", magnitude inf), Hermitian ("not-hermitian" when
-    ||h - h^dag||_F > min(tol, 1e-10 max(1, ||h||_F)), magnitude ||h -
-    h^dag||_F) and PSD ("not-psd" when the least eigenvalue of its Hermitian
-    part is below -tol, magnitude minus that eigenvalue); each block reports
-    its first failure. If any block is non-finite, only the non-finite
-    blocks are reported, since every other quantity would be computed from
-    them.
+    The one block check of the package; it takes its band from the stack, the
+    roundoff rule band = 1e-12 max(1, M), M the largest entry magnitude. A
+    block must be, in this order, finite ("non-finite", magnitude inf),
+    Hermitian ("not-hermitian" when ||h - h^dag||_F > min(band, 1e-10 max(1,
+    ||h||_F)), magnitude ||h - h^dag||_F) and PSD ("not-psd" when the least
+    eigenvalue of its Hermitian part is below -band, magnitude minus it);
+    each block reports its first failure. If any block is non-finite, only
+    the non-finite blocks are reported, as nothing else can be computed.
     """
     finite = np.isfinite(stack).all(axis=(-2, -1))
     if not finite.all():
         return [Violation("non-finite", where[i], math.inf) for i in np.flatnonzero(~finite)]
+    band = _band(stack)
     asym = hermat.anti_herm_norm(stack)
-    asym_tol = np.minimum(tol, 1e-10 * np.maximum(np.linalg.norm(stack, axis=(-2, -1)), 1.0))
+    asym_tol = np.minimum(band, 1e-10 * np.maximum(np.linalg.norm(stack, axis=(-2, -1)), 1.0))
     low = hermat.min_eig(hermat.herm(stack))
     return [Violation("not-hermitian", where[i], float(asym[i])) if asym[i] > asym_tol[i]
             else Violation("not-psd", where[i], float(-low[i]))
-            for i in np.flatnonzero((asym > asym_tol) | (low < -tol))]
+            for i in np.flatnonzero((asym > asym_tol) | (low < -band))]
 
 
-def _band(data, axis=None):
-    """The one roundoff rule: _ROUNDOFF max(1, M), M the largest entry magnitude of data
-    (per block along axis), the values a check is computed from."""
-    return _ROUNDOFF * np.maximum(1.0, np.abs(data).max(axis=axis))
-
-
-def check_blocks(stack, tol, where):
+def check_blocks(stack, where):
     """Raise ValidationError listing the `block_violations` of the stack, if any."""
-    bad = block_violations(stack, tol, where)
+    bad = block_violations(stack, where)
     if bad:
         raise ValidationError(bad)
 
@@ -251,18 +243,15 @@ def validate(asm: Assemblage) -> None:
 
     The one check of an assemblage, which `tsw` and `propagate_assemblage`
     apply. Each member passes `block_violations` (non-finite, not-hermitian,
-    not-psd) at the roundoff rule 1e-12 max(1, M), M the largest member
-    entry, which `solve` checks its blocks at too, and each setting's
-    outcome sum has trace 1 within TARGET_TOL ("total-trace"). If a member
-    is non-finite, only the non-finite members are reported, since every
-    other invariant would be computed from them. The outcome sums may
-    differ between settings: premeasuring any state but I/2 dephases
-    differently in different bases, and the steerable weight is defined for
-    such signaling families too.
+    not-psd), as `solve`'s targets do, and each setting's outcome sum has
+    trace 1 within the drift band `errors.TARGET_TOL` ("total-trace"). If a
+    member is non-finite, only the non-finite members are reported. The
+    outcome sums may differ between settings: premeasuring any state but I/2
+    dephases differently in different bases, and the steerable weight is
+    defined for such signaling families too.
     """
     stack = asm.stacked()
-    out = block_violations(stack, _band(stack),
-                           [f"({x},{a:+d})" for x in asm.labels for a in OUTCOMES])
+    out = block_violations(stack, [f"({x},{a:+d})" for x in asm.labels for a in OUTCOMES])
     if not out or out[0].kind != "non-finite":
         tr_dev = np.abs(np.trace(stack[0::2] + stack[1::2], axis1=-2, axis2=-1).real - 1.0)
         out += [Violation("total-trace", f"(x={x})", float(dev))

@@ -11,7 +11,7 @@ from tsteer.channels import (
     random_kraus_channel,
 )
 from tsteer import channels, hermat, measures, sdp
-from tsteer.errors import InvalidInput, ValidationError
+from tsteer.errors import TARGET_TOL, InvalidInput, ValidationError
 from tsteer.hermat import IDENTITY
 from tsteer.measures import (
     concurrence,
@@ -24,7 +24,6 @@ from tsteer.measures import (
 )
 from tsteer.sdp import SolveStatus
 from tsteer.steering import (
-    TARGET_TOL,
     Assemblage,
     pauli_measurement_set,
     premeasure,

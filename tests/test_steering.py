@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import depolarized_assemblage
-from tsteer.channels import KrausChannel
+from tsteer import measures
+from tsteer.channels import KrausChannel, RabiDecay
 from tsteer.errors import InvalidInput, ValidationError
 from tsteer.hermat import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
-from tsteer.measures import propagate_assemblage, tsw
+from tsteer.measures import propagate_assemblage, tsw, tsw_trace
 from tsteer.steering import (
     OUTCOMES,
     Assemblage,
@@ -33,7 +34,7 @@ def assert_exact(asm, signaling=False):
     validate(asm)
     stack = asm.stacked()
     names = [f"({x},{a:+d})" for x in asm.labels for a in OUTCOMES]
-    assert block_violations(stack, 1e-12, names) == []
+    assert block_violations(stack, names) == []
     sums = stack[0::2] + stack[1::2]
     assert np.abs(np.trace(sums, axis1=1, axis2=2).real - 1.0).max() <= 1e-12
     if not signaling:
@@ -175,8 +176,55 @@ def test_premeasure_rejects_bad_states():
 def test_premeasure_rejects_non_hermitian_state():
     with pytest.raises(ValidationError, match="not-hermitian at initial state"):
         premeasure(np.array([[0.5, 0.1], [0.0, 0.5]]), XYZ)
-    # a relative deviation below 1e-10 is roundoff and passes
-    premeasure(np.array([[0.5, 1e-12], [0.0, 0.5]]), XYZ)
+    # an offset of 1e-12 is ||h - h^dag||_F = 1.41e-12, past the roundoff rule 1e-12
+    with pytest.raises(ValidationError, match="not-hermitian at initial state: 1.414e-12"):
+        premeasure(np.array([[0.5, 1e-12], [0.0, 0.5]]), XYZ)
+    # an offset of 0.7e-12, ||h - h^dag||_F = 0.99e-12, is roundoff and passes
+    premeasure(np.array([[0.5, 0.7e-12], [0.0, 0.5]]), XYZ)
+
+
+# Each input check, fed data whose defect is d: the data's largest entry is at most about 1,
+# so the roundoff rule 1e-12 max(1, M) is 1e-12 (to within d) for each of them.
+ROUNDOFF_CASES = {
+    "measurement-set-psd": (  # P+ has eigenvalue -d; P+^2 - P+ has norm d (1 + d)
+        lambda d: MeasurementSet(("A",), ((np.diag([1.0, -d]), np.diag([0.0, 1.0 + d])),)),
+        ValidationError, r"not-psd at setting 'A' P\+1: 1.010e-12"),
+    "premeasure-psd": (lambda d: premeasure(np.diag([1.0 + d, -d]), XYZ),
+                       ValidationError, "not-psd at initial state: 1.010e-12"),
+    "premeasure-hermitian": (  # ||h - h^dag||_F = d
+        lambda d: premeasure(np.array([[0.5, d / np.sqrt(2.0)], [0.0, 0.5]]), XYZ),
+        ValidationError, "not-hermitian at initial state: 1.010e-12"),
+    "premeasure-trace": (lambda d: premeasure(np.diag([0.5 + d, 0.5]), XYZ),
+                         InvalidInput, "initial state trace"),
+    "lhs-hidden-state-psd": (
+        lambda d: lhs_assemblage([np.diag([0.5, -d]), np.diag([0.0, 0.5])]),
+        ValidationError, "not-psd at hidden state 0: 1.010e-12"),
+    "kraus-completeness": (  # sum K^dag K = diag(1 + d, 1)
+        lambda d: KrausChannel([IDENTITY, np.diag([np.sqrt(d), 0.0])]),
+        InvalidInput, r"sum K\^dag K = I"),
+}
+
+
+@pytest.mark.parametrize("case", ROUNDOFF_CASES)
+def test_every_input_check_applies_the_roundoff_rule(case):
+    build, error, message = ROUNDOFF_CASES[case]
+    with pytest.raises(error, match=message):
+        build(1.01e-12)
+    build(0.99e-12)
+
+
+def test_premeasure_names_an_initial_state_past_roundoff(monkeypatch):
+    # past the roundoff rule, the error names the initial state, not a member such as (Z,-1)
+    rho0 = np.diag([1.0 + 5e-10, -5e-10])
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran")
+
+    monkeypatch.setattr(measures, "solve", no_solve)
+    with pytest.raises(ValidationError, match="^not-psd at initial state: 5.000e-10$"):
+        premeasure(rho0, XYZ)
+    with pytest.raises(ValidationError, match="^not-psd at initial state: 5.000e-10$"):
+        tsw_trace(RabiDecay(1.0, 0.5), XYZ, rho0, 1.0, 3)
 
 
 def test_premeasure_rejects_non_finite_state():
