@@ -13,12 +13,15 @@ counting only increments above a noise threshold.
 
 For comparison, the concurrence between the evolving qubit and an isolated
 ancilla (prepared maximally entangled) provides the entanglement-based
-witness on the same grids.
+witness on the same grids: in closed form on X states, such as the Choi
+states of the phase-covariant Exchange and LorentzianAD, and through one
+eigh + svd on any other state.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +51,8 @@ class TswResult:
 @dataclass
 class TraceSeries:
     """A sampled scalar measure over a strictly increasing time grid. Raises InvalidInput
-    unless times and values are 1-D of one length, and so is solutions when given."""
+    unless times and values are 1-D of one length, and so is solutions when given, and
+    unless the times are finite reals and strictly increasing."""
 
     times: np.ndarray
     values: np.ndarray
@@ -60,6 +64,10 @@ class TraceSeries:
         if len(t_shape) != 1 or v_shape != t_shape:
             raise InvalidInput(f"times of shape {t_shape} and values of shape {v_shape} "
                                "are not 1-D of one length")
+        times = np.asarray(self.times)
+        if (times.dtype.kind not in "iuf" or not np.isfinite(times).all()
+                or (times[1:] <= times[:-1]).any()):
+            raise InvalidInput("times are not finite reals in strictly increasing order")
         if self.solutions is not None and len(self.solutions) != t_shape[0]:
             raise InvalidInput(f"{len(self.solutions)} solutions for {t_shape[0]} times")
 
@@ -169,15 +177,38 @@ def n_tsw(series: TraceSeries,
 _SY_SY = hermat.kron(hermat.SIGMA_Y, hermat.SIGMA_Y)
 
 
+# the entries of a 4x4 matrix off its diagonal and anti-diagonal, one of each transpose pair
+_ANTI_X = ((0, 1), (0, 2), (1, 3), (2, 3))
+
+
+def _x_block(a, b, c):
+    """Least eigenvalue of the Hermitian block [[a, c*], [c, b]], and |c| and sqrt(ab) of
+    its projection onto PSD (negative eigenvalue set to 0)."""
+    mid, rad = 0.5 * (a + b), math.hypot(0.5 * (a - b), abs(c))
+    if mid >= rad:
+        return mid - rad, abs(c), math.sqrt(max(0.0, a * b))
+    # rank 1 or 0 after projection, so |c| = sqrt(ab); mid < rad, so rad > 0
+    off = (mid + rad) * abs(c) / (2.0 * rad) if mid + rad > 0.0 else 0.0
+    return mid - rad, off, off
+
+
 def concurrence(rho) -> float:
     """Wootters concurrence of a two-qubit density matrix.
 
-    With rho = M M^dag from one eigendecomposition, the Wootters lambdas
-    (square roots of the eigenvalues of rho (sy x sy) conj(rho) (sy x sy))
-    are the singular values of the symmetric tau = M^T (sy x sy) M, and
-    C = max(0, l1 - l2 - l3 - l4) in decreasing order (W. K. Wootters,
-    Phys. Rev. Lett. 80, 2245 (1998)). The least eigenvalue of that same
-    decomposition is the positivity check. The checks allow RK4 drift, TARGET_TOL.
+    The checks allow RK4 drift, TARGET_TOL, and C is that of rho projected
+    onto PSD (negative eigenvalues set to 0). Both paths read the lower
+    triangle. The path is chosen from the input:
+
+    - X state, the eight entries off the diagonal and anti-diagonal exactly
+      0: rho is the blocks {0, 3} and {1, 2}, and their closed-form least
+      eigenvalues are its own. With each block projected,
+      C = 2 max(0, |rho_03| - sqrt(rho_11 rho_22), |rho_12| - sqrt(rho_00 rho_33))
+      (T. Yu and J. H. Eberly, Quantum Inf. Comput. 7, 459 (2007)).
+    - Any other state: with rho = M M^dag from one eigendecomposition, the
+      Wootters lambdas (square roots of the eigenvalues of
+      rho (sy x sy) conj(rho) (sy x sy)) are the singular values of the
+      symmetric tau = M^T (sy x sy) M, and C = max(0, l1 - l2 - l3 - l4) in
+      decreasing order (W. K. Wootters, Phys. Rev. Lett. 80, 2245 (1998)).
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -188,6 +219,13 @@ def concurrence(rho) -> float:
         raise InvalidInput("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > TARGET_TOL:
         raise InvalidInput(f"trace {np.trace(rho).real} != 1")
+    rows = rho.tolist()
+    if not any(rows[i][j] or rows[j][i] for i, j in _ANTI_X):
+        least_03, off_03, root_03 = _x_block(rows[0][0].real, rows[3][3].real, rows[3][0])
+        least_12, off_12, root_12 = _x_block(rows[1][1].real, rows[2][2].real, rows[2][1])
+        if min(least_03, least_12) < -TARGET_TOL:
+            raise InvalidInput("state is not positive semidefinite")
+        return 2.0 * max(0.0, off_03 - root_12, off_12 - root_03)
     evals, vecs = np.linalg.eigh(rho)
     if float(evals[0]) < -TARGET_TOL:
         raise InvalidInput("state is not positive semidefinite")

@@ -246,12 +246,22 @@ def test_n_tsw_is_half_the_abs_slope_plus_boundary(rng):
 
 
 def test_trace_series_rejects_mismatched_arrays():
-    # n_tsw once read 1.0 off 3 times and 2 values
-    for times, values, shapes in (
-            (np.arange(3.0), np.zeros(2), r"\(3,\) and values of shape \(2,\)"),
-            (np.zeros((2, 2)), np.zeros((2, 2)), r"\(2, 2\) and values of shape \(2, 2\)"),
-            (1.0, 1.0, r"\(\) and values of shape \(\)")):
-        with pytest.raises(InvalidInput, match=f"^times of shape {shapes} are not 1-D of one"):
+    # n_tsw once read 1.0 off 3 times and 2 values, and off times [0, 2, 1]
+    not_increasing = "^times are not finite reals in strictly increasing order"
+    for times, values, message in (
+            (np.arange(3.0), np.zeros(2),
+             r"^times of shape \(3,\) and values of shape \(2,\) are not 1-D of one"),
+            (np.zeros((2, 2)), np.zeros((2, 2)),
+             r"^times of shape \(2, 2\) and values of shape \(2, 2\) are not 1-D of one"),
+            (1.0, 1.0, r"^times of shape \(\) and values of shape \(\) are not 1-D of one"),
+            ([0, 2, 1], [0.0, 1.0, 0.5], not_increasing),
+            ([0.0, 1.0, 1.0], np.zeros(3), not_increasing),
+            ([0.0, np.nan, 2.0], np.zeros(3), not_increasing),
+            ([np.nan], [0.0], not_increasing),
+            ([0.0, np.inf], np.zeros(2), not_increasing),
+            (np.array([0, 2, 1], dtype=np.uint8), np.zeros(3), not_increasing),
+            (["0", "1"], np.zeros(2), not_increasing)):
+        with pytest.raises(InvalidInput, match=message):
             TraceSeries(times, values)
     with pytest.raises(InvalidInput, match="2 solutions for 3 times"):
         TraceSeries(np.arange(3.0), np.zeros(3), {}, [None, None])
@@ -325,6 +335,49 @@ def test_concurrence_rejects_bad_input():
     assert concurrence(rho) == pytest.approx(0.0, abs=1e-12)
 
 
+_SY_SY = hermat.kron(hermat.SIGMA_Y, hermat.SIGMA_Y)
+
+
+def _wootters_eigh_svd(rho):
+    """Wootters concurrence through eigh + svd, with no X-state path."""
+    evals, vecs = np.linalg.eigh(rho)
+    m = vecs * np.sqrt(np.maximum(evals, 0.0))
+    lams = np.linalg.svd(m.T @ _SY_SY @ m, compute_uv=False)
+    return max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
+
+
+def _x_state(block_03, block_12):
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[np.ix_([0, 3], [0, 3])] = block_03
+    rho[np.ix_([1, 2], [1, 2])] = block_12
+    return rho
+
+
+def test_concurrence_of_x_states_is_the_wootters_concurrence(rng):
+    # full-rank blocks and exactly rank-1 or zero ones, in every pairing but 0 + 0
+    def block(rank):
+        g = rng.normal(size=(2, rank)) + 1j * rng.normal(size=(2, rank))
+        return g @ g.conj().T
+    ranks = [(r03, r12) for r03 in range(3) for r12 in range(3) if r03 + r12]
+    for k in range(240):
+        r03, r12 = ranks[k % len(ranks)]
+        rho = _x_state(block(r03), rng.uniform(0.01, 3.0) * block(r12))
+        rho /= np.trace(rho).real
+        assert abs(concurrence(rho) - _wootters_eigh_svd(rho)) < 1e-13
+
+
+def test_concurrence_of_x_states_checks_positivity_at_the_drift_band():
+    # block {0, 3} has eigenvalues 0.6 and -neg; block {1, 2} is 0.2 I, up to the trace
+    plus, minus = np.ones((2, 2)) / 2, np.array([[1.0, -1.0], [-1.0, 1.0]]) / 2
+    for neg, accepted in ((1e-7, False), (1e-9, True)):
+        rho = _x_state(0.6 * plus - neg * minus, (0.2 + neg / 2) * np.eye(2))
+        if accepted:
+            assert concurrence(rho) == pytest.approx(0.2 - neg, abs=1e-15)
+        else:
+            with pytest.raises(InvalidInput, match="^state is not positive semidefinite$"):
+                concurrence(rho)
+
+
 def test_concurrence_rejects_non_finite_input():
     for bad in (np.full((4, 4), np.nan), np.diag([np.inf, 0.0, 0.0, 0.0])):
         with pytest.raises(InvalidInput, match="non-finite entries"):
@@ -386,9 +439,24 @@ def test_long_horizon_lorentzian_traces():
 
 
 def test_nc_exchange_is_abs_cos():
-    # what is left beyond roundoff is the RK4 error of the Exchange propagator
+    # what is left is the RK4 error of the Exchange propagator, at most 7e-13; the
+    # eigh + svd path once added 9e-10, the square root of a 1e-19 eigenvalue
     ts = nc_trace(Exchange(1.0, 0.0), 2 * np.pi, 81)
-    assert np.abs(ts.values - np.abs(np.cos(ts.times))).max() < 5e-9
+    assert np.abs(ts.values - np.abs(np.cos(ts.times))).max() < 1e-12
+
+
+@pytest.mark.parametrize("n_steps", [9, 33, 81, 161])
+def test_nc_exchange_takes_the_x_state_path(n_steps, monkeypatch):
+    # Exchange is phase-covariant, so its Choi states are X states. RK4 leaves block
+    # diagonals down to -2.2e-16 on these grids (-5.6e-17 at t = pi/2 on 9 points,
+    # -1.4e-17 at 3 pi/2 on 33), which the closed form projects or clamps away
+    # rather than taking their square roots
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called on an X state")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    ts = nc_trace(Exchange(1.0, 0.0), 2 * np.pi, n_steps)
+    assert np.abs(ts.values - np.abs(np.cos(ts.times))).max() < 1e-12
 
 
 def _ancilla_concurrence(ch, times):
