@@ -22,8 +22,8 @@ Three physical models plus random Kraus channels for property tests:
   past the zeros of G, which is the memory effect the steering measures
   pick up.
 
-Every channel is represented by one object, its 4x4 transfer matrix T(t)
-acting on row-major vectorized states, vec(rho(t)) = T(t) vec(rho):
+Every channel is represented by one object, its 4x4 transfer matrix T(t) on
+row-major vectorized states, vec(rho(t)) = T(t) vec(rho), from its `_transfer`:
 
 * RabiDecay: the propagator of its Liouvillian.
 * Exchange: R P(t) E, where E embeds rho -> rho (x) |e><e| and R traces
@@ -33,14 +33,14 @@ acting on row-major vectorized states, vec(rho(t)) = T(t) vec(rho):
 
 Evolving a grid, the Choi matrix and the ancilla states of the concurrence
 trace are all products with T or reshuffles of it.
-`_master_equation` is the one place that knows a master-equation model:
-its H and jumps on the carrier space, its RK4 step bound and its carrier
-maps (E and R above, the identity for RabiDecay). Its propagators are the
-classical RK4 solution with a fixed step: one step matrix
-sum_{k<=4} (hL)^k / k! raised to the number of steps. `transfer_grid`
-builds one propagator per distinct grid spacing and advances the carrier by
-one product per grid point, which gives bit for bit the matrices of
-stepping every interval on its own.
+`_MasterEquation` is the one home of the RK4 models, RabiDecay and Exchange:
+each gives its H and jumps on the carrier space, the sum of its rates, which
+bounds the RK4 step, and its carrier maps (E and R above, the identity for
+RabiDecay). Its propagators are the classical RK4 solution with a fixed step:
+one step matrix sum_{k<=4} (hL)^k / k! raised to the number of steps. Its
+`_transfer` builds one propagator per distinct grid spacing t_i - t_{i-1}
+(t_{-1} = 0) in each call and advances the carrier by one product per grid
+point, which gives bit for bit the matrices of stepping each interval alone.
 The G(t) map is applied exactly, never by integrating gamma(t), which is
 singular at zeros of G.
 """
@@ -48,7 +48,6 @@ singular at zeros of G.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +60,38 @@ from .errors import InvalidInput
 RK4_BASE_STEP = 5e-4
 
 
+_ENV_EXCITED = np.outer(hermat.KET_E, hermat.KET_E.conj())
+# Row-major basis |i><j| of one qubit, in vec order.
+_UNITS = np.eye(4, dtype=complex).reshape(4, 2, 2)
+# vec(rho) -> vec(rho (x) |e><e|), and vec(M) -> vec(tr_partner M).
+_EMBED = np.stack([hermat.kron(u, _ENV_EXCITED).reshape(16) for u in _UNITS], axis=1)
+_TRACE_PARTNER = np.stack([hermat.kron(u, hermat.IDENTITY).reshape(16) for u in _UNITS])
+
+
+class _MasterEquation:
+    """Base of the master-equation models, each giving `_generator()`: H and the (operator,
+    rate) jumps on its carrier space, and the rate sum that bounds the RK4 step at RK4_BASE_STEP
+    / max(1, rate); and `_CARRIER`, vec(rho) -> carrier at t = 0, and `_READ`, back to vec(rho)."""
+
+    _CARRIER = _READ = np.eye(4, dtype=complex)
+
+    def _transfer(self, times):
+        h, jumps, rate = self._generator()
+        lmat, step = liouvillian(h, jumps), RK4_BASE_STEP / max(1.0, rate)
+        carrier, propagators, t_prev = self._CARRIER, {}, 0.0
+        out = np.empty((times.size, 4, 4), dtype=complex)
+        for i, t in enumerate(times):
+            dt = t - t_prev
+            if dt not in propagators:
+                propagators[dt] = rk4_evolve(lmat, dt, step)
+            carrier = propagators[dt] @ carrier
+            t_prev = t
+            out[i] = self._READ @ carrier
+        return out
+
+
 @dataclass(frozen=True)
-class RabiDecay:
+class RabiDecay(_MasterEquation):
     g1: float
     gamma1: float = 0.0
 
@@ -70,15 +99,26 @@ class RabiDecay:
         errors.real("g1", self.g1)
         errors.real("gamma1", self.gamma1)
 
+    def _generator(self):
+        h = self.g1 * (hermat.SIGMA_PLUS + hermat.SIGMA_MINUS)
+        return h, [(hermat.SIGMA_MINUS, self.gamma1)], self.g1 + self.gamma1
+
 
 @dataclass(frozen=True)
-class Exchange:
+class Exchange(_MasterEquation):
     j: float
     gamma2: float = 0.0
+    _CARRIER, _READ = _EMBED, _TRACE_PARTNER
 
     def __post_init__(self):
         errors.real("j", self.j)
         errors.real("gamma2", self.gamma2)
+
+    def _generator(self):
+        h = self.j * (hermat.kron(hermat.SIGMA_PLUS, hermat.SIGMA_MINUS)
+                      + hermat.kron(hermat.SIGMA_MINUS, hermat.SIGMA_PLUS))
+        jumps = [(hermat.kron(hermat.SIGMA_MINUS, hermat.IDENTITY), self.gamma2)]
+        return h, jumps, self.j + self.gamma2
 
 
 @dataclass(frozen=True)
@@ -88,6 +128,15 @@ class LorentzianAD:
 
     def __post_init__(self):
         _lorentzian_b(self.g, self.omega_w)  # the parameter check
+
+    def _transfer(self, times):
+        gval = _g_at(self.g, self.omega_w, 0.5 * times)
+        out = np.zeros((times.size, 4, 4), dtype=complex)
+        out[:, 0, 0] = gval * gval
+        out[:, 1, 1] = out[:, 2, 2] = gval
+        out[:, 3, 0] = 1.0 - gval * gval
+        out[:, 3, 3] = 1.0
+        return out
 
 
 class KrausChannel:
@@ -109,6 +158,10 @@ class KrausChannel:
 
     def __repr__(self):
         return f"KrausChannel(n={len(self.operators)})"
+
+    def _transfer(self, times):
+        tmat = sum(np.kron(k, k.conj()) for k in self.operators)
+        return np.repeat(tmat[None], times.size, axis=0)
 
 
 # --- generators and integrators ---------------------------------------------
@@ -229,75 +282,27 @@ def random_kraus_channel(seed, n_kraus):
 
 # --- transfer matrices -------------------------------------------------------
 
-_ENV_EXCITED = np.outer(hermat.KET_E, hermat.KET_E.conj())
-# Row-major basis |i><j| of one qubit, in vec order.
-_UNITS = np.eye(4, dtype=complex).reshape(4, 2, 2)
-# vec(rho) -> vec(rho (x) |e><e|), and vec(M) -> vec(tr_partner M).
-_EMBED = np.stack([hermat.kron(u, _ENV_EXCITED).reshape(16) for u in _UNITS], axis=1)
-_TRACE_PARTNER = np.stack([hermat.kron(u, hermat.IDENTITY).reshape(16) for u in _UNITS])
-
-
-# A master-equation model: H and the (operator, rate) jumps on its carrier space, its RK4
-# step bound, and the maps vec(rho) -> carrier at t = 0 and carrier at t -> vec(rho(t)).
-_MasterEquation = namedtuple("_MasterEquation", "h jumps step carrier read")
-
-
-def _master_equation(ch):
-    """The one record of a master-equation model; InvalidInput for any other channel.
-
-    The step bound is RK4_BASE_STEP / max(1, rate), rate the sum of the model's two rates.
-    """
-    if isinstance(ch, RabiDecay):
-        h = ch.g1 * (hermat.SIGMA_PLUS + hermat.SIGMA_MINUS)
-        jumps, rate = [(hermat.SIGMA_MINUS, ch.gamma1)], ch.g1 + ch.gamma1
-        carrier = read = np.eye(4, dtype=complex)
-    elif isinstance(ch, Exchange):
-        h = ch.j * (hermat.kron(hermat.SIGMA_PLUS, hermat.SIGMA_MINUS)
-                    + hermat.kron(hermat.SIGMA_MINUS, hermat.SIGMA_PLUS))
-        jumps = [(hermat.kron(hermat.SIGMA_MINUS, hermat.IDENTITY), ch.gamma2)]
-        rate = ch.j + ch.gamma2
-        carrier, read = _EMBED, _TRACE_PARTNER
-    else:
-        raise InvalidInput(f"unknown channel {ch!r}")
-    return _MasterEquation(h, jumps, RK4_BASE_STEP / max(1.0, rate), carrier, read)
-
 
 def transfer_grid(ch, times):
     """Transfer matrices T(t), shape (len(times), 4, 4), on a non-decreasing grid.
 
-    vec(rho(t)) = T(t) vec(rho) with row-major vec. A master-equation model
-    steps its carrier between grid points: one `rk4_evolve` per distinct
-    spacing t_i - t_{i-1} (t_{-1} = 0), kept for this call only, then one
-    product per grid point, so every T(t) is bit for bit that of stepping
-    each interval on its own. Raises InvalidInput for a channel that is none
-    of the four models.
+    vec(rho(t)) = T(t) vec(rho) with row-major vec; each model computes them
+    in its `_transfer`. The grid is a time or a 1-D array of times. Raises
+    InvalidInput for a grid of more dimensions, for a channel that is none
+    of the four models, and, naming the channel and the first such t, for a
+    T(t) that is not finite (a rate or a time past what the model's
+    arithmetic can hold).
     """
-    times = errors.times("times", times).reshape(-1)
-    if np.any(np.diff(times) < 0):
-        raise InvalidInput("time grid must be non-decreasing")
-    if isinstance(ch, LorentzianAD):
-        gval = _g_at(ch.g, ch.omega_w, 0.5 * times)
-        out = np.zeros((times.size, 4, 4), dtype=complex)
-        out[:, 0, 0] = gval * gval
-        out[:, 1, 1] = out[:, 2, 2] = gval
-        out[:, 3, 0] = 1.0 - gval * gval
-        out[:, 3, 3] = 1.0
-        return out
-    if isinstance(ch, KrausChannel):
-        tmat = sum(np.kron(k, k.conj()) for k in ch.operators)
-        return np.repeat(tmat[None], times.size, axis=0)
-    model = _master_equation(ch)
-    lmat = liouvillian(model.h, model.jumps)
-    carrier, propagators = model.carrier, {}
-    out = np.empty((times.size, 4, 4), dtype=complex)
-    t_prev = 0.0
-    for i, t in enumerate(times):
-        dt = t - t_prev
-        if dt not in propagators:
-            propagators[dt] = rk4_evolve(lmat, dt, model.step)
-        carrier = propagators[dt] @ carrier
-        t_prev = t
-        out[i] = model.read @ carrier
+    times = np.atleast_1d(errors.times("times", times))
+    if times.ndim > 1 or np.any(np.diff(times) < 0):
+        raise InvalidInput("time grid must be one time or a non-decreasing 1-D array")
+    if not hasattr(ch, "_transfer"):
+        raise InvalidInput(f"unknown channel {ch!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = ch._transfer(times)
+    finite = np.isfinite(out).all(axis=(1, 2))
+    if not finite.all():
+        raise InvalidInput(f"{ch!r} has a non-finite transfer matrix at t = {times[~finite][0]}")
     return out
 
 

@@ -51,8 +51,8 @@ class TswResult:
 @dataclass
 class TraceSeries:
     """A sampled scalar measure over a strictly increasing time grid. Raises InvalidInput
-    unless times and values are 1-D of one length, and so is solutions when given, and
-    unless the times are finite reals and strictly increasing."""
+    unless times and values are 1-D of one length, and so is solutions when given, unless
+    the times are finite reals and strictly increasing, and unless the values are reals."""
 
     times: np.ndarray
     values: np.ndarray
@@ -68,6 +68,8 @@ class TraceSeries:
         if (times.dtype.kind not in "iuf" or not np.isfinite(times).all()
                 or (times[1:] <= times[:-1]).any()):
             raise InvalidInput("times are not finite reals in strictly increasing order")
+        if np.asarray(self.values).dtype.kind not in "iuf":
+            raise InvalidInput(f"values of dtype {np.asarray(self.values).dtype} are not reals")
         if self.solutions is not None and len(self.solutions) != t_shape[0]:
             raise InvalidInput(f"{len(self.solutions)} solutions for {t_shape[0]} times")
 

@@ -37,8 +37,8 @@ def apply_at(ch, t, rho):
 
 def _lmat_and_step(ch):
     """The Liouvillian of a master-equation model and its RK4 step bound."""
-    model = channels._master_equation(ch)
-    return liouvillian(model.h, model.jumps), model.step
+    h, jumps, rate = ch._generator()
+    return liouvillian(h, jumps), channels.RK4_BASE_STEP / max(1.0, rate)
 
 
 # --- Rabi + decay -------------------------------------------------------------
@@ -533,9 +533,11 @@ def test_rk4_step_matrix_power_matches_sequential_loop():
 
 def test_transfer_matrices_trace_preserving_and_cp():
     trace_row = np.eye(2, dtype=complex).reshape(4)
-    for ch, times in CHANNEL_GRID:
+    # each grid, an empty grid and the grid's first time as a 0-d time
+    inputs = [(ch, grid) for ch, times in CHANNEL_GRID for grid in (times, (), np.array(times[0]))]
+    for ch, times in inputs:
         tmats = channels.transfer_grid(ch, times)
-        assert tmats.shape == (len(times), 4, 4)
+        assert tmats.shape == (np.size(times), 4, 4)
         for tmat in tmats:
             # tr(rho(t)) = vec(I) . T vec(rho) must equal vec(I) . vec(rho)
             assert np.abs(trace_row @ tmat - trace_row).max() < 1e-10
@@ -549,6 +551,12 @@ def test_transfer_grid_rejects_bad_grids():
         channels.transfer_grid(RabiDecay(1.0), [-0.1, 1.0])
     with pytest.raises(InvalidInput, match="non-decreasing"):
         channels.transfer_grid(RabiDecay(1.0), [1.0, 0.5])
+    # a 2-D grid was flattened into 4 matrices
+    for grid in ([[0, 1], [2, 3]], [[0.5]], np.zeros((2, 0))):
+        with pytest.raises(InvalidInput, match="^time grid must be one time or a non-decreasing 1-D"):
+            channels.transfer_grid(RabiDecay(1.0), grid)
+        with pytest.raises(InvalidInput, match="^time grid must be one time or a non-decreasing 1-D"):
+            channels.evolve_grid(RabiDecay(1.0), [IDENTITY / 2], grid)
     with pytest.raises(InvalidInput, match="unknown channel"):
         channels.transfer_grid(object(), [1.0])
     for ch in (RabiDecay(1.0, 0.5), LorentzianAD(2.0), Exchange(1.0)):
@@ -560,15 +568,14 @@ def test_transfer_grid_rejects_bad_grids():
 
 def _interval_transfer_grid(ch, times):
     """Reference for transfer_grid: one rk4_evolve per grid interval, applied to the carrier."""
-    model = channels._master_equation(ch)
     lmat, h_target = _lmat_and_step(ch)
-    carrier = model.carrier
+    carrier = ch._CARRIER
     out = []
     t_prev = 0.0
     for t in times:
         carrier = rk4_evolve(lmat, t - t_prev, h_target) @ carrier
         t_prev = t
-        out.append(model.read @ carrier)
+        out.append(ch._READ @ carrier)
     return np.array(out)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -260,7 +262,12 @@ def test_trace_series_rejects_mismatched_arrays():
             ([np.nan], [0.0], not_increasing),
             ([0.0, np.inf], np.zeros(2), not_increasing),
             (np.array([0, 2, 1], dtype=np.uint8), np.zeros(3), not_increasing),
-            (["0", "1"], np.zeros(2), not_increasing)):
+            (["0", "1"], np.zeros(2), not_increasing),
+            # n_tsw read 1.0 off values [0, 1j, 1], dropping the imaginary part
+            (np.arange(3.0), np.array([0, 1j, 1]), r"^values of dtype complex128 are not reals$"),
+            (np.arange(2.0), ["0", "1"], r"^values of dtype .U1 are not reals$"),
+            (np.arange(2.0), [None, 1.0], r"^values of dtype object are not reals$"),
+            (np.arange(2.0), [True, False], r"^values of dtype bool are not reals$")):
         with pytest.raises(InvalidInput, match=message):
             TraceSeries(times, values)
     with pytest.raises(InvalidInput, match="2 solutions for 3 times"):
@@ -461,9 +468,9 @@ def test_nc_exchange_takes_the_x_state_path(n_steps, monkeypatch):
 
 def _ancilla_concurrence(ch, times):
     """Concurrence of (I (x) Lambda_t)(Phi+) evolved on the ancilla-extended space."""
-    model = channels._master_equation(ch)
-    h_ext = hermat.kron(IDENTITY, model.h)
-    jumps_ext = [(hermat.kron(IDENTITY, op), rate) for op, rate in model.jumps]
+    h, jumps, _ = ch._generator()
+    h_ext = hermat.kron(IDENTITY, h)
+    jumps_ext = [(hermat.kron(IDENTITY, op), rate) for op, rate in jumps]
     lmat = channels.liouvillian(h_ext, jumps_ext)
     phi = np.zeros((4, 4), dtype=complex)
     phi[np.ix_([0, 3], [0, 3])] = 0.5
@@ -485,6 +492,27 @@ def test_nc_trace_matches_ancilla_extended_evolution():
     for ch, t_max in ((RabiDecay(1.0, 1.0 / 6.0), 4.0), (Exchange(1.0, 0.3), 3.0)):
         ts = nc_trace(ch, t_max, 9)
         assert np.abs(ts.values - _ancilla_concurrence(ch, ts.times)).max() < 1e-6
+
+
+@pytest.mark.parametrize("ch, t_max, at", [
+    (RabiDecay(1e155), 1.0, "1.0"),
+    (LorentzianAD(1.0, 1e300), 1.0, "0.0"),
+    (RabiDecay(1.0), 1e300, "1e+300"),
+])
+def test_model_overflow_names_the_channel_and_time(ch, t_max, at, monkeypatch):
+    # each returned NaN matrices with a RuntimeWarning, and nc_trace and tsw_trace
+    # then blamed the state ("non-finite entries", "non-finite at (X,+1)")
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve called after a non-finite transfer matrix")
+
+    monkeypatch.setattr(measures, "solve", no_solve)
+    message = rf"^{re.escape(repr(ch))} has a non-finite transfer matrix at t = {re.escape(at)}$"
+    with pytest.raises(InvalidInput, match=message):
+        channels.transfer_grid(ch, [0.0, t_max])
+    with pytest.raises(InvalidInput, match=message):
+        nc_trace(ch, t_max, 2)
+    with pytest.raises(InvalidInput, match=message):
+        tsw_trace(ch, XYZ, MIXED, t_max, 2)
 
 
 def test_tsw_trace_flags_non_optimal_points(monkeypatch):
