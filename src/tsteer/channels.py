@@ -39,8 +39,8 @@ bounds the RK4 step, and its carrier maps (E and R above, the identity for
 RabiDecay). Its propagators are the classical RK4 solution with a fixed step:
 one step matrix sum_{k<=4} (hL)^k / k! raised to the number of steps. Its
 `_transfer` builds one propagator per distinct grid spacing t_i - t_{i-1}
-(t_{-1} = 0) in each call and advances the carrier by one product per grid
-point, which gives bit for bit the matrices of stepping each interval alone.
+(t_{-1} = 0), advances the carrier by one product per grid point and reads
+all T(t) out in one batched product, bit for bit as stepping each interval.
 The G(t) map is applied exactly, never by integrating gamma(t), which is
 singular at zeros of G.
 """
@@ -78,16 +78,13 @@ class _MasterEquation:
     def _transfer(self, times):
         h, jumps, rate = self._generator()
         lmat, step = liouvillian(h, jumps), RK4_BASE_STEP / max(1.0, rate)
-        carrier, propagators, t_prev = self._CARRIER, {}, 0.0
-        out = np.empty((times.size, 4, 4), dtype=complex)
-        for i, t in enumerate(times):
-            dt = t - t_prev
+        carrier, propagators = self._CARRIER, {}
+        carriers = np.empty((times.size, *carrier.shape), dtype=complex)
+        for i, dt in enumerate(np.diff(times, prepend=0.0).tolist()):
             if dt not in propagators:
                 propagators[dt] = rk4_evolve(lmat, dt, step)
-            carrier = propagators[dt] @ carrier
-            t_prev = t
-            out[i] = self._READ @ carrier
-        return out
+            carrier = carriers[i] = propagators[dt] @ carrier
+        return self._READ @ carriers
 
 
 @dataclass(frozen=True)
@@ -160,7 +157,7 @@ class KrausChannel:
         return f"KrausChannel(n={len(self.operators)})"
 
     def _transfer(self, times):
-        tmat = sum(np.kron(k, k.conj()) for k in self.operators)
+        tmat = sum(hermat.kron(k, k.conj()) for k in self.operators)
         return np.repeat(tmat[None], times.size, axis=0)
 
 
@@ -176,13 +173,13 @@ def liouvillian(h, jumps):
     h = np.asarray(h, dtype=complex)
     d = h.shape[0]
     idm = np.eye(d, dtype=complex)
-    lmat = -1j * (np.kron(h, idm) - np.kron(idm, h.T))
+    lmat = -1j * (hermat.kron(h, idm) - hermat.kron(idm, h.T))
     for op, rate in jumps:
         op = np.asarray(op, dtype=complex)
         kk = op.conj().T @ op
         lmat += rate * (
-            np.kron(op, op.conj())
-            - 0.5 * (np.kron(kk, idm) + np.kron(idm, kk.T))
+            hermat.kron(op, op.conj())
+            - 0.5 * (hermat.kron(kk, idm) + hermat.kron(idm, kk.T))
         )
     return lmat
 
@@ -226,18 +223,24 @@ def _q_at(b, omega_w, half):
     return (omega_w * half * _tanhc(b * half)).real
 
 
-def _float_if_0d(val):
+def _finite(name, g, omega_w, t, val):
+    """val, a float if 0-d; InvalidInput names g, omega_w and the first t where it is not finite."""
+    at = np.flatnonzero(~np.isfinite(val))
+    if at.size:
+        raise InvalidInput(f"{name} overflows at t = {t.flat[at[0]]}, g = {g}, omega_w = {omega_w}")
     return float(val) if val.ndim == 0 else val
 
 
 def lorentzian_G(g, omega_w, t):
     """Memory amplitude G(t) of the Lorentzian-reservoir damping channel.
 
-    t is a time (a float is returned) or an array of times. b is complex
-    throughout, so the underdamped regime (2 g > omega_w, b imaginary)
-    needs no case split; the result is real either way.
+    t is a time (a float is returned) or an array of times; InvalidInput names
+    the first t where G overflows. b is complex throughout, so the underdamped
+    regime (2 g > omega_w, b imaginary) needs no case split; G is real.
     """
-    return _float_if_0d(_g_at(g, omega_w, 0.5 * errors.times("t", t)))
+    t = errors.times("t", t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite("G(t)", g, omega_w, t, _g_at(g, omega_w, 0.5 * t))
 
 
 def _g_at(g, omega_w, half):
@@ -258,15 +261,16 @@ def lorentzian_gamma(g, omega_w, t):
     exp(-w t/2) cosh(bt/2) of G = exp(-w t/2) cosh(bt/2) (1 + q) cancels, so
     gamma stays finite where G underflows. It is undefined at the zeros of G,
     those of 1 + q. t is a time (a float is returned) or an array of times;
-    InvalidInput is raised if any |1 + q| < 1e-12.
+    InvalidInput is raised if any |1 + q| < 1e-12, or where gamma overflows.
     """
-    half = 0.5 * errors.times("t", t)
+    t = errors.times("t", t)
     g, omega_w, b = _lorentzian_b(g, omega_w)
-    q = _q_at(b, omega_w, half)
-    singular = np.abs(1.0 + q) < 1e-12
-    if singular.any():
-        raise InvalidInput(f"gamma(t) is singular at a zero of G, at t = {2.0 * half[singular][0]}")
-    return _float_if_0d(2.0 * g * q / (1.0 + q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = _q_at(b, omega_w, 0.5 * t)
+        singular = np.abs(1.0 + q) < 1e-12
+        if singular.any():
+            raise InvalidInput(f"gamma(t) is singular at a zero of G, at t = {t[singular][0]}")
+        return _finite("gamma(t)", g, omega_w, t, 2.0 * g * q / (1.0 + q))
 
 
 def random_kraus_channel(seed, n_kraus):

@@ -24,8 +24,9 @@ KET_G = np.array([0.0, 1.0], dtype=complex)
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product, first factor on the left (slow) index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of matrices, first factor on the left (slow) index; np.kron's products."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
 
 
 def herm(h):

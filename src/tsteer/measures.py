@@ -13,20 +13,22 @@ counting only increments above a noise threshold.
 
 For comparison, the concurrence between the evolving qubit and an isolated
 ancilla (prepared maximally entangled) provides the entanglement-based
-witness on the same grids: in closed form on X states, such as the Choi
-states of the phase-covariant Exchange and LorentzianAD, and through one
-eigh + svd on any other state.
+witness on the same grids. Its input checks run on the entries as Python
+complexes. It is in closed form on X states, such as the Choi states of the
+phase-covariant Exchange and LorentzianAD, and one eigh + svd on any other
+state, with sy x sy applied as a signed column reversal.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import channels, hermat
+from . import channels
 from .errors import TARGET_TOL, InvalidInput, count, real
 from .steering import (
     Assemblage,
@@ -176,11 +178,10 @@ def n_tsw(series: TraceSeries,
     return NmResult(value, slope_threshold, series)
 
 
-_SY_SY = hermat.kron(hermat.SIGMA_Y, hermat.SIGMA_Y)
-
-
-# the entries of a 4x4 matrix off its diagonal and anti-diagonal, one of each transpose pair
-_ANTI_X = ((0, 1), (0, 2), (1, 3), (2, 3))
+_SY_SY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])  # sy x sy is the anti-identity with these signs
+# row-major flat index pairs (ij, ji): off the diagonal and anti-diagonal, and every i <= j
+_ANTI_X = ((1, 4), (2, 8), (7, 13), (11, 14))
+_UPPER = tuple((4 * i + j, 4 * j + i) for i in range(4) for j in range(i, 4))
 
 
 def _x_block(a, b, c):
@@ -198,8 +199,10 @@ def concurrence(rho) -> float:
     """Wootters concurrence of a two-qubit density matrix.
 
     The checks allow RK4 drift, TARGET_TOL, and C is that of rho projected
-    onto PSD (negative eigenvalues set to 0). Both paths read the lower
-    triangle. The path is chosen from the input:
+    onto PSD (negative eigenvalues set to 0). They read the 16 entries as
+    Python complexes: each finite, |rho_ij - conj rho_ji| for i <= j, and the
+    trace summed as np.trace does, (rho_00 + rho_11) + (rho_22 + rho_33).
+    Both paths read the lower triangle. The path is chosen from the input:
 
     - X state, the eight entries off the diagonal and anti-diagonal exactly
       0: rho is the blocks {0, 3} and {1, 2}, and their closed-form least
@@ -211,20 +214,22 @@ def concurrence(rho) -> float:
       rho (sy x sy) conj(rho) (sy x sy)) are the singular values of the
       symmetric tau = M^T (sy x sy) M, and C = max(0, l1 - l2 - l3 - l4) in
       decreasing order (W. K. Wootters, Phys. Rev. Lett. 80, 2245 (1998)).
+      M^T (sy x sy) is exactly M^T with its columns reversed and signed.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidInput(f"expected a 4x4 density matrix, got {rho.shape}")
-    if not np.isfinite(rho).all():
+    flat = rho.ravel().tolist()
+    if not all(map(cmath.isfinite, flat)):
         raise InvalidInput("density matrix has non-finite entries")
-    if float(np.abs(rho - rho.conj().T).max()) > TARGET_TOL:
+    if max([abs(flat[ij] - flat[ji].conjugate()) for ij, ji in _UPPER]) > TARGET_TOL:
         raise InvalidInput("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > TARGET_TOL:
-        raise InvalidInput(f"trace {np.trace(rho).real} != 1")
-    rows = rho.tolist()
-    if not any(rows[i][j] or rows[j][i] for i, j in _ANTI_X):
-        least_03, off_03, root_03 = _x_block(rows[0][0].real, rows[3][3].real, rows[3][0])
-        least_12, off_12, root_12 = _x_block(rows[1][1].real, rows[2][2].real, rows[2][1])
+    trace = (flat[0].real + flat[5].real) + (flat[10].real + flat[15].real)
+    if abs(trace - 1.0) > TARGET_TOL:
+        raise InvalidInput(f"trace {trace} != 1")
+    if not any(flat[ij] or flat[ji] for ij, ji in _ANTI_X):
+        least_03, off_03, root_03 = _x_block(flat[0].real, flat[15].real, flat[12])
+        least_12, off_12, root_12 = _x_block(flat[5].real, flat[10].real, flat[9])
         if min(least_03, least_12) < -TARGET_TOL:
             raise InvalidInput("state is not positive semidefinite")
         return 2.0 * max(0.0, off_03 - root_12, off_12 - root_03)
@@ -232,7 +237,7 @@ def concurrence(rho) -> float:
     if float(evals[0]) < -TARGET_TOL:
         raise InvalidInput("state is not positive semidefinite")
     m = vecs * np.sqrt(np.maximum(evals, 0.0))
-    lams = np.linalg.svd(m.T @ _SY_SY @ m, compute_uv=False)
+    lams = np.linalg.svd((m.T[:, ::-1] * _SY_SY_SIGNS) @ m, compute_uv=False)
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 
@@ -242,10 +247,15 @@ def nc_trace(ch, t_max: float, n_steps: int) -> TraceSeries:
     The pair starts maximally entangled, (|00> + |11>)/sqrt(2) with the
     ancilla first, and the channel acts on the system half only. That state
     at time t is Choi(T(t))/2, so every channel reads its trace off its
-    transfer matrices on the grid.
+    transfer matrices on the grid. InvalidInput from `concurrence` names the channel and t.
     """
     times = _uniform_grid(t_max, n_steps)
-    chois = channels.choi_from_transfer(channels.transfer_grid(ch, times))
-    values = np.array([concurrence(0.5 * c) for c in chois])
+    chois = 0.5 * channels.choi_from_transfer(channels.transfer_grid(ch, times))
+    values = np.empty(times.size)
+    for i, t in enumerate(times.tolist()):
+        try:
+            values[i] = concurrence(chois[i])
+        except InvalidInput as exc:
+            raise InvalidInput(f"{ch!r} at t = {t}: {exc}") from exc
     meta = {"measure": "concurrence", "channel": ch}
     return TraceSeries(times, values, meta, None)

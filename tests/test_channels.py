@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,22 @@ def _lmat_and_step(ch):
     """The Liouvillian of a master-equation model and its RK4 step bound."""
     h, jumps, rate = ch._generator()
     return liouvillian(h, jumps), channels.RK4_BASE_STEP / max(1.0, rate)
+
+
+def _np_kron_liouvillian(h, jumps):
+    """The generator of `liouvillian`, built with np.kron."""
+    idm = np.eye(h.shape[0], dtype=complex)
+    lmat = -1j * (np.kron(h, idm) - np.kron(idm, h.T))
+    for op, rate in jumps:
+        kk = op.conj().T @ op
+        lmat += rate * (np.kron(op, op.conj()) - 0.5 * (np.kron(kk, idm) + np.kron(idm, kk.T)))
+    return lmat
+
+
+@pytest.mark.parametrize("ch", [RabiDecay(1.0, 1 / 6), Exchange(1.0, 0.3)])
+def test_liouvillian_is_the_np_kron_build_byte_for_byte(ch):
+    h, jumps, _ = ch._generator()
+    assert liouvillian(h, jumps).tobytes() == _np_kron_liouvillian(h, jumps).tobytes()
 
 
 # --- Rabi + decay -------------------------------------------------------------
@@ -193,6 +211,15 @@ def test_lorentzian_functions_are_finite_at_long_times(g, w):
     assert np.all(np.isfinite(lorentzian_G(g, w, times)))
     assert np.all(np.isfinite(channels.transfer_grid(LorentzianAD(g, w), times)))
     assert np.isfinite(lorentzian_gamma(g, w, 1e6))
+
+
+@pytest.mark.parametrize("fn, name", [(lorentzian_G, "G(t)"), (lorentzian_gamma, "gamma(t)")])
+@pytest.mark.parametrize("t, at", [(1.0, "1.0"), ([0.5, 1.0], "0.5")])
+def test_lorentzian_overflow_names_the_parameters_and_time(fn, name, t, at):
+    # w * w overflows, and both returned NaN with a RuntimeWarning from _tanhc
+    message = rf"^{re.escape(name)} overflows at t = {at}, g = 1\.0, omega_w = 1e\+300$"
+    with pytest.raises(InvalidInput, match=message):
+        fn(1.0, 1e300, t)
 
 
 def test_G_first_zero_strong_coupling():

@@ -107,6 +107,18 @@ def test_kron_mixed_product():
     assert np.linalg.norm(left - right) < 1e-12
 
 
+@pytest.mark.parametrize("shape_a, shape_b", [((2, 2), (2, 2)), ((4, 4), (2, 2)), ((2, 2), (4, 4))])
+def test_kron_is_np_kron_byte_for_byte(shape_a, shape_b):
+    # every entry is one complex product a_ij b_kl, taken on np.kron's broadcast layout
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
+        b = rng.normal(size=shape_b) + 1j * rng.normal(size=shape_b)
+        expect = np.kron(a, b)
+        assert kron(a, b).shape == expect.shape
+        assert kron(a, b).tobytes() == expect.tobytes()
+
+
 # The two-qubit partial trace survives as the partner trace of the exchange
 # model, vec(M) -> vec(tr_partner M), built on the kron convention above.
 

@@ -391,6 +391,73 @@ def test_concurrence_rejects_non_finite_input():
             concurrence(bad)
 
 
+# an X state and a state that is not X, both full rank
+CHECK_STATES = {
+    "x-state": _x_state([[0.3, 0.1 - 0.05j], [0.1 + 0.05j, 0.2]], [[0.25, 0.1j], [-0.1j, 0.25]]),
+    "not-x": random_density(np.random.default_rng(11), 4),
+}
+
+
+# (entry, added value, the message it raises or None): the finite, Hermiticity and trace
+# checks at the drift band TARGET_TOL = 1e-8, each just past it and just inside it
+@pytest.mark.parametrize("entry, delta, message", [
+    ((1, 2), complex(0.0, np.nan), "^density matrix has non-finite entries$"),
+    ((0, 0), np.inf, "^density matrix has non-finite entries$"),
+    ((2, 1), 1.01e-8, "^density matrix is not Hermitian$"),
+    ((2, 1), 0.99e-8, None),
+    ((1, 1), 0.51e-8j, "^density matrix is not Hermitian$"),
+    ((1, 1), 0.49e-8j, None),
+    ((3, 3), 1.01e-8, "trace"),
+    ((3, 3), 0.99e-8, None),
+])
+@pytest.mark.parametrize("kind", sorted(CHECK_STATES))
+def test_concurrence_checks_at_the_drift_band(kind, entry, delta, message):
+    # a lower-triangle defect is seen although both paths read only the lower triangle,
+    # and an imaginary diagonal part d is a defect of 2 d
+    rho = CHECK_STATES[kind].copy()
+    rho[entry] += delta
+    if message == "trace":
+        message = rf"^trace {re.escape(str(np.trace(rho).real))} != 1$"
+    if message is None:
+        assert concurrence(rho) == pytest.approx(concurrence(CHECK_STATES[kind]), abs=1e-7)
+    else:
+        with pytest.raises(InvalidInput, match=message):
+            concurrence(rho)
+
+
+def test_concurrence_reports_the_trace_that_np_trace_gives(rng):
+    # np.trace sums the diagonal as (0 + 1) + (2 + 3); summed in order, ((0 + 1) + 2) + 3,
+    # or as 0 + ((1 + 2) + 3), a quarter to a third of these traces would move by one ulp
+    for _ in range(200):
+        rho = random_density(rng, 4) * (1.0 + rng.uniform(1e-6, 1e-3))
+        trace = re.escape(str(np.trace(rho).real))
+        with pytest.raises(InvalidInput, match=rf"^trace {trace} != 1$"):
+            concurrence(rho)
+
+
+@pytest.mark.parametrize("kind", sorted(CHECK_STATES))
+def test_concurrence_of_an_array_like_is_that_of_its_complex_copy(kind):
+    rho = CHECK_STATES[kind]
+    view = rho.T  # the transpose of a state is its conjugate, a state too
+    assert not view.flags.c_contiguous
+    assert concurrence(view) == concurrence(np.ascontiguousarray(view))
+    assert concurrence(rho.tolist()) == concurrence(rho)
+    pure = np.diag([0, 1, 0, 0])
+    assert concurrence(pure) == concurrence(pure.astype(complex)) == 0.0
+
+
+def test_concurrence_is_the_eigh_svd_oracle_bit_for_bit(rng):
+    # sy x sy is a signed anti-identity, so the column reversal and the oracle's matmul
+    # with _SY_SY are the same product; the 32 states past t = 0 of the nc_compare
+    # RabiDecay curve and 200 random full-rank states are none of them X states
+    chois = channels.choi_from_transfer(
+        channels.transfer_grid(RabiDecay(1.0, 1 / 6), np.linspace(0.0, 8.0, 33)))
+    states = [0.5 * c for c in chois[1:]] + [random_density(rng, 4) for _ in range(200)]
+    for rho in states:
+        assert np.count_nonzero(rho[[0, 0, 1, 2], [1, 2, 3, 3]])
+        assert concurrence(rho) == _wootters_eigh_svd(rho)
+
+
 # --- ancilla traces -------------------------------------------------------------------
 
 
@@ -513,6 +580,15 @@ def test_model_overflow_names_the_channel_and_time(ch, t_max, at, monkeypatch):
         nc_trace(ch, t_max, 2)
     with pytest.raises(InvalidInput, match=message):
         tsw_trace(ch, XYZ, MIXED, t_max, 2)
+
+
+def test_nc_trace_names_the_channel_and_time_of_a_rejected_state():
+    # at these rates the RK4 propagator moves the trace of the t = 0.5 state by 4.2e-8;
+    # the state is the channel's, not the caller's, so the message says which and when
+    ch = RabiDecay(1e6, 1e6)
+    message = rf"^{re.escape(repr(ch))} at t = 0\.5: trace [0-9.]+ != 1$"
+    with pytest.raises(InvalidInput, match=message):
+        nc_trace(ch, 1.0, 3)
 
 
 def test_tsw_trace_flags_non_optimal_points(monkeypatch):
