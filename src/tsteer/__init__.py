@@ -23,7 +23,6 @@ from .measures import (
 from .sdp import (
     SdpSolution,
     SolveStatus,
-    build_sw_sdp,
     dual_certificate,
     primal_certificate,
     solve,

@@ -2,10 +2,11 @@
 
 The temporal steerable weight of an assemblage is TSW = 1 - mu*, the
 complement of the largest unsteerable fraction found by the SDP. Under any
-completely positive trace-preserving map the TSW cannot grow, and under
-divisible (Markovian) dynamics it is therefore monotone in time; any
-positive slope certifies memory. The non-Markovianity number integrates
-exactly that positive slope over a sampled trace:
+positive trace-preserving map, completely positive or not, the TSW cannot
+grow, so it is monotone in time under P-divisible dynamics, CP-divisible
+(Markovian) dynamics among them; any positive slope certifies memory. The
+non-Markovianity number integrates exactly that positive slope over a
+sampled trace:
 
     N = sum_i max(TSW(t_{i+1}) - TSW(t_i), 0),
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channels
-from .errors import TARGET_TOL, InvalidInput, count, real
+from .errors import TARGET_TOL, InvalidInput, ValidationError, count, real
 from .steering import (
     Assemblage,
     MeasurementSet,
@@ -47,7 +48,6 @@ DEFAULT_SLOPE_THRESHOLD = 1e-6
 class TswResult:
     value: float
     solution: SdpSolution = field(repr=False)
-    time_tag: float = 0.0
 
 
 @dataclass
@@ -79,8 +79,6 @@ class TraceSeries:
 @dataclass
 class NmResult:
     value: float
-    slope_threshold: float
-    series: TraceSeries = field(repr=False)
 
 
 def _uniform_grid(t_max, n_steps) -> np.ndarray:
@@ -111,7 +109,7 @@ def tsw(asm: Assemblage, tol: float = DEFAULT_TOL) -> TswResult:
     """
     validate(asm)
     sol = solve(build_sw_sdp(asm, strategy_table(asm.n_meas)), tol=tol)
-    return TswResult(1.0 - sol.mu_star, sol, asm.time_tag)
+    return TswResult(1.0 - sol.mu_star, sol)
 
 
 def propagate_assemblage(ch, t, asm: Assemblage) -> Assemblage:
@@ -132,15 +130,19 @@ def tsw_trace(ch, ms: MeasurementSet, rho0, t_max: float, n_steps: int,
     Every grid point is one `tsw`, so one cold `solve`. A point whose solve
     does not end OPTIMAL keeps its value 1 - mu_star, which is then only a
     certified upper bound on the TSW, and its grid index is listed in
-    metadata["non_optimal"].
+    metadata["non_optimal"]. ValidationError from `tsw` names the channel and t.
     """
     times = _uniform_grid(t_max, n_steps)
     stacks = channels.evolve_grid(ch, premeasure(rho0, ms).stacked(), times)
     values = np.empty(times.size)
     solutions = []
     non_optimal = []
-    for i, t in enumerate(times):
-        sol = tsw(_from_stack(ms.labels, stacks[i], time_tag=float(t)), tol).solution
+    for i, t in enumerate(times.tolist()):
+        try:
+            sol = tsw(_from_stack(ms.labels, stacks[i], time_tag=t), tol).solution
+        except ValidationError as exc:
+            exc.args = (f"{ch!r} at t = {t}: {exc}",)
+            raise
         if sol.status is not SolveStatus.OPTIMAL:
             non_optimal.append(i)
         values[i] = 1.0 - sol.mu_star
@@ -156,26 +158,22 @@ def tsw_trace(ch, ms: MeasurementSet, rho0, t_max: float, n_steps: int,
     return TraceSeries(times, values, meta, solutions)
 
 
-def n_tsw(series: TraceSeries,
-          slope_threshold: float = DEFAULT_SLOPE_THRESHOLD) -> NmResult:
+def n_tsw(series: TraceSeries) -> NmResult:
     """Integral of the positive slope of the trace (first-order increments).
 
-    Positive increments at or below slope_threshold are zeroed as solver
-    noise. The |slope| integral plus the boundary term, sum |d| + sum d over
-    the same filtered increments d, is exactly twice this value. A
+    Positive increments at or below DEFAULT_SLOPE_THRESHOLD are zeroed as
+    solver noise. The |slope| integral plus the boundary term, sum |d| + sum d
+    over the same filtered increments d, is exactly twice this value. A
     non-finite value is a broken point, not a flat one, so it raises
-    InvalidInput; so does a threshold that is not a finite real >= 0 (NaN
-    would switch the filter off).
+    InvalidInput.
     """
-    slope_threshold = real("slope_threshold", slope_threshold)
     values = np.asarray(series.values, dtype=float)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise InvalidInput(f"trace has non-finite values at grid indices {bad.tolist()}")
     d = np.diff(values)
-    d = np.where((d > 0.0) & (d <= slope_threshold), 0.0, d)
-    value = float(d[d > 0.0].sum())
-    return NmResult(value, slope_threshold, series)
+    d = np.where((d > 0.0) & (d <= DEFAULT_SLOPE_THRESHOLD), 0.0, d)
+    return NmResult(float(d[d > 0.0].sum()))
 
 
 _SY_SY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])  # sy x sy is the anti-identity with these signs

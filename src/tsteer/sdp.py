@@ -149,7 +149,8 @@ def build_sw_sdp(asm: Assemblage, table: np.ndarray) -> np.ndarray:
     """The SDP's targets for a validated assemblage and its strategy_table(n_meas):
     `asm.stacked()`, the (2 n, 2, 2) stack in constraint order.
 
-    The stack is the whole input of `solve`; this step stays a named function
+    The stack is the whole input of `solve`, and `asm.stacked()` is the public
+    way to get it; this step is not exported and stays a named function only
     because `perfbench` times it as the SDP build, sdp.build_s. Raises
     InvalidInput unless table has shape (2 n, 2^n).
     """

@@ -35,6 +35,21 @@ OUTCOMES = (1, -1)
 # index 0 holds a=+1 and index 1 holds a=-1.
 
 
+def _keys(labels) -> list:
+    """The member keys in constraint order: (x0,+1), (x0,-1), (x1,+1), ..."""
+    return [(x, a) for x in labels for a in OUTCOMES]
+
+
+def _labels(labels) -> tuple:
+    """labels as a tuple; InvalidInput unless there is at least one and they are distinct."""
+    labels = tuple(labels)
+    if not labels:
+        raise InvalidInput("need at least one setting")
+    if len(set(labels)) != len(labels):
+        raise InvalidInput(f"repeated label in {labels}")
+    return labels
+
+
 @dataclass
 class MeasurementSet:
     """Ordered binary projective measurements, one projector pair per setting.
@@ -50,10 +65,7 @@ class MeasurementSet:
     projectors: tuple  # one (P_plus, P_minus) pair per label
 
     def __post_init__(self):
-        if len(self.labels) == 0:
-            raise InvalidInput("need at least one setting")
-        if len(set(self.labels)) != len(self.labels):
-            raise InvalidInput(f"repeated label in {tuple(self.labels)}")
+        self.labels = _labels(self.labels)
         if len(self.projectors) != len(self.labels):
             raise InvalidInput(f"{len(self.projectors)} projector pairs for "
                                f"{len(self.labels)} labels")
@@ -62,9 +74,9 @@ class MeasurementSet:
             raise InvalidInput("every setting needs one pair of 2x2 projectors")
         pairs = np.array(self.projectors, dtype=complex)
         pairs.flags.writeable = False
-        self.labels, self.projectors = tuple(self.labels), tuple(map(tuple, pairs))
+        self.projectors = tuple(map(tuple, pairs))
         check_blocks(pairs.reshape(-1, 2, 2),
-                     [f"setting {x!r} P{a:+d}" for x in self.labels for a in OUTCOMES])
+                     [f"setting {x!r} P{a:+d}" for x, a in _keys(self.labels)])
         pp, pm = pairs[:, 0], pairs[:, 1]
         off = np.maximum(np.linalg.norm(pp @ pp - pp, axis=(-2, -1)),
                          np.linalg.norm(pp + pm - hermat.IDENTITY, axis=(-2, -1))) > _band(pairs)
@@ -95,40 +107,37 @@ def pauli_measurement_set(labels) -> MeasurementSet:
 
 @dataclass
 class Assemblage:
-    """Unnormalized conditional states sigma_{a|x} at a fixed evolution time."""
+    """Unnormalized conditional states sigma_{a|x} at a fixed evolution time. InvalidInput
+    unless the labels pass `_labels` and the 2x2 members are keyed by exactly labels x
+    OUTCOMES; keeps its own label tuple and member dict, in constraint order."""
 
     labels: tuple
     members: dict = field(repr=False)  # (label, outcome) -> 2x2 complex array
     time_tag: float = 0.0
 
     def __post_init__(self):
-        if len(self.labels) == 0:
-            raise InvalidInput("need at least one setting")
-        keys = {(x, a) for x in self.labels for a in OUTCOMES}
-        if len(self.members) != 2 * len(self.labels) or set(self.members) != keys:
-            raise InvalidInput(f"members must be keyed by exactly {tuple(self.labels)} x "
-                                f"{OUTCOMES}, got {sorted(self.members, key=str)}")
+        self.labels = _labels(self.labels)
+        keys = _keys(self.labels)
+        if len(self.members) != len(keys) or set(self.members) != set(keys):
+            raise InvalidInput(f"members must be keyed by exactly {self.labels} x "
+                               f"{OUTCOMES}, got {sorted(self.members, key=str)}")
         if any(np.shape(m) != (2, 2) for m in self.members.values()):
             raise InvalidInput("every member must be 2x2")
+        self.members = {k: self.members[k] for k in keys}
 
     @property
     def n_meas(self) -> int:
         return len(self.labels)
 
-    def member(self, x: str, a: int) -> np.ndarray:
-        return self.members[(x, a)]
-
     def stacked(self) -> np.ndarray:
-        """Members as an array in constraint order: (x0,+1), (x0,-1), (x1,+1), ..."""
-        return np.array([self.members[(x, a)] for x in self.labels for a in OUTCOMES])
+        """Members as an array in constraint order."""
+        return np.array([self.members[k] for k in _keys(self.labels)])
 
 
 def _from_stack(labels, stack, time_tag=0.0) -> Assemblage:
-    members = {}
-    for i, x in enumerate(labels):
-        for k, a in enumerate(OUTCOMES):
-            members[(x, a)] = np.asarray(stack[2 * i + k], dtype=complex)
-    return Assemblage(tuple(labels), members, time_tag)
+    """The assemblage whose members are the blocks of stack, in constraint order."""
+    return Assemblage(labels, {k: np.asarray(block, dtype=complex)
+                               for k, block in zip(_keys(labels), stack)}, time_tag)
 
 
 def premeasure(rho0, ms: MeasurementSet) -> Assemblage:
@@ -140,11 +149,7 @@ def premeasure(rho0, ms: MeasurementSet) -> Assemblage:
     check_blocks(rho0[None], ["initial state"])
     if abs(np.trace(rho0).real - 1.0) > _band(rho0):
         raise InvalidInput(f"initial state trace {np.trace(rho0).real} != 1")
-    members = {}
-    for x, (pp, pm) in zip(ms.labels, ms.projectors):
-        members[(x, 1)] = pp @ rho0 @ pp
-        members[(x, -1)] = pm @ rho0 @ pm
-    return Assemblage(ms.labels, members, 0.0)
+    return _from_stack(ms.labels, [p @ rho0 @ p for pair in ms.projectors for p in pair])
 
 
 def strategy_table(n_meas: int) -> np.ndarray:
@@ -186,14 +191,9 @@ def lhs_assemblage(sigmas, labels=None) -> Assemblage:
     sigmas = np.array(sigmas)
     check_blocks(sigmas, [f"hidden state {i}" for i in range(n_lambda)])
     if labels is None:
-        if n_meas <= 3:
-            labels = ("X", "Y", "Z")[:n_meas]
-        else:
-            labels = tuple(f"M{i + 1}" for i in range(n_meas))
+        labels = ("X", "Y", "Z")[:n_meas] if n_meas <= 3 else [f"M{i + 1}" for i in range(n_meas)]
     elif len(labels) != n_meas:
         raise InvalidInput(f"expected {n_meas} labels, got {len(labels)}")
-    elif len(set(labels)) != len(labels):
-        raise InvalidInput(f"repeated label in {tuple(labels)}")
     stack = np.tensordot(strategy_table(n_meas), sigmas, axes=(1, 0))
     return _from_stack(labels, stack)
 
@@ -251,7 +251,7 @@ def validate(asm: Assemblage) -> None:
     defined for such signaling families too.
     """
     stack = asm.stacked()
-    out = block_violations(stack, [f"({x},{a:+d})" for x in asm.labels for a in OUTCOMES])
+    out = block_violations(stack, [f"({x},{a:+d})" for x, a in _keys(asm.labels)])
     if not out or out[0].kind != "non-finite":
         tr_dev = np.abs(np.trace(stack[0::2] + stack[1::2], axis1=-2, axis2=-1).real - 1.0)
         out += [Violation("total-trace", f"(x={x})", float(dev))

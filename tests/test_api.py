@@ -13,9 +13,9 @@ from tsteer.errors import InvalidInput
 
 PUBLIC = [
     "Assemblage", "Exchange", "KrausChannel", "LorentzianAD", "MeasurementSet", "NmResult",
-    "RabiDecay", "SdpSolution", "SolveStatus", "TraceSeries", "TswResult", "build_sw_sdp",
-    "concurrence", "dual_certificate", "lhs_assemblage", "lorentzian_G", "lorentzian_gamma",
-    "n_tsw", "nc_trace", "pauli_measurement_set", "premeasure", "primal_certificate",
+    "RabiDecay", "SdpSolution", "SolveStatus", "TraceSeries", "TswResult", "concurrence",
+    "dual_certificate", "lhs_assemblage", "lorentzian_G", "lorentzian_gamma", "n_tsw",
+    "nc_trace", "pauli_measurement_set", "premeasure", "primal_certificate",
     "propagate_assemblage", "random_kraus_channel", "solve", "strategy_table", "tsw",
     "tsw_trace", "validate",
 ]
@@ -40,10 +40,6 @@ def _targets():
                                        tsteer.premeasure(MIXED, XYZ)).stacked()
 
 
-def _series():
-    return tsteer.TraceSeries(np.arange(3.0), np.array([0.0, 0.5, 1.0]))
-
-
 # (entry, argument, kind, call with the argument, values out of range); a real is
 # >= 0 unless its range says > 0, a count lies in low..high
 ARGUMENTS = [
@@ -60,8 +56,6 @@ ARGUMENTS = [
     ("nc_trace", "t_max", "real", lambda v: tsteer.nc_trace(tsteer.RabiDecay(1.0), v, 5), (0.0,)),
     ("tsw_trace", "t_max", "real",
      lambda v: tsteer.tsw_trace(tsteer.RabiDecay(1.0, 0.5), XYZ, MIXED, v, 3), (0.0, -1.0)),
-    ("n_tsw", "slope_threshold", "real",
-     lambda v: tsteer.n_tsw(_series(), slope_threshold=v), (-1e-6,)),
     ("solve", "tol", "real", lambda v: tsteer.solve(_targets(), tol=v), (0.0, -1e-8)),
     ("tsw", "tol", "real", lambda v: tsteer.tsw(tsteer.premeasure(MIXED, XYZ), tol=v), (0.0,)),
     ("random_kraus_channel", "n_kraus", "count",

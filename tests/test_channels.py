@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import eig_propagate
+from conftest import eig_propagate, random_density
 from tsteer import channels
 from tsteer.channels import (
     Exchange,
@@ -24,12 +24,6 @@ from tsteer.steering import pauli_measurement_set, premeasure, validate
 EE = np.outer(KET_E, KET_E.conj())
 GG = np.outer(KET_G, KET_G.conj())
 XYZ = pauli_measurement_set("XYZ")
-
-
-def random_density(rng, dim=2):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 def apply_at(ch, t, rho):
@@ -363,11 +357,14 @@ def test_random_kraus_rejects_a_count_that_is_not_a_positive_integer(n_kraus):
 
 def test_random_kraus_accepts_numpy_integer_counts():
     assert len(random_kraus_channel(0, np.int64(3)).operators) == 3
+    assert repr(random_kraus_channel(0, 2)) == "KrausChannel(n=2)"
 
 
 def test_kraus_rejects_incomplete():
     with pytest.raises(InvalidInput, match="sum K\\^dag K = I"):
         KrausChannel([np.diag([0.5, 0.5])])
+    with pytest.raises(InvalidInput, match="^need at least one Kraus operator$"):
+        KrausChannel(())
 
 
 def test_kraus_channel_keeps_read_only_copies_of_its_operators():

@@ -217,18 +217,14 @@ def test_n_tsw_counts_revival():
 
 
 def test_n_tsw_threshold_filters_noise():
-    ts = series([0.5, 0.5 + 5e-7, 0.5, 0.5 + 5e-7, 0.5])
-    assert n_tsw(ts, slope_threshold=1e-6).value == 0.0
-    assert n_tsw(ts, slope_threshold=1e-8).value == pytest.approx(1e-6, rel=1e-6)
-    # a NaN threshold would switch the filter off, a negative one is meaningless
-    for bad in (np.nan, np.inf, -1e-6):
-        with pytest.raises(InvalidInput,
-                           match=f"slope_threshold must be a finite real >= 0, got {bad}"):
-            n_tsw(series([0.0, 0.5, 1.0]), slope_threshold=bad)
-    for bad in ("x", None):
-        with pytest.raises(InvalidInput, match="slope_threshold must be a finite real >= 0"):
-            n_tsw(series([0.0, 0.5, 1.0]), slope_threshold=bad)
-    assert n_tsw(ts, slope_threshold=np.float64(1e-6)).value == 0.0
+    # rises at or below DEFAULT_SLOPE_THRESHOLD = 1e-6 are zeroed, larger ones counted
+    assert measures.DEFAULT_SLOPE_THRESHOLD == 1e-6
+    assert n_tsw(series([0.5, 0.5 + 5e-7, 0.5, 0.5 + 5e-7, 0.5])).value == 0.0
+    assert n_tsw(series([0.0, 1e-6, 0.0])).value == 0.0
+    assert n_tsw(series([0.5, 0.5 + 2e-6, 0.5])).value == pytest.approx(2e-6, rel=1e-9)
+    # the threshold is not an argument
+    with pytest.raises(TypeError):
+        n_tsw(series([0.0, 0.5, 1.0]), 1e-8)
 
 
 def test_n_tsw_is_half_the_abs_slope_plus_boundary(rng):
@@ -340,6 +336,12 @@ def test_concurrence_rejects_bad_input():
         concurrence(rho)
     rho[0, 1] = 1e-10  # roundoff-sized asymmetry is still accepted
     assert concurrence(rho) == pytest.approx(0.0, abs=1e-12)
+    # a state that is not X, with least eigenvalue -2e-8, past the drift band
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    rho = q @ np.diag([-2e-8, 0.3, 0.3, 0.4 + 2e-8]) @ q.conj().T
+    with pytest.raises(InvalidInput, match="^state is not positive semidefinite$"):
+        concurrence(rho)
 
 
 _SY_SY = hermat.kron(hermat.SIGMA_Y, hermat.SIGMA_Y)
@@ -469,7 +471,7 @@ def test_nc_identity_channel_constant_one():
 def test_nc_rabi_decay_monotone_and_markovian():
     ts = nc_trace(RabiDecay(1.0, 0.5), 8.0, 33)
     assert np.all(np.diff(ts.values) <= 1e-9)
-    assert n_tsw(ts, 1e-4).value == pytest.approx(0.0, abs=5e-5)
+    assert n_tsw(ts).value == 0.0
 
 
 def test_nc_exchange_collapse_and_revival():
@@ -589,6 +591,22 @@ def test_nc_trace_names_the_channel_and_time_of_a_rejected_state():
     message = rf"^{re.escape(repr(ch))} at t = 0\.5: trace [0-9.]+ != 1$"
     with pytest.raises(InvalidInput, match=message):
         nc_trace(ch, 1.0, 3)
+
+
+def test_tsw_trace_names_the_channel_and_time_of_a_rejected_assemblage():
+    # the same drift fails validate in tsw, which once blamed a setting alone; it stays
+    # a ValidationError with its violations, under the prefix nc_trace gives
+    ch = RabiDecay(1e6, 1e6)
+    prefix = rf"^{re.escape(repr(ch))} at t = 0\.5: "
+    with pytest.raises(ValidationError, match=prefix + r"total-trace at \(x=X\): 4\.2") as err:
+        tsw_trace(ch, XYZ, MIXED, 1.0, 3)
+    assert [(v.kind, v.where) for v in err.value.violations] == [
+        ("total-trace", f"(x={x})") for x in XYZ.labels]
+    with pytest.raises(InvalidInput, match=prefix + "trace"):
+        nc_trace(ch, 1.0, 3)
+    # a bad tol is the caller's error, and keeps its own message
+    with pytest.raises(InvalidInput, match="^tol must be a finite real > 0"):
+        tsw_trace(ch, XYZ, MIXED, 1.0, 3, tol=0.0)
 
 
 def test_tsw_trace_flags_non_optimal_points(monkeypatch):

@@ -364,6 +364,13 @@ def test_certificate_allowance_does_not_grow_with_the_multiplier():
     assert primal_certificate(half, p) == half.mu_star
     with pytest.raises(CertificateInvalid, match="^strategy coverage min eigenvalue -5.000e-01 < "):
         dual_certificate(half, p)
+    # every coverage is diag(2e13, 0): its own band, 20, lets the -1 of
+    # coverage - I through, and the shortfall of a whole I leaves no bound
+    f = np.broadcast_to(np.diag([1e13, 0.0]), p.shape).astype(complex)
+    huge = dataclasses.replace(sol, dual_vars=f,
+                               dual_value=float(np.einsum("mij,mij->", p.conj(), f).real))
+    with pytest.raises(CertificateInvalid, match=r"^a strategy's coverage falls 1.000e\+00 below"):
+        dual_certificate(huge, p)
 
 
 def test_certificate_reports_the_repaired_bound():
@@ -441,6 +448,10 @@ def test_primal_certificate_rejects_infeasible_points():
     with pytest.raises(CertificateInvalid):
         primal_certificate(type(sol)(mu_star=sol.mu_star + 1e-6, sigma_tilde=sol.sigma_tilde,
                                      dual_vars=sol.dual_vars), p)
+    skew = sol.sigma_tilde.copy()
+    skew[0, 0, 1] += 1e-6
+    with pytest.raises(CertificateInvalid, match="^sigma_tilde is not Hermitian$"):
+        primal_certificate(dataclasses.replace(sol, sigma_tilde=skew), p)
 
 
 def test_constant_map_is_solved_in_closed_form():

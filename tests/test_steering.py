@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import depolarized_assemblage
+from conftest import depolarized_assemblage, random_density
 from tsteer import measures
 from tsteer.channels import KrausChannel, RabiDecay
 from tsteer.errors import InvalidInput, ValidationError
@@ -20,12 +20,6 @@ from tsteer.steering import (
 )
 
 XYZ = pauli_measurement_set("XYZ")
-
-
-def random_density(rng):
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 def assert_exact(asm, signaling=False):
@@ -134,7 +128,7 @@ def test_measurement_set_keeps_copies_of_its_labels_and_projectors():
     labels.append("X")
     asm = premeasure(IDENTITY / 2, ms)
     assert ms.labels == ("Z",)
-    assert np.array_equal(asm.member("Z", 1), np.diag([0.5, 0.0]))
+    assert np.array_equal(asm.members[("Z", 1)], np.diag([0.5, 0.0]))
     with pytest.raises(ValueError, match="read-only"):
         ms.projectors[0][0][0, 0] = 3.0
 
@@ -146,16 +140,16 @@ def test_premeasure_maximally_mixed():
     asm = premeasure(IDENTITY / 2, XYZ)
     assert asm.time_tag == 0.0
     for x, (pp, pm) in zip(XYZ.labels, XYZ.projectors):
-        assert np.allclose(asm.member(x, 1), pp / 2, atol=1e-12)
-        assert np.allclose(asm.member(x, -1), pm / 2, atol=1e-12)
-        assert np.trace(asm.member(x, 1)).real == pytest.approx(0.5)
+        assert np.allclose(asm.members[(x, 1)], pp / 2, atol=1e-12)
+        assert np.allclose(asm.members[(x, -1)], pm / 2, atol=1e-12)
+        assert np.trace(asm.members[(x, 1)]).real == pytest.approx(0.5)
 
 
 def test_premeasure_pure_z():
     ket0 = np.diag([1.0, 0.0]).astype(complex)
     asm = premeasure(ket0, pauli_measurement_set("Z"))
-    assert np.allclose(asm.member("Z", 1), ket0)
-    assert np.allclose(asm.member("Z", -1), np.zeros((2, 2)))
+    assert np.allclose(asm.members[("Z", 1)], ket0)
+    assert np.allclose(asm.members[("Z", -1)], np.zeros((2, 2)))
 
 
 def test_premeasure_pure_z_in_x_basis():
@@ -163,7 +157,7 @@ def test_premeasure_pure_z_in_x_basis():
     asm = premeasure(ket0, pauli_measurement_set("X"))
     for a in (1, -1):
         proj = (IDENTITY + a * SIGMA_X) / 2
-        assert np.allclose(asm.member("X", a), proj / 2, atol=1e-12)
+        assert np.allclose(asm.members[("X", a)], proj / 2, atol=1e-12)
 
 
 def test_premeasure_rejects_bad_states():
@@ -171,6 +165,8 @@ def test_premeasure_rejects_bad_states():
         premeasure(np.diag([2.0, -1.0]), XYZ)
     with pytest.raises(InvalidInput, match="initial state trace"):
         premeasure(np.diag([0.7, 0.7]), XYZ)
+    with pytest.raises(InvalidInput, match="^expected a 2x2 density matrix, got shape"):
+        premeasure(np.eye(3) / 3, XYZ)
 
 
 def test_premeasure_rejects_non_hermitian_state():
@@ -255,11 +251,29 @@ def test_assemblage_members_are_keyed_by_labels_and_outcomes():
     extra = {**full, ("W", 1): IDENTITY / 4}
     renamed = {(x, 0 if a == -1 else a): v for (x, a), v in full.items()}
     for labels, members in ((XYZ.labels, missing), (XYZ.labels, extra),
-                            (XYZ.labels, renamed), (("X", "Y"), full),
-                            (("X", "X", "Y", "Z"), full)):
+                            (XYZ.labels, renamed), (("X", "Y"), full)):
         with pytest.raises(InvalidInput, match="members must be keyed by exactly"):
             Assemblage(labels, members)
+    # labels follow the rule of MeasurementSet, checked before the keys
+    with pytest.raises(InvalidInput, match=r"^repeated label in \('X', 'X', 'Y', 'Z'\)$"):
+        Assemblage(("X", "X", "Y", "Z"), full)
     assert_exact(Assemblage(XYZ.labels, dict(full)))
+    # a list of (key, member) pairs is not a dict of members
+    with pytest.raises(TypeError):
+        Assemblage(XYZ.labels, list(full.items()))
+
+
+def test_assemblage_keeps_its_own_labels_and_members():
+    # appending to the caller's label list once left validate a key ("W", 1)
+    # with no member, a raw KeyError
+    labels, members = ["X", "Y", "Z"], dict(premeasure(IDENTITY / 2, XYZ).members)
+    asm = Assemblage(labels, members)
+    labels.append("W")
+    members[("X", 1)] = np.full((2, 2), np.nan)
+    del members[("Z", -1)]
+    assert asm.labels == ("X", "Y", "Z")
+    assert list(asm.members) == [(x, a) for x in "XYZ" for a in OUTCOMES]
+    assert_exact(asm)
 
 
 def test_assemblage_and_measurement_set_reject_blocks_that_are_not_2x2():
@@ -338,7 +352,7 @@ def test_lhs_uniform_model():
     asm = lhs_assemblage(sigmas)
     for x in asm.labels:
         for a in (1, -1):
-            assert np.allclose(asm.member(x, a), IDENTITY / 4, atol=1e-12)
+            assert np.allclose(asm.members[(x, a)], IDENTITY / 4, atol=1e-12)
     assert_exact(asm)
 
 
@@ -346,7 +360,7 @@ def test_lhs_bloch_corner_member():
     # summing the four strategies with i=+1 cancels the y and z components
     asm = lhs_assemblage(bloch_corner_sigmas())
     expect = IDENTITY / 4 + SIGMA_X / (4 * np.sqrt(3))
-    assert np.allclose(asm.member("X", 1), expect, atol=1e-12)
+    assert np.allclose(asm.members[("X", 1)], expect, atol=1e-12)
     assert_exact(asm)
 
 
@@ -354,8 +368,8 @@ def test_lhs_deterministic_concentration():
     sigmas = [np.zeros((2, 2), dtype=complex)] * 7 + [IDENTITY / 2]
     asm = lhs_assemblage(sigmas)
     for x in asm.labels:
-        assert np.allclose(asm.member(x, 1), IDENTITY / 2)
-        assert np.allclose(asm.member(x, -1), np.zeros((2, 2)))
+        assert np.allclose(asm.members[(x, 1)], IDENTITY / 2)
+        assert np.allclose(asm.members[(x, -1)], np.zeros((2, 2)))
 
 
 def test_lhs_matches_explicit_index_sets():
@@ -376,7 +390,7 @@ def test_lhs_matches_explicit_index_sets():
     }
     for key, idx in index_sets.items():
         expect = sum(sigmas[i] for i in idx)
-        assert np.allclose(asm.member(*key), expect, atol=1e-13)
+        assert np.allclose(asm.members[key], expect, atol=1e-13)
 
 
 def test_lhs_validates_random():
@@ -415,6 +429,8 @@ def test_lhs_rejects_repeated_labels():
             lhs_assemblage([IDENTITY / 8] * 4, labels=labels)
     asm = lhs_assemblage([IDENTITY / 8] * 4, labels=("X", "Z"))
     assert len(asm.members) == 4
+    # past three settings the default labels are M1, M2, ...
+    assert lhs_assemblage([IDENTITY / 32] * 16).labels == ("M1", "M2", "M3", "M4")
 
 
 # --- depolarized fixture ------------------------------------------------------
